@@ -12,8 +12,8 @@ memtable otherwise.
 
 :class:`~repro.serve.tier.ServeTier` is the front door; figure 19
 (:mod:`repro.bench.serve`) sweeps it to its saturation knee and
-verify stage 7 (:mod:`repro.verify.serve`) crash-checks the session
-guarantees.
+the verify serve session sweep (:mod:`repro.verify.serve`)
+crash-checks the session guarantees.
 """
 
 from repro.serve.admission import AdmissionController

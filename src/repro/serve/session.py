@@ -20,8 +20,8 @@ travel backwards in the session's own timeline.  The tier enforces that
 gate (falling back to the memtable — in virtual time, "blocking until
 covered" and "serving from the always-fresh memtable" are the same
 guarantee, the latter at a bounded cost); the seeded
-``stale_snapshot_read`` mutant disables the gate and verify stage 7
-must catch it.
+``stale_snapshot_read`` mutant disables the gate and the verify serve
+session sweep must catch it.
 
 :class:`SnapshotReader` walks superblock → descriptor → bucket chain
 through a thread's :class:`~repro.persist.api.PMemView`, so snapshot

@@ -29,7 +29,7 @@ transitions fire the store's crash-probe points
 (``backpressure_engaged`` / ``backpressure_released``), so the verify
 sweeps crash inside backpressure windows too.
 
-Seeded mutants (verify stage 7 must turn red on both):
+Seeded mutants (the verify serve session sweep must turn red on both):
 
 * ``stale_snapshot_read`` — snapshot reads ignore the session floor;
 * ``shed_acked_op`` — the admission decision is applied only *after*
@@ -71,7 +71,7 @@ class ServeTier:
         self.ack_latency = Histogram()
         self.max_depth = 0
         self.mutants: Set[str] = set()  # seeded-bug flags (tests only)
-        #: oracle hooks (verify stage 7); None = zero-cost
+        #: oracle hooks (verify serve session sweep); None = zero-cost
         self.on_read: Optional[Callable[[int, int, Optional[int], str], None]] = None
         self.on_write: Optional[Callable[[int, int, object], None]] = None
         self.on_shed: Optional[Callable[[int, Optional[object]], None]] = None

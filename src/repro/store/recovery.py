@@ -120,7 +120,7 @@ def recover(
     ``txn_partial=True`` is the seeded ``txn_partial_replay`` mutant:
     instead of rolling a torn transaction run back whole, buggy replay
     applies the surviving prefix of its ``OP_TXN`` records directly —
-    exactly the partial-transaction state the stage-8 oracle exists to
+    exactly the partial-transaction state the txn sweep's oracle exists to
     reject.
     """
     items, watermark = _read_checkpoint(read, layout)

@@ -18,7 +18,7 @@ a transaction is *one ticket* toward the epoch trigger.
 
 Durability contract: the transaction is durable once
 ``ticket.acked`` is True.  Before that, recovery surfaces either every
-write of the transaction or none of them (the stage-8
+write of the transaction or none of them (the txn atomicity sweep's
 :class:`repro.verify.txn` oracle enforces exactly this).
 """
 

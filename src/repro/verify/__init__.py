@@ -21,7 +21,11 @@ machine-checked properties at every simulated boundary:
   :class:`~repro.obs.events.EventBus`: FSHR states, TileLink opcodes and
   probe/WBU/CBO interleavings, with a gating floor;
 * :mod:`repro.verify.mutants` — known-bad model variants the harness
-  must catch (self-test of the oracle).
+  must catch (self-test of the oracle);
+* :mod:`repro.verify.sweep` — one :class:`CrashSweep` over the store,
+  shared-log, transaction and serving-tier scenarios, whose oracles live
+  in :mod:`repro.verify.store`, :mod:`repro.verify.txn` and
+  :mod:`repro.verify.serve`.
 
 ``python -m repro.verify --smoke`` runs the sampled sweep and exits
 nonzero on any violation or on FSM coverage below the floor.

@@ -16,34 +16,38 @@
    (``--fuzz N`` runs more; a failing case is shrunk to a minimal
    reproducer and reported with its seed).
 4. **Store crash sweep** — the :mod:`repro.store` durable KV store
-   driven through its crash-point sweep
-   (:class:`~repro.verify.store.StoreCrashSweep`): every optimizer x
+   driven through the ``store`` scenario of the crash sweep
+   (:class:`~repro.verify.sweep.CrashSweep`): every optimizer x
    group-commit {1, 8, 64}, checking at every protocol boundary
    (including mid-writeback windows) that acknowledged commits survive,
    nothing beyond the last initiated epoch surfaces, and the recovered
    state equals the journal prefix.
-5. **Shared-log crash sweep** — the same contract over
-   :class:`~repro.verify.store.SharedStoreCrashSweep`: N threads
-   interleaving appends into one shared WAL, epochs sealed by a leader
-   whose single fence must cover every thread's records; crashes at
-   every seal boundary and writeback-completion window.
+5. **Shared-log crash sweep** — the same contract over the ``shared``
+   scenario: N threads interleaving appends into one shared WAL, epochs
+   sealed by a leader whose single fence must cover every thread's
+   records; crashes at every seal boundary and writeback-completion
+   window.
 6. **Ranged seal crash sweep** — the store sweep again with
-   ``ranged_seal`` on (:func:`~repro.verify.store.run_ranged_store_sweep`):
-   epochs sealed by one ``CBO.RANGE.CLEAN`` over the log span plus a
-   completion wait; the mid-range crash windows enumerate every cursor
-   position of the sweep, every optimizer x group-commit {1, 8, 64}.
-7. **Serve session sweep** — the serving tier's contracts over
-   :class:`~repro.verify.serve.ServeCrashSweep`: sessions driving a
+   ``ranged_seal`` on: epochs sealed by one ``CBO.RANGE.CLEAN`` over the
+   log span plus a completion wait; the mid-range crash windows
+   enumerate every cursor position of the sweep, every optimizer x
+   group-commit {1, 8, 64}.
+7. **Serve session sweep** — the serving tier's contracts over the
+   ``serve`` scenario: sessions driving a
    :class:`~repro.serve.tier.ServeTier` (admission control engaged,
    snapshot reads exercised), checking journal-prefix durability at
    every crash point plus read-your-writes, per-session monotonic
    reads, and that shed requests are never journaled or recovered.
-8. **Transaction sweep** — multi-key atomicity over
-   :class:`~repro.verify.txn.SharedTxnCrashSweep`: mixed plain and
-   transactional traffic on the 3-thread shared log, every optimizer x
-   group-commit {1, 8, 64}; the :class:`~repro.verify.txn.TxnOracle`
-   rejects any crash image recovering a proper subset of a
-   transaction's writes or any write of an uncommitted transaction.
+8. **Transaction sweep** — multi-key atomicity over the ``txn-shared``
+   scenario: mixed plain and transactional traffic on the 3-thread
+   shared log, every optimizer x group-commit {1, 8, 64}; the
+   :class:`~repro.verify.txn.TxnOracle` rejects any crash image
+   recovering a proper subset of a transaction's writes or any write of
+   an uncommitted transaction.
+
+``--exhaustive`` also checks the Soc crash image at every cycle and runs
+the full crash-sweep product: every scenario in
+:data:`~repro.verify.sweep.SCENARIOS` under both seal modes.
 
 Exit status: 0 all green, 1 on any oracle violation or model divergence,
 2 when FSM coverage is below the floor (``--floor``, default 90% of
@@ -70,17 +74,28 @@ from repro.verify.injector import (
     SocCrashInjector,
     TimingCrashInjector,
 )
-from repro.verify.serve import run_serve_sweep
-from repro.verify.store import (
-    run_ranged_store_sweep,
-    run_shared_store_sweep,
-    run_store_sweep,
-)
-from repro.verify.txn import run_txn_sweep
+from repro.verify.sweep import sweep_matrix
 
 MATRIX_ADDR = 0x10000
 MATRIX_VALUE = 42
 MATRIX_LOCATIONS = ("own_l1", "other_l1", "l2", "l3")
+
+#: the crash-sweep stages --smoke runs: (header, scenario, ranged_seal)
+SMOKE_SWEEPS = (
+    ("store crash sweep", "store", False),
+    ("shared-log crash sweep", "shared", False),
+    ("ranged seal crash sweep", "store", True),
+    ("serve session sweep", "serve", False),
+    ("txn atomicity sweep", "txn-shared", False),
+)
+#: --exhaustive adds the rest of the scenario x seal-mode product
+EXHAUSTIVE_SWEEPS = SMOKE_SWEEPS + (
+    ("private-log txn sweep", "txn", False),
+    ("ranged seal shared-log sweep", "shared", True),
+    ("ranged seal private-log txn sweep", "txn", True),
+    ("ranged seal txn atomicity sweep", "txn-shared", True),
+    ("ranged seal serve session sweep", "serve", True),
+)
 
 
 # ------------------------------------------------------ timing matrix
@@ -290,7 +305,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--exhaustive",
         action="store_true",
-        help="check the Soc crash image every cycle instead of sampling",
+        help=(
+            "check the Soc crash image every cycle instead of sampling, "
+            "and run every crash scenario under both seal modes"
+        ),
     )
     parser.add_argument(
         "--fuzz",
@@ -350,60 +368,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         for failure in case_failures[:1]:
             out.append("       " + failure.summary().replace("\n", "\n       "))
 
-    out.append("== store crash sweep ==")
-    for name, report in run_store_sweep():
-        mark = "ok" if report.ok else "FAIL"
-        out.append(
-            f"  {mark} {name:<28} {report.crash_points} crash points "
-            f"over {report.boundaries} boundaries"
-        )
-        failures += len(report.violations)
-        for violation in report.violations[:3]:
-            out.append(f"       {violation}")
-
-    out.append("== shared-log crash sweep ==")
-    for name, report in run_shared_store_sweep():
-        mark = "ok" if report.ok else "FAIL"
-        out.append(
-            f"  {mark} {name:<28} {report.crash_points} crash points "
-            f"over {report.boundaries} boundaries"
-        )
-        failures += len(report.violations)
-        for violation in report.violations[:3]:
-            out.append(f"       {violation}")
-
-    out.append("== ranged seal crash sweep ==")
-    for name, report in run_ranged_store_sweep():
-        mark = "ok" if report.ok else "FAIL"
-        out.append(
-            f"  {mark} {name:<28} {report.crash_points} crash points "
-            f"over {report.boundaries} boundaries"
-        )
-        failures += len(report.violations)
-        for violation in report.violations[:3]:
-            out.append(f"       {violation}")
-
-    out.append("== serve session sweep ==")
-    for name, report in run_serve_sweep():
-        mark = "ok" if report.ok else "FAIL"
-        out.append(
-            f"  {mark} {name:<28} {report.crash_points} crash points "
-            f"over {report.boundaries} boundaries"
-        )
-        failures += len(report.violations)
-        for violation in report.violations[:3]:
-            out.append(f"       {violation}")
-
-    out.append("== txn atomicity sweep ==")
-    for name, report in run_txn_sweep():
-        mark = "ok" if report.ok else "FAIL"
-        out.append(
-            f"  {mark} {name:<28} {report.crash_points} crash points "
-            f"over {report.boundaries} boundaries"
-        )
-        failures += len(report.violations)
-        for violation in report.violations[:3]:
-            out.append(f"       {violation}")
+    for header, scenario, ranged_seal in (
+        EXHAUSTIVE_SWEEPS if args.exhaustive else SMOKE_SWEEPS
+    ):
+        out.append(f"== {header} ==")
+        for name, report in sweep_matrix(scenario, ranged_seal=ranged_seal):
+            mark = "ok" if report.ok else "FAIL"
+            out.append(
+                f"  {mark} {name:<28} {report.crash_points} crash points "
+                f"over {report.boundaries} boundaries"
+            )
+            failures += len(report.violations)
+            for violation in report.violations[:3]:
+                out.append(f"       {violation}")
 
     out.append("== fsm coverage ==")
     out.extend("  " + line for line in coverage.report_lines())

@@ -46,8 +46,8 @@ TIMING_MUTANTS: Dict[str, str] = {
     "range_skips_unreached_lines": (
         "CBO.RANGE reports completion with the lines past its cursor "
         "never swept — a crash after the op's ordering token retires "
-        "loses every write in the unreached tail.  The ranged store "
-        "sweep injects this via TimingSystem.mutants"
+        "loses every write in the unreached tail.  The crash sweeps "
+        "inject this via TimingSystem.mutants under the ranged seal"
     ),
 }
 
@@ -78,10 +78,11 @@ SOC_MUTANTS: Dict[str, str] = {
 
 
 #: store mutants: seeded application-level bugs the store crash sweep
-#: (:class:`repro.verify.store.StoreCrashSweep`) must turn red on.
-#: Inject by passing ``mutants=(name,)`` to the sweep: ack-before-fence
-#: flows into :attr:`DurableStore.mutants`, the replay mutant flips
-#: ``check_lsn=False`` on :func:`repro.store.recovery.recover`.
+#: must turn red on.  Inject by passing ``mutants=(name,)`` to
+#: :class:`repro.verify.sweep.CrashSweep`, which routes every name by
+#: the registry it belongs to: ack-before-fence flows into the store's
+#: ``mutants`` set, the replay mutant flips ``check_lsn=False`` on
+#: :func:`repro.store.recovery.recover`.
 STORE_MUTANTS: Dict[str, str] = {
     "store_ack_before_fence": (
         "group commit acknowledges its tickets before the epoch's fence "
@@ -96,10 +97,9 @@ STORE_MUTANTS: Dict[str, str] = {
 }
 
 
-#: shared-log mutants: seeded bugs the *shared* crash sweep
-#: (:class:`repro.verify.store.SharedStoreCrashSweep`) must turn red on.
-#: Same injection path (``mutants=(name,)`` on the sweep, flowing into
-#: :attr:`SharedLogStore.mutants`).
+#: shared-log mutants: seeded bugs the *shared* crash sweep must turn
+#: red on.  Same injection path, flowing into the store's ``mutants``
+#: set (the serve sweep's shared-log store included).
 SHARED_STORE_MUTANTS: Dict[str, str] = {
     "shared_ack_before_fence": (
         "the sealing leader acknowledges the *other* threads' tickets "
@@ -110,10 +110,9 @@ SHARED_STORE_MUTANTS: Dict[str, str] = {
 }
 
 
-#: serving-tier mutants: seeded bugs the stage-7 session sweep
-#: (:class:`repro.verify.serve.ServeCrashSweep`) must turn red on.
-#: Inject by passing ``mutants=(name,)`` to the sweep, flowing into
-#: :attr:`repro.serve.tier.ServeTier.mutants`.
+#: serving-tier mutants: seeded bugs the serve session sweep must turn
+#: red on.  They flow into :attr:`repro.serve.tier.ServeTier.mutants`,
+#: so only the ``serve`` scenario accepts them.
 SERVE_MUTANTS: Dict[str, str] = {
     "stale_snapshot_read": (
         "snapshot reads ignore the session's LSN floor and answer from "
@@ -128,9 +127,8 @@ SERVE_MUTANTS: Dict[str, str] = {
 }
 
 
-#: transaction mutants: seeded bugs the stage-8 txn sweeps
-#: (:class:`repro.verify.txn.TxnCrashSweep` /
-#: :class:`repro.verify.txn.SharedTxnCrashSweep`) must turn red on.
+#: transaction mutants: seeded bugs the ``txn`` and ``txn-shared``
+#: sweeps must turn red on.
 #: ``txn_commit_before_fence`` flows into the store's ``mutants`` set;
 #: ``txn_partial_replay`` flips ``txn_partial=True`` on
 #: :func:`repro.store.recovery.recover`.

@@ -1,13 +1,13 @@
-"""Serving-tier crash-point sweep: session guarantees, checked (stage 7).
+"""Serving-tier crash-point sweep: session guarantees, checked.
 
-The store sweeps (stages 4–5) prove the *durability* contract; the
-serving tier adds *session* contracts on top, and each one is a place
-where a correct store can still lie to a client:
+The store sweeps prove the *durability* contract; the serving tier adds
+*session* contracts on top, and each one is a place where a correct
+store can still lie to a client:
 
-* **Journal-prefix durability** — unchanged from stage 5: at every
-  crash point the recovered state equals replaying the submitted-op
-  journal up to ``applied_lsn``, nothing acked is lost, nothing
-  uninitiated surfaces.
+* **Journal-prefix durability** — unchanged from the shared-log sweep:
+  at every crash point the recovered state equals replaying the
+  submitted-op journal up to ``applied_lsn``, nothing acked is lost,
+  nothing uninitiated surfaces.
 * **Read-your-writes** — a session that wrote key *k* at LSN *w* never
   reads an older value of *k* afterwards, whatever the read path
   (memtable or checkpoint snapshot).
@@ -21,7 +21,8 @@ where a correct store can still lie to a client:
 The read-path checks run *online* — every read flows through the tier's
 oracle hooks and is checked against the journal at observation time, so
 a stale snapshot read is caught at the exact request that saw it.  The
-durability and shed checks run at every crash point, like stage 5.
+durability and shed checks run at every crash point, like the store
+sweeps.
 
 Values are globally unique per write (the workload guarantees it), so
 any observed value maps back to exactly one journal LSN.
@@ -32,31 +33,17 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.persist.api import PMemView
-from repro.persist.flushopt import make_optimizer
-from repro.persist.heap import SimHeap
-from repro.persist.policies import make_policy
-from repro.persist.structures.base import persisted_reader
-from repro.serve.tier import ServeTier
+from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.store.layout import OP_PUT
-from repro.store.recovery import RecoveryError, recover
-from repro.store.shared import SharedLogStore
-from repro.timing.params import TimingParams
-from repro.timing.system import TimingSystem
-from repro.verify.injector import MAX_VIOLATIONS, timing_crash_image
 from repro.verify.oracle import Violation
-from repro.verify.store import (
-    StoreOracle,
-    StoreSweepReport,
-    WINDOWED_BOUNDARIES,
-)
+from repro.verify.store import KEY_RANGE, StoreOracle, StoreSweepReport
 
 
-class SessionOracle:
+class SessionOracle(StoreOracle):
     """Journal + per-session observation history + the session checks.
 
-    Wraps a :class:`~repro.verify.store.StoreOracle` (which keeps the
-    LSN→op journal off ``wal.on_append``) and layers:
+    Extends :class:`~repro.verify.store.StoreOracle` (which keeps the
+    LSN→op journal off ``wal.on_append``) with:
 
     * ``(key, value) → lsn`` provenance, so any value a read returns is
       traced to the write that produced it (workload values are unique);
@@ -68,7 +55,7 @@ class SessionOracle:
     """
 
     def __init__(self) -> None:
-        self.store = StoreOracle()
+        super().__init__()
         self.value_lsn: Dict[Tuple[int, int], int] = {}
         self.session_write: Dict[Tuple[int, int], int] = {}
         self.session_seen: Dict[Tuple[int, int], int] = {}
@@ -78,9 +65,9 @@ class SessionOracle:
         self._shed_flagged: set = set()
 
     # -------------------------------------------------- tier/store hooks
-    def observe_append(self, lsn: int, op: int, key: int, value: int) -> None:
+    def observe(self, lsn: int, op: int, key: int, value: int) -> None:
         """``wal.on_append`` hook: journal + value provenance."""
-        self.store.observe(lsn, op, key, value)
+        super().observe(lsn, op, key, value)
         if op == OP_PUT:
             self.value_lsn[(key, value)] = lsn
 
@@ -149,36 +136,10 @@ class SessionOracle:
         self.shed[rid] = ticket
 
     # ------------------------------------------------ crash-point checks
-    def check(
-        self,
-        read,
-        layout,
-        *,
-        acked_lsn: int,
-        initiated_lsn: int,
-        at: object,
-        check_lsn: bool = True,
-    ) -> List[Violation]:
-        """Stage-5 durability contract + shed ops must not be recovered."""
-        try:
-            state = recover(read, layout, check_lsn=check_lsn)
-        except RecoveryError as exc:
-            return [
-                Violation(
-                    kind="unrecoverable",
-                    word=layout.superblock,
-                    detail=str(exc),
-                    at=at,
-                )
-            ]
-        violations = self.store.check_state(
-            state,
-            layout,
-            acked_lsn=acked_lsn,
-            initiated_lsn=initiated_lsn,
-            at=at,
-        )
-        violations.extend(self.shed_check(state.applied_lsn, at))
+    def check_state(self, state, layout, **checks) -> List[Violation]:
+        """The store's durability contract + shed ops must not be recovered."""
+        violations = super().check_state(state, layout, **checks)
+        violations.extend(self.shed_check(state.applied_lsn, checks["at"]))
         return violations
 
     def shed_check(self, applied_lsn: int, at: object) -> List[Violation]:
@@ -209,177 +170,69 @@ class SessionOracle:
                 )
         return out
 
+    def final_check(self, acked_lsn: int) -> List[Violation]:
+        """The read-path violations caught online, plus any shed request
+        whose op was acked by the end of the run."""
+        return self.online + self.shed_check(acked_lsn, at="final")
 
-class ServeCrashSweep:
-    """Crash-sweep one (optimizer, group-commit) served configuration.
 
-    Same probe discipline as stage 5 — a crash image at every protocol
-    boundary, plus every writeback-completion sub-window at the two
-    windowed boundaries — but the workload is driven through a
-    :class:`~repro.serve.tier.ServeTier` with real sessions, admission
-    control (``high_water`` low enough that backpressure engages and
-    sheds), and snapshot reads.  Each session ends with repeated
+def serve_workload(store, tier, rng: random.Random, ops: int) -> None:
+    """Sessions driving a :class:`~repro.serve.tier.ServeTier`.
+
+    One session per store thread mixes puts, memtable reads and snapshot
+    reads under admission control.  Each session ends with repeated
     put-then-snapshot-read pairs on its own key: the tightest
     read-your-writes window, which the honest floor gate must serve
     from the memtable and the ``stale_snapshot_read`` mutant answers
     from the stale checkpoint.
     """
+    # Prefill every key and publish a checkpoint so snapshot reads
+    # have a snapshot from the first request on (probed + journaled
+    # like everything else; values live in their own space).
+    for key in range(1, KEY_RANGE + 1):
+        store.put(0, key, 2_000_000 + key)
+    store.checkpoint(0)
 
-    def __init__(
-        self,
-        optimizer: str = "skipit",
-        group_commit: int = 8,
-        *,
-        sessions: int = 2,
-        ops: int = 48,
-        seed: int = 0,
-        log_capacity: Optional[int] = None,
-        checkpoint_every: int = 3,
-        num_buckets: int = 16,
-        key_range: int = 24,
-        high_water: int = 6,
-        low_water: int = 2,
-        mutants: Sequence[str] = (),
-    ) -> None:
-        self.optimizer = optimizer
-        self.group_commit = group_commit
-        self.sessions = sessions
-        self.ops = ops
-        self.seed = seed
-        self.log_capacity = log_capacity or max(
-            48, 2 * group_commit * sessions + 2 * sessions + 8
-        )
-        self.checkpoint_every = checkpoint_every
-        self.num_buckets = num_buckets
-        self.key_range = key_range
-        self.high_water = high_water
-        self.low_water = low_water
-        self.mutants = tuple(mutants)
+    handles = [tier.session(sid, sid) for sid in range(len(store.views))]
+    next_value = 1
+    for i in range(ops):
+        session = handles[i % len(handles)]
+        key = rng.randint(1, KEY_RANGE)
+        r = rng.random()
+        if r < 0.5:
+            tier.put(session, key, 1_000_000 + next_value)
+            next_value += 1
+        elif r < 0.75:
+            tier.get(session, key)
+        else:
+            tier.snapshot_get(session, key)
 
-    def run(self) -> StoreSweepReport:
-        report = StoreSweepReport(
-            config=(
-                f"serve/{self.optimizer}/gc={self.group_commit}"
-                f"/s={self.sessions}"
-            )
-        )
-        params = TimingParams(
-            num_threads=self.sessions, skip_it=(self.optimizer == "skipit")
-        )
-        system = TimingSystem(params)
-        heap = SimHeap(params.line_bytes)
-        policy = make_policy("none")
-        optimizer = make_optimizer(self.optimizer, heap)
-        views = [
-            PMemView(ctx, policy, optimizer)
-            for ctx in system.threads[: self.sessions]
-        ]
-        store = SharedLogStore(
-            heap,
-            views,
-            log_capacity=self.log_capacity,
-            batch_size=self.group_commit,
-            checkpoint_every=self.checkpoint_every,
-            num_buckets=self.num_buckets,
-        )
-        tier = ServeTier(
-            store, high_water=self.high_water, low_water=self.low_water
-        )
-        tier.mutants.update(self.mutants)
-        oracle = SessionOracle()
-        store.wal.on_append = oracle.observe_append
-        tier.on_read = oracle.observe_read
-        tier.on_write = oracle.observe_write
-        tier.on_shed = oracle.observe_shed
+    # The targeted read-your-writes window, twice per session: a
+    # single unlucky checkpoint between one put and its read could
+    # mask the stale-snapshot mutant; two back-to-back pairs cannot
+    # both be masked (checkpoint_every > 1 commit apart).
+    for session in handles:
+        key = session.sid + 1
+        for _ in range(2):
+            tier.put(session, key, 1_000_000 + next_value)
+            next_value += 1
+            tier.snapshot_get(session, key)
 
-        def probe(name: str) -> None:
-            report.boundaries += 1
-            if len(report.violations) >= MAX_VIOLATIONS:
-                return
-            ats: List[Optional[int]] = [None]
-            if name in WINDOWED_BOUNDARIES:
-                ats.extend(sorted({wb.done for wb in system.in_flight}))
-            for at in ats:
-                report.crash_points += 1
-                report.recoveries += 1
-                image = timing_crash_image(system, at=at)
-                report.violations.extend(
-                    oracle.check(
-                        persisted_reader(image),
-                        store.layout,
-                        acked_lsn=store.acked_lsn,
-                        initiated_lsn=store.initiated_lsn,
-                        at=f"{name}@{'now' if at is None else at}",
-                    )[: MAX_VIOLATIONS - len(report.violations)]
-                )
-
-        store.probe = probe
-
-        # Prefill every key and publish a checkpoint so snapshot reads
-        # have a snapshot from the first request on (probed + journaled
-        # like everything else; values live in their own space).
-        for key in range(1, self.key_range + 1):
-            store.put(0, key, 2_000_000 + key)
-        store.checkpoint(0)
-
-        handles = [tier.session(sid, sid) for sid in range(self.sessions)]
-        rng = random.Random(self.seed)
-        next_value = 1
-        for i in range(self.ops):
-            session = handles[i % self.sessions]
-            key = rng.randint(1, self.key_range)
-            r = rng.random()
-            if r < 0.5:
-                tier.put(session, key, 1_000_000 + next_value)
-                next_value += 1
-            elif r < 0.75:
-                tier.get(session, key)
-            else:
-                tier.snapshot_get(session, key)
-
-        # The targeted read-your-writes window, twice per session: a
-        # single unlucky checkpoint between one put and its read could
-        # mask the stale-snapshot mutant; two back-to-back pairs cannot
-        # both be masked (checkpoint_every > 1 commit apart).
-        for session in handles:
-            key = session.sid + 1
-            for _ in range(2):
-                tier.put(session, key, 1_000_000 + next_value)
-                next_value += 1
-                tier.snapshot_get(session, key)
-
-        tier.drain()
-        store.checkpoint(0)
-        report.violations.extend(
-            oracle.online[: MAX_VIOLATIONS - len(report.violations)]
-        )
-        report.violations.extend(
-            oracle.shed_check(store.acked_lsn, at="final")[
-                : MAX_VIOLATIONS - len(report.violations)
-            ]
-        )
-        return report
+    tier.drain()
+    store.checkpoint(0)
 
 
 def run_serve_sweep(
-    optimizers: Sequence[str] = ("plain", "flit-adjacent", "flit-hashtable", "link-and-persist", "skipit"),
+    optimizers: Sequence[str] = OPTIMIZER_NAMES,
     group_commits: Sequence[int] = (1, 8, 64),
     *,
     sessions: int = 2,
     ops: int = 48,
     seed: int = 0,
 ) -> List[Tuple[str, StoreSweepReport]]:
-    """The optimizer x batch-size served-session sweep (verify stage 7)."""
-    results = []
-    for optimizer in optimizers:
-        for group_commit in group_commits:
-            sweep = ServeCrashSweep(
-                optimizer,
-                group_commit,
-                sessions=sessions,
-                ops=ops,
-                seed=seed,
-            )
-            report = sweep.run()
-            results.append((report.config, report))
-    return results
+    """The optimizer x batch-size served-session sweep."""
+    from repro.verify.sweep import sweep_matrix  # imports this module
+
+    return sweep_matrix(
+        "serve", optimizers, group_commits, threads=sessions, ops=ops, seed=seed
+    )

@@ -15,14 +15,11 @@ needs an *application-level* contract on top:
   the submitted-operation journal up to ``applied_lsn``: atomic
   epochs, no torn records applied, no stale resurrections.
 
-The sweep drives a seeded workload through a real
-:class:`~repro.store.store.DurableStore` and evaluates the contract at
-every protocol boundary the store exposes (submit, epoch flush, fence
-retirement, each checkpoint stage).  At the two boundaries with real
-in-flight writeback windows — after an epoch's cleans and after the
-superblock flip — it additionally enumerates a crash at every distinct
-writeback-completion time, so the mid-writeback orderings are checked,
-not just the quiescent images.
+:class:`StoreOracle` checks that contract at every crash point of the
+``store`` and ``shared`` scenarios of the crash sweep
+(:mod:`repro.verify.sweep`), which drive :func:`store_workload` through
+a real :class:`~repro.store.store.DurableStore` or a multi-thread
+:class:`~repro.store.shared.SharedLogStore`.
 """
 
 from __future__ import annotations
@@ -31,24 +28,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.persist.api import PMemView
-from repro.persist.flushopt import make_optimizer
-from repro.persist.heap import SimHeap
-from repro.persist.policies import make_policy
-from repro.persist.structures.base import persisted_reader
+from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.store.layout import OP_DELETE, OP_PUT, OP_TXN, OP_TXN_COMMIT
 from repro.store.recovery import RecoveryError, recover
 from repro.store.shared import SharedLogStore
-from repro.store.store import DurableStore
-from repro.timing.params import TimingParams
-from repro.timing.system import TimingSystem
-from repro.verify.injector import MAX_VIOLATIONS, timing_crash_image
-from repro.verify.mutants import TIMING_MUTANTS
 from repro.verify.oracle import Violation
 
-#: boundaries where writebacks of a just-sealed unit are still in
-#: flight — worth enumerating every completion-time sub-window
-WINDOWED_BOUNDARIES = frozenset({"epoch_flushed", "checkpoint_flipped"})
+#: workload keys are 1..KEY_RANGE, so ops overwrite and delete live keys
+KEY_RANGE = 24
 
 
 @dataclass
@@ -58,7 +45,6 @@ class StoreSweepReport:
     config: str
     boundaries: int = 0
     crash_points: int = 0
-    recoveries: int = 0
     violations: List[Violation] = field(default_factory=list)
 
     @property
@@ -81,6 +67,7 @@ class StoreOracle:
         self.journal: Dict[int, Tuple[int, int, int]] = {}
 
     def observe(self, lsn: int, op: int, key: int, value: int) -> None:
+        """``wal.on_append`` hook: journal every appended record."""
         self.journal[lsn] = (op, key, value)
 
     def reference_state(self, applied_lsn: int) -> Dict[int, int]:
@@ -123,6 +110,7 @@ class StoreOracle:
         check_lsn: bool = True,
         txn_partial: bool = False,
     ) -> List[Violation]:
+        """Recover the crash image behind *read*, then :meth:`check_state`."""
         try:
             state = recover(
                 read, layout, check_lsn=check_lsn, txn_partial=txn_partial
@@ -152,10 +140,10 @@ class StoreOracle:
         acked_lsn: int,
         initiated_lsn: int,
         at: object,
+        reference: Optional[Dict[int, int]] = None,
     ) -> List[Violation]:
         """The three contract checks against an already-recovered *state*
-        (split out so wrappers like the stage-7 session oracle can layer
-        further checks on the same recovery)."""
+        (subclasses extend it, passing *reference* if they computed it)."""
         violations: List[Violation] = []
         if state.applied_lsn < acked_lsn:
             violations.append(
@@ -182,7 +170,8 @@ class StoreOracle:
                     at=at,
                 )
             )
-        reference = self.reference_state(state.applied_lsn)
+        if reference is None:
+            reference = self.reference_state(state.applied_lsn)
         if state.items != reference:
             missing = sorted(set(reference) - set(state.items))[:4]
             extra = sorted(set(state.items) - set(reference))[:4]
@@ -205,277 +194,78 @@ class StoreOracle:
             )
         return violations
 
-
-class StoreCrashSweep:
-    """Drive one (optimizer, group-commit) config through a crash sweep."""
-
-    def __init__(
-        self,
-        optimizer: str = "skipit",
-        group_commit: int = 8,
-        *,
-        ops: int = 48,
-        seed: int = 0,
-        log_capacity: Optional[int] = None,
-        checkpoint_every: int = 3,
-        num_buckets: int = 16,
-        key_range: int = 24,
-        mutants: Sequence[str] = (),
-        ranged_seal: bool = False,
-    ) -> None:
-        self.optimizer = optimizer
-        self.group_commit = group_commit
-        self.ops = ops
-        self.seed = seed
-        # the log must hold a full batch; small enough that long sweeps
-        # wrap (wrap + stale-tail handling is part of what we verify)
-        self.log_capacity = log_capacity or max(40, 2 * group_commit + 8)
-        self.checkpoint_every = checkpoint_every
-        self.num_buckets = num_buckets
-        self.key_range = key_range
-        self.mutants = tuple(mutants)
-        self.ranged_seal = ranged_seal
-
-    def run(self) -> StoreSweepReport:
-        config = f"{self.optimizer}/gc={self.group_commit}"
-        if self.ranged_seal:
-            config = f"ranged/{config}"
-        report = StoreSweepReport(config=config)
-        params = TimingParams(
-            num_threads=1, skip_it=(self.optimizer == "skipit")
-        )
-        system = TimingSystem(params)
-        heap = SimHeap(params.line_bytes)
-        view = PMemView(
-            system.threads[0],
-            make_policy("none"),
-            make_optimizer(self.optimizer, heap),
-        )
-        store = DurableStore(
-            heap,
-            view,
-            log_capacity=self.log_capacity,
-            batch_size=self.group_commit,
-            checkpoint_every=self.checkpoint_every,
-            num_buckets=self.num_buckets,
-            ranged_seal=self.ranged_seal,
-        )
-        oracle = StoreOracle()
-        store.wal.on_append = oracle.observe
-        check_lsn = "store_replay_trusts_crc" not in self.mutants
-        # hardware-level mutants (the truncated-sweep bug) live in the
-        # timing model's flag set, not the store's
-        system.mutants.update(m for m in self.mutants if m in TIMING_MUTANTS)
-        store.mutants.update(
-            m
-            for m in self.mutants
-            if m != "store_replay_trusts_crc" and m not in TIMING_MUTANTS
-        )
-
-        def probe(name: str) -> None:
-            report.boundaries += 1
-            if len(report.violations) >= MAX_VIOLATIONS:
-                return
-            ats: List[Optional[int]] = [None]
-            if name in WINDOWED_BOUNDARIES:
-                ats.extend(sorted({wb.done for wb in system.in_flight}))
-            for at in ats:
-                report.crash_points += 1
-                report.recoveries += 1
-                image = timing_crash_image(system, at=at)
-                report.violations.extend(
-                    oracle.check(
-                        persisted_reader(image),
-                        store.layout,
-                        acked_lsn=store.acked_lsn,
-                        initiated_lsn=store.initiated_lsn,
-                        at=f"{name}@{'now' if at is None else at}",
-                        check_lsn=check_lsn,
-                    )[: MAX_VIOLATIONS - len(report.violations)]
-                )
-
-        store.probe = probe
-        rng = random.Random(self.seed)
-        next_value = 1
-        for _ in range(self.ops):
-            key = rng.randint(1, self.key_range)
-            if rng.random() < 0.7:
-                store.put(key, 1_000_000 + next_value)
-                next_value += 1
-            else:
-                store.delete(key)
-        store.sync()
-        store.checkpoint()
-        return report
+    def final_check(self, acked_lsn: int) -> List[Violation]:
+        """Checks that run once, after the workload (none for the store)."""
+        return []
 
 
-class SharedStoreCrashSweep:
-    """Crash-sweep one (optimizer, group-commit) shared-log config.
+def store_clients(store) -> list:
+    """One put/delete/begin client per thread: the store itself for a
+    private log, a per-thread handle for a shared one."""
+    if isinstance(store, SharedLogStore):
+        return [store.handle(tid) for tid in range(len(store.views))]
+    return [store]
 
-    Same contract and oracle as :class:`StoreCrashSweep`, but the
-    journal is written by N virtual-time threads interleaving their
-    appends into one :class:`~repro.store.shared.SharedLogStore` —
-    round-robin here, which still exercises cross-thread sealing because
-    the epoch trigger lands on different threads as epochs and the
-    leader-grace deferrals drift.  The CAS-bumped tail makes global LSN
-    order the submission order, so the journal-prefix oracle applies to
-    the interleaved log unchanged; what is *new* under test is that the
-    sealing thread's single fence really covers records written (and
-    left dirty) by every other thread's L1.
+
+def store_workload(store, tier, rng: random.Random, ops: int) -> None:
+    """Seeded puts (70%) and deletes, round-robin over the threads.
+
+    On a shared log the epoch trigger and the leader-grace deferrals
+    drift across threads, so the sealing thread's single fence must
+    cover records left dirty in every other thread's L1; the CAS-bumped
+    tail keeps LSN order the submission order, so the oracle is unchanged.
     """
+    clients = store_clients(store)
+    next_value = 1
+    for i in range(ops):
+        client = clients[i % len(clients)]
+        key = rng.randint(1, KEY_RANGE)
+        if rng.random() < 0.7:
+            client.put(key, 1_000_000 + next_value)
+            next_value += 1
+        else:
+            client.delete(key)
+    store.sync()
+    store.checkpoint()
 
-    def __init__(
-        self,
-        optimizer: str = "skipit",
-        group_commit: int = 8,
-        *,
-        threads: int = 3,
-        ops: int = 48,
-        seed: int = 0,
-        log_capacity: Optional[int] = None,
-        checkpoint_every: int = 3,
-        num_buckets: int = 16,
-        key_range: int = 24,
-        mutants: Sequence[str] = (),
-        ranged_seal: bool = False,
-    ) -> None:
-        self.optimizer = optimizer
-        self.group_commit = group_commit
-        self.threads = threads
-        self.ops = ops
-        self.seed = seed
-        self.log_capacity = log_capacity or max(
-            48, 2 * group_commit * threads + 2 * threads + 8
-        )
-        self.checkpoint_every = checkpoint_every
-        self.num_buckets = num_buckets
-        self.key_range = key_range
-        self.mutants = tuple(mutants)
-        self.ranged_seal = ranged_seal
 
-    def run(self) -> StoreSweepReport:
-        config = (
-            f"shared/{self.optimizer}/gc={self.group_commit}"
-            f"/t={self.threads}"
-        )
-        if self.ranged_seal:
-            config = f"ranged/{config}"
-        report = StoreSweepReport(config=config)
-        params = TimingParams(
-            num_threads=self.threads, skip_it=(self.optimizer == "skipit")
-        )
-        system = TimingSystem(params)
-        heap = SimHeap(params.line_bytes)
-        policy = make_policy("none")
-        optimizer = make_optimizer(self.optimizer, heap)
-        views = [
-            PMemView(ctx, policy, optimizer)
-            for ctx in system.threads[: self.threads]
-        ]
-        store = SharedLogStore(
-            heap,
-            views,
-            log_capacity=self.log_capacity,
-            batch_size=self.group_commit,
-            checkpoint_every=self.checkpoint_every,
-            num_buckets=self.num_buckets,
-            ranged_seal=self.ranged_seal,
-        )
-        oracle = StoreOracle()
-        store.wal.on_append = oracle.observe
-        check_lsn = "store_replay_trusts_crc" not in self.mutants
-        system.mutants.update(m for m in self.mutants if m in TIMING_MUTANTS)
-        store.mutants.update(
-            m
-            for m in self.mutants
-            if m != "store_replay_trusts_crc" and m not in TIMING_MUTANTS
-        )
+def run_store_sweep(
+    optimizers: Sequence[str] = OPTIMIZER_NAMES,
+    group_commits: Sequence[int] = (1, 8, 64),
+    *,
+    ops: int = 48,
+    seed: int = 0,
+) -> List[Tuple[str, StoreSweepReport]]:
+    """The full optimizer x batch-size store sweep."""
+    from repro.verify.sweep import sweep_matrix  # imports this module
 
-        def probe(name: str) -> None:
-            report.boundaries += 1
-            if len(report.violations) >= MAX_VIOLATIONS:
-                return
-            ats: List[Optional[int]] = [None]
-            if name in WINDOWED_BOUNDARIES:
-                ats.extend(sorted({wb.done for wb in system.in_flight}))
-            for at in ats:
-                report.crash_points += 1
-                report.recoveries += 1
-                image = timing_crash_image(system, at=at)
-                report.violations.extend(
-                    oracle.check(
-                        persisted_reader(image),
-                        store.layout,
-                        acked_lsn=store.acked_lsn,
-                        initiated_lsn=store.initiated_lsn,
-                        at=f"{name}@{'now' if at is None else at}",
-                        check_lsn=check_lsn,
-                    )[: MAX_VIOLATIONS - len(report.violations)]
-                )
-
-        store.probe = probe
-        rng = random.Random(self.seed)
-        next_value = 1
-        for i in range(self.ops):
-            tid = i % self.threads
-            key = rng.randint(1, self.key_range)
-            if rng.random() < 0.7:
-                store.put(tid, key, 1_000_000 + next_value)
-                next_value += 1
-            else:
-                store.delete(tid, key)
-        store.sync()
-        store.checkpoint()
-        return report
+    return sweep_matrix("store", optimizers, group_commits, ops=ops, seed=seed)
 
 
 def run_shared_store_sweep(
-    optimizers: Sequence[str] = ("plain", "flit-adjacent", "flit-hashtable", "link-and-persist", "skipit"),
+    optimizers: Sequence[str] = OPTIMIZER_NAMES,
     group_commits: Sequence[int] = (1, 8, 64),
     *,
     threads: int = 3,
     ops: int = 48,
     seed: int = 0,
 ) -> List[Tuple[str, StoreSweepReport]]:
-    """The optimizer x batch-size shared-log sweep (verify CLI stage)."""
-    results = []
-    for optimizer in optimizers:
-        for group_commit in group_commits:
-            sweep = SharedStoreCrashSweep(
-                optimizer, group_commit, threads=threads, ops=ops, seed=seed
-            )
-            report = sweep.run()
-            results.append((report.config, report))
-    return results
+    """The optimizer x batch-size shared-log sweep."""
+    from repro.verify.sweep import sweep_matrix  # imports this module
 
-
-def run_store_sweep(
-    optimizers: Sequence[str] = ("plain", "flit-adjacent", "flit-hashtable", "link-and-persist", "skipit"),
-    group_commits: Sequence[int] = (1, 8, 64),
-    *,
-    ops: int = 48,
-    seed: int = 0,
-) -> List[Tuple[str, StoreSweepReport]]:
-    """The full optimizer x batch-size store sweep (verify CLI stage)."""
-    results = []
-    for optimizer in optimizers:
-        for group_commit in group_commits:
-            sweep = StoreCrashSweep(
-                optimizer, group_commit, ops=ops, seed=seed
-            )
-            report = sweep.run()
-            results.append((report.config, report))
-    return results
+    return sweep_matrix(
+        "shared", optimizers, group_commits, threads=threads, ops=ops, seed=seed
+    )
 
 
 def run_ranged_store_sweep(
-    optimizers: Sequence[str] = ("plain", "flit-adjacent", "flit-hashtable", "link-and-persist", "skipit"),
+    optimizers: Sequence[str] = OPTIMIZER_NAMES,
     group_commits: Sequence[int] = (1, 8, 64),
     *,
     ops: int = 48,
     seed: int = 0,
 ) -> List[Tuple[str, StoreSweepReport]]:
-    """The store sweep with CBO.RANGE epoch sealing (verify CLI stage).
+    """The store sweep with CBO.RANGE epoch sealing.
 
     Same contract, same oracle — but epochs are sealed with one ranged
     clean and a completion wait instead of per-record cleans + a fence,
@@ -483,16 +273,8 @@ def run_ranged_store_sweep(
     position of the sweep (each covered line's writeback lands at a
     distinct staggered time).
     """
-    results = []
-    for optimizer in optimizers:
-        for group_commit in group_commits:
-            sweep = StoreCrashSweep(
-                optimizer,
-                group_commit,
-                ops=ops,
-                seed=seed,
-                ranged_seal=True,
-            )
-            report = sweep.run()
-            results.append((report.config, report))
-    return results
+    from repro.verify.sweep import sweep_matrix  # imports this module
+
+    return sweep_matrix(
+        "store", optimizers, group_commits, ops=ops, seed=seed, ranged_seal=True
+    )

@@ -1,0 +1,240 @@
+"""One crash sweep over a table of store scenarios.
+
+A :class:`Scenario` in :data:`SCENARIOS` supplies only what differs.
+:class:`CrashSweep` owns the rest, so a fix lands once: it builds the
+store on a :class:`~repro.timing.system.TimingSystem`, routes mutants,
+and at every protocol boundary the store exposes checks the oracle
+against a crash image — at :data:`WINDOWED_BOUNDARIES` also one per
+distinct writeback-completion time.  Seal mode is an axis of every
+scenario: ``ranged_seal=True`` seals epochs and checkpoints with one
+CBO.RANGE.CLEAN per contiguous run plus a completion wait.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.persist.api import PMemView
+from repro.persist.flushopt import OPTIMIZER_NAMES, make_optimizer
+from repro.persist.heap import SimHeap
+from repro.persist.policies import make_policy
+from repro.persist.structures.base import persisted_reader
+from repro.serve.tier import ServeTier
+from repro.store.shared import SharedLogStore
+from repro.store.store import DurableStore
+from repro.timing.params import TimingParams
+from repro.timing.system import TimingSystem
+from repro.verify import mutants as registry
+from repro.verify.injector import MAX_VIOLATIONS, timing_crash_image
+from repro.verify.serve import SessionOracle, serve_workload
+from repro.verify.store import StoreOracle, StoreSweepReport, store_workload
+from repro.verify.txn import TxnOracle, txn_workload
+
+#: boundaries with a just-sealed unit's writebacks still in flight (after
+#: an epoch's cleans, after the superblock flip): crashing at each distinct
+#: completion time checks the mid-writeback orderings, not just quiescence
+WINDOWED_BOUNDARIES = frozenset({"epoch_flushed", "checkpoint_flipped"})
+
+CHECKPOINT_EVERY = 3
+NUM_BUCKETS = 16
+#: admission watermarks low enough that backpressure engages and sheds
+HIGH_WATER = 6
+LOW_WATER = 2
+
+#: mutants whose flag lives in the store's own ``mutants`` set
+STORE_LEVEL_MUTANTS = {
+    **registry.STORE_MUTANTS,
+    **registry.SHARED_STORE_MUTANTS,
+    **registry.TXN_MUTANTS,
+}
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """What one crash scenario supplies; :class:`CrashSweep` does the rest.
+
+    ``threads`` is ``None`` for a private log, else the default thread
+    (or session) count of a :class:`~repro.store.shared.SharedLogStore`.
+    ``log_capacity(group_commit, threads)`` holds a full epoch, yet long
+    sweeps wrap (wrap and stale-tail handling are verified too).
+    ``workload(store, tier, rng, ops)`` ends with its closing sync and
+    checkpoint; ``tier`` is a ServeTier for a SessionOracle, else None.
+    """
+
+    label: str
+    threads: Optional[int]
+    ops: int
+    log_capacity: Callable[[int, int], int]
+    workload: Callable[..., None]
+    oracle: Callable[[], StoreOracle]
+
+
+#: name -> Scenario(label, threads, ops, log capacity, workload, oracle)
+SCENARIOS: Dict[str, Scenario] = {
+    "store": Scenario(
+        "{optimizer}/gc={group_commit}", None, 48,
+        lambda gc, t: max(40, 2 * gc + 8), store_workload, StoreOracle,
+    ),
+    "shared": Scenario(
+        "shared/{optimizer}/gc={group_commit}/t={threads}", 3, 48,
+        lambda gc, t: max(48, 2 * gc * t + 2 * t + 8),
+        store_workload, StoreOracle,
+    ),
+    # a txn ticket spans up to five slots (four writes + commit record)
+    "txn": Scenario(
+        "txn/{optimizer}/gc={group_commit}", None, 36,
+        lambda gc, t: max(64, 5 * gc + 8), txn_workload, TxnOracle,
+    ),
+    # five-slot tickets per thread, plus leader-grace overshoot and slack
+    "txn-shared": Scenario(
+        "txn-shared/{optimizer}/gc={group_commit}/t={threads}", 3, 36,
+        lambda gc, t: max(96, 5 * gc * t + 5 * t + 8),
+        txn_workload, TxnOracle,
+    ),
+    "serve": Scenario(
+        "serve/{optimizer}/gc={group_commit}/s={threads}", 2, 48,
+        lambda gc, t: max(48, 2 * gc * t + 2 * t + 8),
+        serve_workload, SessionOracle,
+    ),
+}
+
+
+def route_mutants(
+    mutants: Sequence[str], system, store, tier
+) -> Dict[str, bool]:
+    """Set each seeded mutant in the flag set its registry names.
+
+    Returns the :func:`~repro.store.recovery.recover` arguments the
+    replay mutants flip.  Raises :class:`ValueError` for a name in no
+    registry, or a serving-tier mutant when the scenario builds no tier.
+    """
+    recover_args: Dict[str, bool] = {}
+    for name in mutants:
+        if name == "store_replay_trusts_crc":
+            recover_args["check_lsn"] = False
+        elif name == "txn_partial_replay":
+            recover_args["txn_partial"] = True
+        elif name in registry.TIMING_MUTANTS:
+            system.mutants.add(name)
+        elif name in registry.SERVE_MUTANTS:
+            if tier is None:
+                raise ValueError(f"mutant {name!r} needs a serving tier")
+            tier.mutants.add(name)
+        elif name in STORE_LEVEL_MUTANTS:
+            store.mutants.add(name)
+        else:
+            raise ValueError(f"unknown mutant {name!r}")
+    return recover_args
+
+
+class CrashSweep:
+    """Crash-sweep one (scenario, optimizer, group-commit) configuration."""
+
+    def __init__(
+        self,
+        scenario: str,
+        optimizer: str = "skipit",
+        group_commit: int = 8,
+        *,
+        threads: Optional[int] = None,
+        ops: Optional[int] = None,
+        seed: int = 0,
+        mutants: Sequence[str] = (),
+        ranged_seal: bool = False,
+    ) -> None:
+        self.scenario = SCENARIOS[scenario]
+        if threads is not None and self.scenario.threads is None:
+            raise ValueError(f"scenario {scenario!r} has a private log")
+        self.optimizer = optimizer
+        self.group_commit = group_commit
+        self.threads = self.scenario.threads if threads is None else threads
+        self.ops = self.scenario.ops if ops is None else ops
+        self.seed = seed
+        self.mutants = tuple(mutants)
+        self.ranged_seal = ranged_seal
+
+    def run(self) -> StoreSweepReport:
+        scenario = self.scenario
+        label = ("ranged/" if self.ranged_seal else "") + scenario.label
+        report = StoreSweepReport(config=label.format(
+            optimizer=self.optimizer,
+            group_commit=self.group_commit,
+            threads=self.threads,
+        ))
+        threads = self.threads or 1
+        params = TimingParams(
+            num_threads=threads, skip_it=(self.optimizer == "skipit")
+        )
+        system = TimingSystem(params)
+        heap = SimHeap(params.line_bytes)
+        policy = make_policy("none")
+        optimizer = make_optimizer(self.optimizer, heap)
+        views = [PMemView(ctx, policy, optimizer) for ctx in system.threads]
+        options = dict(
+            log_capacity=scenario.log_capacity(self.group_commit, threads),
+            batch_size=self.group_commit,
+            checkpoint_every=CHECKPOINT_EVERY,
+            num_buckets=NUM_BUCKETS,
+            ranged_seal=self.ranged_seal,
+        )
+        if self.threads is None:
+            store = DurableStore(heap, views[0], **options)
+        else:
+            store = SharedLogStore(heap, views, **options)
+        oracle = scenario.oracle()
+        store.wal.on_append = oracle.observe
+        tier = None
+        if isinstance(oracle, SessionOracle):
+            tier = ServeTier(store, high_water=HIGH_WATER, low_water=LOW_WATER)
+            tier.on_read = oracle.observe_read
+            tier.on_write = oracle.observe_write
+            tier.on_shed = oracle.observe_shed
+        recover_args = route_mutants(self.mutants, system, store, tier)
+
+        def probe(name: str) -> None:
+            report.boundaries += 1
+            if len(report.violations) >= MAX_VIOLATIONS:
+                return
+            ats: List[Optional[int]] = [None]
+            if name in WINDOWED_BOUNDARIES:
+                ats.extend(sorted({wb.done for wb in system.in_flight}))
+            for at in ats:
+                report.crash_points += 1
+                image = timing_crash_image(system, at=at)
+                report.violations.extend(
+                    oracle.check(
+                        persisted_reader(image),
+                        store.layout,
+                        acked_lsn=store.acked_lsn,
+                        initiated_lsn=store.initiated_lsn,
+                        at=f"{name}@{'now' if at is None else at}",
+                        **recover_args,
+                    )[: MAX_VIOLATIONS - len(report.violations)]
+                )
+
+        store.probe = probe
+        scenario.workload(store, tier, random.Random(self.seed), self.ops)
+        report.violations.extend(
+            oracle.final_check(store.acked_lsn)[
+                : MAX_VIOLATIONS - len(report.violations)
+            ]
+        )
+        return report
+
+
+def sweep_matrix(
+    scenario: str,
+    optimizers: Sequence[str] = OPTIMIZER_NAMES,
+    group_commits: Sequence[int] = (1, 8, 64),
+    **options,
+) -> List[Tuple[str, StoreSweepReport]]:
+    """``(config, report)`` for every optimizer x group-commit
+    configuration of *scenario*; *options* go to :class:`CrashSweep`."""
+    reports = [
+        CrashSweep(scenario, optimizer, group_commit, **options).run()
+        for optimizer in optimizers
+        for group_commit in group_commits
+    ]
+    return [(report.config, report) for report in reports]

@@ -1,11 +1,11 @@
-"""Stage 7: transaction-atomicity crash sweep (`repro.store.txn`).
+"""Transaction-atomicity crash sweep (`repro.store.txn`).
 
-The store sweeps (stages 4–5) already pin the journal-prefix contract:
-recovery surfaces an exact prefix of sealed epochs.  Transactions add
-a stronger clause *inside* an epoch: a multi-key write set is
-all-or-nothing — no crash image may recover a **proper subset** of a
-transaction's writes, and no image may surface any write of a
-transaction whose commit record did not replay.
+The store sweeps already pin the journal-prefix contract: recovery
+surfaces an exact prefix of sealed epochs.  Transactions add a stronger
+clause *inside* an epoch: a multi-key write set is all-or-nothing — no
+crash image may recover a **proper subset** of a transaction's writes,
+and no image may surface any write of a transaction whose commit record
+did not replay.
 
 :class:`TxnOracle` layers exactly that over :class:`StoreOracle`.  It
 watches the WAL append stream (``wal.on_append``), reassembles each
@@ -21,40 +21,26 @@ at every crash point checks, per transaction:
 Both tests lean on the sweep workload's unique put values: a value
 seen in the recovered map identifies exactly one journaled write.
 
-The sweeps drive mixed plain/transactional workloads through a real
-:class:`~repro.store.store.DurableStore` (:class:`TxnCrashSweep`) and
-a 3-thread :class:`~repro.store.shared.SharedLogStore`
-(:class:`SharedTxnCrashSweep`), probing every reserve / append /
-commit / seal / checkpoint boundary, with writeback-completion
-sub-windows at the two boundaries that have real in-flight windows —
-the same discipline as stages 4–5.
+The ``txn`` and ``txn-shared`` scenarios of the crash sweep
+(:mod:`repro.verify.sweep`) drive :func:`txn_workload` through a private
+and a 3-thread shared log, crashing at every reserve / append / commit /
+seal / checkpoint boundary like the store sweeps.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.persist.api import PMemView
-from repro.persist.flushopt import make_optimizer
-from repro.persist.heap import SimHeap
-from repro.persist.policies import make_policy
-from repro.persist.structures.base import persisted_reader
+from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.store.layout import OP_TXN, OP_TXN_COMMIT
-from repro.store.shared import SharedLogStore
-from repro.store.store import DurableStore
-from repro.timing.params import TimingParams
-from repro.timing.system import TimingSystem
-from repro.verify.injector import MAX_VIOLATIONS, timing_crash_image
 from repro.verify.oracle import Violation
 from repro.verify.store import (
+    KEY_RANGE,
     StoreOracle,
     StoreSweepReport,
-    WINDOWED_BOUNDARIES,
+    store_clients,
 )
-
-#: mutant names this sweep understands (see repro.verify.mutants)
-_REPLAY_MUTANTS = frozenset({"store_replay_trusts_crc", "txn_partial_replay"})
 
 
 class TxnOracle(StoreOracle):
@@ -79,23 +65,10 @@ class TxnOracle(StoreOracle):
                 del self._txn_buffer[-value:]
             self.txns[key] = (lsn, writes)
 
-    def check_state(
-        self,
-        state,
-        layout,
-        *,
-        acked_lsn: int,
-        initiated_lsn: int,
-        at: object,
-    ) -> List[Violation]:
-        violations = super().check_state(
-            state,
-            layout,
-            acked_lsn=acked_lsn,
-            initiated_lsn=initiated_lsn,
-            at=at,
-        )
+    def check_state(self, state, layout, **checks) -> List[Violation]:
         reference = self.reference_state(state.applied_lsn)
+        violations = super().check_state(state, layout, reference=reference, **checks)
+        at = checks["at"]
         for txn_id, (commit_lsn, writes) in self.txns.items():
             # deletes are covered by the exact-prefix check; the subset
             # test needs puts, whose unique values identify provenance
@@ -154,31 +127,34 @@ class TxnOracle(StoreOracle):
         return violations
 
 
-def _drive_workload(rng: random.Random, clients, ops: int, key_range: int) -> None:
-    """Mixed plain/transactional traffic over one or more store handles.
+def txn_workload(store, tier, rng: random.Random, ops: int) -> None:
+    """Mixed plain/transactional traffic, round-robin over the threads.
 
-    ``clients`` is a sequence of ``(put, delete, begin)`` triples —
-    one per virtual thread — visited round-robin.  Roughly half the
-    steps are plain ops; the rest are transactions of 2–4 writes
-    (mostly puts, the odd delete), of which ~10% abort client-side.
-    Put values are globally unique so the oracle can attribute every
-    recovered value to exactly one journaled write.
+    Roughly half the steps are plain ops; the rest are transactions of
+    2–4 writes (mostly puts, the odd delete), of which ~10% abort
+    client-side.  Put values are globally unique so the oracle can
+    attribute every recovered value to exactly one journaled write.  On
+    a shared log this also tests that the CAS-reserved contiguous run
+    really is contiguous under interleaved multi-thread appends, and
+    that the sealing thread's single fence covers txn records written
+    (and left dirty) by every other thread's L1.
     """
+    clients = store_clients(store)
     next_value = 1
     for i in range(ops):
-        put, delete, begin = clients[i % len(clients)]
+        client = clients[i % len(clients)]
         roll = rng.random()
         if roll < 0.45:
-            key = rng.randint(1, key_range)
+            key = rng.randint(1, KEY_RANGE)
             if rng.random() < 0.75:
-                put(key, 1_000_000 + next_value)
+                client.put(key, 1_000_000 + next_value)
                 next_value += 1
             else:
-                delete(key)
+                client.delete(key)
             continue
-        txn = begin()
+        txn = client.begin()
         for _ in range(rng.randint(2, 4)):
-            key = rng.randint(1, key_range)
+            key = rng.randint(1, KEY_RANGE)
             if rng.random() < 0.85:
                 txn.put(key, 1_000_000 + next_value)
                 next_value += 1
@@ -188,231 +164,27 @@ def _drive_workload(rng: random.Random, clients, ops: int, key_range: int) -> No
             txn.abort()
         else:
             txn.commit()
-
-
-class TxnCrashSweep:
-    """Crash-sweep transactions on a private-log :class:`DurableStore`."""
-
-    def __init__(
-        self,
-        optimizer: str = "skipit",
-        group_commit: int = 8,
-        *,
-        ops: int = 36,
-        seed: int = 0,
-        log_capacity: Optional[int] = None,
-        checkpoint_every: int = 3,
-        num_buckets: int = 16,
-        key_range: int = 24,
-        mutants: Sequence[str] = (),
-    ) -> None:
-        self.optimizer = optimizer
-        self.group_commit = group_commit
-        self.ops = ops
-        self.seed = seed
-        # must hold a full batch of txn tickets (a ticket can span five
-        # slots) plus marker slack; small enough that sweeps wrap
-        self.log_capacity = log_capacity or max(64, 5 * group_commit + 8)
-        self.checkpoint_every = checkpoint_every
-        self.num_buckets = num_buckets
-        self.key_range = key_range
-        self.mutants = tuple(mutants)
-
-    def run(self) -> StoreSweepReport:
-        report = StoreSweepReport(
-            config=f"txn/{self.optimizer}/gc={self.group_commit}"
-        )
-        params = TimingParams(
-            num_threads=1, skip_it=(self.optimizer == "skipit")
-        )
-        system = TimingSystem(params)
-        heap = SimHeap(params.line_bytes)
-        view = PMemView(
-            system.threads[0],
-            make_policy("none"),
-            make_optimizer(self.optimizer, heap),
-        )
-        store = DurableStore(
-            heap,
-            view,
-            log_capacity=self.log_capacity,
-            batch_size=self.group_commit,
-            checkpoint_every=self.checkpoint_every,
-            num_buckets=self.num_buckets,
-        )
-        oracle = TxnOracle()
-        store.wal.on_append = oracle.observe
-        check_lsn = "store_replay_trusts_crc" not in self.mutants
-        txn_partial = "txn_partial_replay" in self.mutants
-        store.mutants.update(
-            m for m in self.mutants if m not in _REPLAY_MUTANTS
-        )
-
-        def probe(name: str) -> None:
-            report.boundaries += 1
-            if len(report.violations) >= MAX_VIOLATIONS:
-                return
-            ats: List[Optional[int]] = [None]
-            if name in WINDOWED_BOUNDARIES:
-                ats.extend(sorted({wb.done for wb in system.in_flight}))
-            for at in ats:
-                report.crash_points += 1
-                report.recoveries += 1
-                image = timing_crash_image(system, at=at)
-                report.violations.extend(
-                    oracle.check(
-                        persisted_reader(image),
-                        store.layout,
-                        acked_lsn=store.acked_lsn,
-                        initiated_lsn=store.initiated_lsn,
-                        at=f"{name}@{'now' if at is None else at}",
-                        check_lsn=check_lsn,
-                        txn_partial=txn_partial,
-                    )[: MAX_VIOLATIONS - len(report.violations)]
-                )
-
-        store.probe = probe
-        rng = random.Random(self.seed)
-        _drive_workload(
-            rng,
-            [(store.put, store.delete, store.begin)],
-            self.ops,
-            self.key_range,
-        )
-        store.sync()
-        store.checkpoint()
-        return report
-
-
-class SharedTxnCrashSweep:
-    """Crash-sweep transactions on a 3-thread :class:`SharedLogStore`.
-
-    What is new under test beyond :class:`TxnCrashSweep`: the
-    CAS-reserved contiguous run really is contiguous under interleaved
-    multi-thread appends, and the sealing thread's single fence covers
-    txn records written (and left dirty) by every other thread's L1.
-    """
-
-    def __init__(
-        self,
-        optimizer: str = "skipit",
-        group_commit: int = 8,
-        *,
-        threads: int = 3,
-        ops: int = 36,
-        seed: int = 0,
-        log_capacity: Optional[int] = None,
-        checkpoint_every: int = 3,
-        num_buckets: int = 16,
-        key_range: int = 24,
-        mutants: Sequence[str] = (),
-    ) -> None:
-        self.optimizer = optimizer
-        self.group_commit = group_commit
-        self.threads = threads
-        self.ops = ops
-        self.seed = seed
-        # an epoch is batch_size tickets per thread, each up to five
-        # slots wide, plus leader-grace overshoot and marker slack
-        self.log_capacity = log_capacity or max(
-            96, 5 * group_commit * threads + 5 * threads + 8
-        )
-        self.checkpoint_every = checkpoint_every
-        self.num_buckets = num_buckets
-        self.key_range = key_range
-        self.mutants = tuple(mutants)
-
-    def run(self) -> StoreSweepReport:
-        report = StoreSweepReport(
-            config=(
-                f"txn-shared/{self.optimizer}/gc={self.group_commit}"
-                f"/t={self.threads}"
-            )
-        )
-        params = TimingParams(
-            num_threads=self.threads, skip_it=(self.optimizer == "skipit")
-        )
-        system = TimingSystem(params)
-        heap = SimHeap(params.line_bytes)
-        policy = make_policy("none")
-        optimizer = make_optimizer(self.optimizer, heap)
-        views = [
-            PMemView(ctx, policy, optimizer)
-            for ctx in system.threads[: self.threads]
-        ]
-        store = SharedLogStore(
-            heap,
-            views,
-            log_capacity=self.log_capacity,
-            batch_size=self.group_commit,
-            checkpoint_every=self.checkpoint_every,
-            num_buckets=self.num_buckets,
-        )
-        oracle = TxnOracle()
-        store.wal.on_append = oracle.observe
-        check_lsn = "store_replay_trusts_crc" not in self.mutants
-        txn_partial = "txn_partial_replay" in self.mutants
-        store.mutants.update(
-            m for m in self.mutants if m not in _REPLAY_MUTANTS
-        )
-
-        def probe(name: str) -> None:
-            report.boundaries += 1
-            if len(report.violations) >= MAX_VIOLATIONS:
-                return
-            ats: List[Optional[int]] = [None]
-            if name in WINDOWED_BOUNDARIES:
-                ats.extend(sorted({wb.done for wb in system.in_flight}))
-            for at in ats:
-                report.crash_points += 1
-                report.recoveries += 1
-                image = timing_crash_image(system, at=at)
-                report.violations.extend(
-                    oracle.check(
-                        persisted_reader(image),
-                        store.layout,
-                        acked_lsn=store.acked_lsn,
-                        initiated_lsn=store.initiated_lsn,
-                        at=f"{name}@{'now' if at is None else at}",
-                        check_lsn=check_lsn,
-                        txn_partial=txn_partial,
-                    )[: MAX_VIOLATIONS - len(report.violations)]
-                )
-
-        store.probe = probe
-        rng = random.Random(self.seed)
-        handles = [store.handle(tid) for tid in range(self.threads)]
-        _drive_workload(
-            rng,
-            [(h.put, h.delete, h.begin) for h in handles],
-            self.ops,
-            self.key_range,
-        )
-        store.sync()
-        store.checkpoint()
-        return report
+    store.sync()
+    store.checkpoint()
 
 
 def run_txn_sweep(
-    optimizers: Sequence[str] = ("plain", "flit-adjacent", "flit-hashtable", "link-and-persist", "skipit"),
+    optimizers: Sequence[str] = OPTIMIZER_NAMES,
     group_commits: Sequence[int] = (1, 8, 64),
     *,
     threads: int = 3,
     ops: int = 36,
     seed: int = 0,
 ) -> List[Tuple[str, StoreSweepReport]]:
-    """The optimizer x batch-size txn sweep (verify CLI stage 8).
+    """The optimizer x batch-size txn sweep.
 
     Runs on the shared log — the harder configuration: contiguous-run
     reservation under interleaving plus cross-thread sealing.  The
-    private-log :class:`TxnCrashSweep` is exercised by the unit tier.
+    private-log ``txn`` scenario is exercised by the unit tier and by
+    ``--exhaustive``.
     """
-    results = []
-    for optimizer in optimizers:
-        for group_commit in group_commits:
-            sweep = SharedTxnCrashSweep(
-                optimizer, group_commit, threads=threads, ops=ops, seed=seed
-            )
-            report = sweep.run()
-            results.append((report.config, report))
-    return results
+    from repro.verify.sweep import sweep_matrix  # imports this module
+
+    return sweep_matrix(
+        "txn-shared", optimizers, group_commits, threads=threads, ops=ops, seed=seed
+    )

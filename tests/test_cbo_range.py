@@ -32,7 +32,7 @@ from repro.timing.system import TimingSystem
 from repro.uarch.cpu import Instr
 from repro.uarch.soc import Soc
 from repro.verify.fuzz import DifferentialFuzzer, ProgramGenerator
-from repro.verify.store import StoreCrashSweep
+from repro.verify.sweep import CrashSweep
 
 LINE = 64
 LINES = [0x3000 + i * LINE for i in range(4)]
@@ -302,17 +302,16 @@ class TestDifferentialRanged:
 
 # ------------------------------------------------------------ crash sweep
 class TestRangedSealCrashSweep:
-    @pytest.mark.slow
     def test_ranged_seal_survives_every_crash_point(self):
-        report = StoreCrashSweep(
-            "skipit", group_commit=8, ranged_seal=True
+        report = CrashSweep(
+            "store", "skipit", group_commit=8, ranged_seal=True
         ).run()
         assert report.violations == []
         assert report.crash_points > 0
 
-    @pytest.mark.slow
     def test_truncated_sweep_mutant_turns_red(self):
-        report = StoreCrashSweep(
+        report = CrashSweep(
+            "store",
             "skipit",
             group_commit=8,
             ranged_seal=True,

@@ -27,9 +27,7 @@ from repro.verify.mutants import (
     timing_mutant,
 )
 from repro.verify.oracle import DurabilityOracle, WordHistory
-from repro.verify.serve import ServeCrashSweep
-from repro.verify.store import SharedStoreCrashSweep, StoreCrashSweep
-from repro.verify.txn import SharedTxnCrashSweep, TxnCrashSweep
+from repro.verify.sweep import CrashSweep
 
 ADDR = 0x10000
 
@@ -188,8 +186,8 @@ class TestStoreMutantsCaught:
     @pytest.mark.parametrize("mutant", sorted(STORE_MUTANTS))
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     def test_mutant_turns_sweep_red(self, mutant, optimizer):
-        report = StoreCrashSweep(
-            optimizer, group_commit=8, ops=60, mutants=(mutant,)
+        report = CrashSweep(
+            "store", optimizer, group_commit=8, ops=60, mutants=(mutant,)
         ).run()
         assert not report.ok, f"{mutant} not caught on {optimizer}"
         kinds = {violation.kind for violation in report.violations}
@@ -197,7 +195,7 @@ class TestStoreMutantsCaught:
 
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     def test_unmutated_sweep_is_green(self, optimizer):
-        report = StoreCrashSweep(optimizer, group_commit=8, ops=60).run()
+        report = CrashSweep("store", optimizer, group_commit=8, ops=60).run()
         assert report.ok, report.summary()
 
 
@@ -220,8 +218,13 @@ class TestSharedStoreMutantsCaught:
     @pytest.mark.parametrize("mutant", sorted(SHARED_STORE_MUTANTS))
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     def test_mutant_turns_sweep_red(self, mutant, optimizer):
-        report = SharedStoreCrashSweep(
-            optimizer, group_commit=4, threads=3, ops=60, mutants=(mutant,)
+        report = CrashSweep(
+            "shared",
+            optimizer,
+            group_commit=4,
+            threads=3,
+            ops=60,
+            mutants=(mutant,),
         ).run()
         assert not report.ok, f"{mutant} not caught on {optimizer}"
         kinds = {violation.kind for violation in report.violations}
@@ -229,8 +232,8 @@ class TestSharedStoreMutantsCaught:
 
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     def test_unmutated_sweep_is_green(self, optimizer):
-        report = SharedStoreCrashSweep(
-            optimizer, group_commit=4, threads=3, ops=60
+        report = CrashSweep(
+            "shared", optimizer, group_commit=4, threads=3, ops=60
         ).run()
         assert report.ok, report.summary()
 
@@ -243,7 +246,7 @@ SERVE_EXPECTED_KIND = {
 
 
 class TestServeMutantsCaught:
-    """False-negative guarantee of the stage-7 session sweep.
+    """False-negative guarantee of the serve session sweep.
 
     ``group_commit=8`` with 2 sessions gives 16-record epochs, so the
     write backlog crosses the sweep's low ``high_water`` and admission
@@ -256,8 +259,8 @@ class TestServeMutantsCaught:
     @pytest.mark.parametrize("mutant", sorted(SERVE_MUTANTS))
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     def test_mutant_turns_sweep_red(self, mutant, optimizer):
-        report = ServeCrashSweep(
-            optimizer, group_commit=8, mutants=(mutant,)
+        report = CrashSweep(
+            "serve", optimizer, group_commit=8, mutants=(mutant,)
         ).run()
         assert not report.ok, f"{mutant} not caught on {optimizer}"
         kinds = {violation.kind for violation in report.violations}
@@ -266,7 +269,7 @@ class TestServeMutantsCaught:
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     @pytest.mark.parametrize("group_commit", [1, 8])
     def test_unmutated_sweep_is_green(self, optimizer, group_commit):
-        report = ServeCrashSweep(optimizer, group_commit=group_commit).run()
+        report = CrashSweep("serve", optimizer, group_commit=group_commit).run()
         assert report.ok, report.summary()
 
 
@@ -278,7 +281,7 @@ TXN_EXPECTED_KIND = {
 
 
 class TestTxnMutantsCaught:
-    """False-negative guarantee of the stage-8 transaction sweeps.
+    """False-negative guarantee of the transaction sweeps.
 
     ``txn_partial_replay`` only bites when a crash image tears a
     transaction's commit record off a surviving payload prefix — the
@@ -290,8 +293,8 @@ class TestTxnMutantsCaught:
     @pytest.mark.parametrize("mutant", sorted(TXN_MUTANTS))
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     def test_mutant_turns_private_sweep_red(self, mutant, optimizer):
-        report = TxnCrashSweep(
-            optimizer, group_commit=8, mutants=(mutant,)
+        report = CrashSweep(
+            "txn", optimizer, group_commit=8, mutants=(mutant,)
         ).run()
         assert not report.ok, f"{mutant} not caught on {optimizer}"
         kinds = {violation.kind for violation in report.violations}
@@ -300,8 +303,8 @@ class TestTxnMutantsCaught:
     @pytest.mark.parametrize("mutant", sorted(TXN_MUTANTS))
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     def test_mutant_turns_shared_sweep_red(self, mutant, optimizer):
-        report = SharedTxnCrashSweep(
-            optimizer, group_commit=8, threads=3, mutants=(mutant,)
+        report = CrashSweep(
+            "txn-shared", optimizer, group_commit=8, threads=3, mutants=(mutant,)
         ).run()
         assert not report.ok, f"{mutant} not caught on {optimizer}"
         kinds = {violation.kind for violation in report.violations}
@@ -310,10 +313,10 @@ class TestTxnMutantsCaught:
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     @pytest.mark.parametrize("group_commit", [1, 8])
     def test_unmutated_sweeps_are_green(self, optimizer, group_commit):
-        private = TxnCrashSweep(optimizer, group_commit=group_commit).run()
+        private = CrashSweep("txn", optimizer, group_commit=group_commit).run()
         assert private.ok, private.summary()
-        shared = SharedTxnCrashSweep(
-            optimizer, group_commit=group_commit, threads=3
+        shared = CrashSweep(
+            "txn-shared", optimizer, group_commit=group_commit, threads=3
         ).run()
         assert shared.ok, shared.summary()
 

@@ -1,9 +1,10 @@
-"""Tests for :mod:`repro.verify.serve` — the stage-7 session oracle."""
+"""Tests for :mod:`repro.verify.serve` — the serve session oracle."""
 
 from types import SimpleNamespace
 
 from repro.store.layout import OP_PUT
-from repro.verify.serve import ServeCrashSweep, SessionOracle
+from repro.verify.serve import SessionOracle
+from repro.verify.sweep import CrashSweep
 
 
 def ticket(lsn, acked=False):
@@ -14,7 +15,7 @@ class TestSessionOracleReads:
     def mk(self):
         oracle = SessionOracle()
         for lsn, key, value in ((1, 5, 100), (2, 5, 101), (3, 6, 200)):
-            oracle.observe_append(lsn, OP_PUT, key, value)
+            oracle.observe(lsn, OP_PUT, key, value)
         return oracle
 
     def test_unknown_value_is_flagged(self):
@@ -80,14 +81,13 @@ class TestSessionOracleShed:
 
 class TestServeCrashSweep:
     def test_unmutated_point_is_green(self):
-        report = ServeCrashSweep("skipit", 8, ops=32).run()
+        report = CrashSweep("serve", "skipit", 8, ops=32).run()
         assert report.ok, report.violations[:3]
         assert report.crash_points > 0
-        assert report.recoveries == report.crash_points
         assert report.config == "serve/skipit/gc=8/s=2"
 
     def test_sweep_exercises_every_request_kind(self):
-        sweep = ServeCrashSweep("plain", 4, ops=48)
+        sweep = CrashSweep("serve", "plain", 4, ops=48)
         report = sweep.run()
         assert report.ok, report.violations[:3]
         # the sweep is only as strong as what it drives: the mixed phase

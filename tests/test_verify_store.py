@@ -12,19 +12,18 @@ import pytest
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.store.layout import OP_COMMIT, OP_DELETE, OP_PUT
 from repro.verify.store import (
-    SharedStoreCrashSweep,
-    StoreCrashSweep,
     StoreOracle,
     run_shared_store_sweep,
     run_store_sweep,
 )
+from repro.verify.sweep import CrashSweep
 
 
 class TestAcceptanceMatrix:
     @pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
     @pytest.mark.parametrize("group_commit", [1, 8, 64])
     def test_sweep_is_green(self, optimizer, group_commit):
-        report = StoreCrashSweep(optimizer, group_commit).run()
+        report = CrashSweep("store", optimizer, group_commit).run()
         assert report.ok, report.summary() + "".join(
             f"\n  {v}" for v in report.violations[:5]
         )
@@ -51,7 +50,7 @@ class TestSharedAcceptanceMatrix:
     @pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
     @pytest.mark.parametrize("group_commit", [1, 8, 64])
     def test_sweep_is_green(self, optimizer, group_commit):
-        report = SharedStoreCrashSweep(optimizer, group_commit).run()
+        report = CrashSweep("shared", optimizer, group_commit).run()
         assert report.ok, report.summary() + "".join(
             f"\n  {v}" for v in report.violations[:5]
         )
