@@ -8,69 +8,73 @@ parameters and assert the shape properties the paper reports.
 """
 
 from repro.bench.micro import (
+    MICRO,
     run_fig09,
     run_fig10,
     run_fig11,
     run_fig12,
     run_fig13,
 )
-from repro.bench.range import run_fig21
-from repro.bench.serve import run_fig19
-from repro.bench.shared import run_fig18
-from repro.bench.store import run_fig17
-from repro.bench.structures import run_fig14, run_fig15, run_fig16
-from repro.bench.txn import run_fig20
+from repro.bench.range import RANGE, run_fig21
+from repro.bench.serve import SERVE, run_fig19
+from repro.bench.shared import SHARED, run_fig18
+from repro.bench.spec import Figure
+from repro.bench.store import STORE, run_fig17
+from repro.bench.structures import THROUGHPUT, run_fig14, run_fig15, run_fig16
+from repro.bench.txn import TXN, run_fig20
 
+#: figure number -> runner, row kind and title.  The kind (declared
+#: beside its row dataclass) is how the CLI, the report, ``--check`` and
+#: ``regress`` key, draw and compare the figure's rows.
 FIGURES = {
-    9: run_fig09,
-    10: run_fig10,
-    11: run_fig11,
-    12: run_fig12,
-    13: run_fig13,
-    14: run_fig14,
-    15: run_fig15,
-    16: run_fig16,
-    17: run_fig17,
-    18: run_fig18,
-    19: run_fig19,
-    20: run_fig20,
-    21: run_fig21,
-}
-
-#: figures by declared row type — the CLI/report dispatch on these sets
-#: rather than sniffing the first row, which misfires on empty row lists
-MICRO_FIGURES = frozenset({9, 10, 11, 12, 13})
-THROUGHPUT_FIGURES = frozenset({14, 15, 16})
-STORE_FIGURES = frozenset({17})
-SHARED_STORE_FIGURES = frozenset({18})
-SERVE_FIGURES = frozenset({19})
-TXN_FIGURES = frozenset({20})
-RANGE_FIGURES = frozenset({21})
-
-#: figure number -> row-kind tag.  The single source of truth for how a
-#: serialized row is keyed, value-compared, and rendered: every row
-#: dataclass carries a ``figure`` field, so the CLI, report, baseline
-#: and regression layers all dispatch on ``FIGURE_KINDS[row["figure"]]``
-#: instead of sniffing which fields happen to be present.
-FIGURE_KINDS = {
-    **{f: "micro" for f in MICRO_FIGURES},
-    **{f: "throughput" for f in THROUGHPUT_FIGURES},
-    **{f: "store" for f in STORE_FIGURES},
-    **{f: "shared" for f in SHARED_STORE_FIGURES},
-    **{f: "serve" for f in SERVE_FIGURES},
-    **{f: "txn" for f in TXN_FIGURES},
-    **{f: "range" for f in RANGE_FIGURES},
+    9: Figure(run_fig09, MICRO, "CBO.X latency vs writeback size and threads (§7.2)"),
+    10: Figure(run_fig10, MICRO, "write / 10x CBO.X / fence / re-read (§7.2)"),
+    11: Figure(
+        run_fig11,
+        MICRO,
+        "single-thread writeback latency across architectures (§7.3)",
+    ),
+    12: Figure(
+        run_fig12,
+        MICRO,
+        "eight-thread writeback latency across architectures (§7.3)",
+    ),
+    13: Figure(run_fig13, MICRO, "redundant writebacks: naive vs Skip It (§7.4)"),
+    14: Figure(run_fig14, THROUGHPUT, "persistent-set throughput, 5% updates (§7.4)"),
+    15: Figure(run_fig15, THROUGHPUT, "throughput vs update percentage (§7.4)"),
+    16: Figure(run_fig16, THROUGHPUT, "BST vs FliT hash-table size (§7.4)"),
+    17: Figure(
+        run_fig17,
+        STORE,
+        "durable store: throughput vs group-commit x optimizer (repro.store)",
+    ),
+    18: Figure(
+        run_fig18,
+        SHARED,
+        "shared-log store: fences/op and ack latency vs threads "
+        "(repro.store.shared)",
+    ),
+    19: Figure(
+        run_fig19,
+        SERVE,
+        "serving tier: p99 ack latency vs offered load saturation curves "
+        "(repro.serve)",
+    ),
+    20: Figure(
+        run_fig20,
+        TXN,
+        "transactions: fences per committed txn vs write-set size "
+        "(repro.store.txn)",
+    ),
+    21: Figure(
+        run_fig21,
+        RANGE,
+        "CBO.RANGE: loop-of-CBOs vs one ranged flush, micro + store "
+        "workloads (repro.bench.range)",
+    ),
 }
 
 __all__ = [
-    "FIGURE_KINDS",
-    "MICRO_FIGURES",
-    "RANGE_FIGURES",
-    "SERVE_FIGURES",
-    "SHARED_STORE_FIGURES",
-    "STORE_FIGURES",
-    "THROUGHPUT_FIGURES",
-    "TXN_FIGURES",
     "run_fig09",
     "run_fig10",
     "run_fig11",

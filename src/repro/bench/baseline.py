@@ -15,146 +15,15 @@ Wall-clock fields are recorded for the record but never compared.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.bench import FIGURE_KINDS
+from repro.bench import FIGURES
 
 SCHEMA_VERSION = 1
 
-#: numeric row fields compared against the baseline, per row kind
-MICRO_VALUE_FIELDS = ("median_cycles", "stdev_cycles")
-THROUGHPUT_VALUE_FIELDS = (
-    "throughput_mops",
-    "flush_requests",
-    "cbo_issued",
-    "cbo_skipped",
-)
-STORE_VALUE_FIELDS = (
-    "throughput_mops",
-    "fences",
-    "cbo_issued",
-    "cbo_skipped",
-    "wal_records",
-    "commits",
-)
-SHARED_STORE_VALUE_FIELDS = (
-    "throughput_mops",
-    "fences",
-    "fences_per_kop",
-    "ack_p50",
-    "ack_p99",
-    "cbo_issued",
-    "cbo_skipped",
-    "wal_records",
-    "commits",
-)
-TXN_VALUE_FIELDS = (
-    "committed",
-    "aborted",
-    "throughput_mtps",
-    "fences",
-    "fences_per_txn",
-    "ack_p50",
-    "ack_p99",
-    "abort_p50",
-    "abort_p99",
-    "cbo_issued",
-    "cbo_skipped",
-    "wal_records",
-    "commits",
-)
-SERVE_VALUE_FIELDS = (
-    "generated",
-    "served",
-    "completed",
-    "shed",
-    "throughput_mops",
-    "ack_p50",
-    "ack_p99",
-    "queue_p50",
-    "queue_p99",
-    "snapshot_reads",
-    "snapshot_fallbacks",
-    "fences",
-    "commits",
-    "wal_records",
-)
-RANGE_VALUE_FIELDS = (
-    "sweep_cycles",
-    "resweep_cycles",
-    "throughput_mops",
-    "fences",
-    "ranged_seals",
-    "flush_requests",
-    "cbo_issued",
-    "cbo_skipped",
-    "cbo_range_issued",
-    "cbo_range_lines",
-    "cbo_range_skipped",
-    "fences_per_kop",
-)
-#: compared value fields per row kind (see ``repro.bench.FIGURE_KINDS``)
-KIND_VALUE_FIELDS = {
-    "micro": MICRO_VALUE_FIELDS,
-    "throughput": THROUGHPUT_VALUE_FIELDS,
-    "store": STORE_VALUE_FIELDS,
-    "shared": SHARED_STORE_VALUE_FIELDS,
-    "serve": SERVE_VALUE_FIELDS,
-    "txn": TXN_VALUE_FIELDS,
-    "range": RANGE_VALUE_FIELDS,
-}
 #: default relative tolerance band for --check
 DEFAULT_REL_TOL = 0.02
-
-
-def row_kind(row: Mapping[str, object]) -> str:
-    """Kind tag of a serialized row: dispatched on its ``figure`` field.
-
-    Every row dataclass (and therefore every baseline row ever written)
-    carries its figure number, so the kind is an explicit lookup rather
-    than sniffing which fields happen to be present — field-sniffing
-    broke as soon as two kinds shared a field name (``RangeRow.series``
-    vs ``MicroRow.series``).
-    """
-    return FIGURE_KINDS[int(row["figure"])]
-
-
-def _row_key(row: Mapping[str, object]) -> str:
-    """Stable identity of a row within its figure (kind-aware)."""
-    kind = row_kind(row)
-    if kind == "micro":
-        return f"{row['series']}|size={row['size_bytes']}|t={row['threads']}"
-    if kind == "txn":
-        return (
-            f"txn|{row['optimizer']}|n={row['txn_size']}"
-            f"|gc={row['group_commit']}|t={row['threads']}"
-        )
-    if kind == "serve":
-        return (
-            f"serve|{row['optimizer']}|load={row['offered_load']:g}"
-            f"|s={row['sessions']}|gc={row['group_commit']}"
-        )
-    if kind == "shared":
-        return (
-            f"shared|{row['optimizer']}|t={row['threads']}"
-            f"|gc={row['group_commit']}"
-        )
-    if kind == "store":
-        return (
-            f"store|{row['optimizer']}|gc={row['group_commit']}"
-            f"|t={row['threads']}"
-        )
-    if kind == "range":
-        return (
-            f"range|{row['series']}|{row['mode']}|{row['optimizer']}"
-            f"|size={row['size_bytes']}|gc={row['group_commit']}"
-            f"|t={row['threads']}"
-        )
-    return (
-        f"{row['structure']}|{row['policy']}|{row['optimizer']}"
-        f"|upd={row['update_percent']}"
-    )
 
 
 def selftest_record(result: "SelftestResult") -> Dict[str, object]:  # noqa: F821
@@ -222,6 +91,84 @@ def _close(current: object, expected: object, rel_tol: float) -> bool:
     return abs(a - b) <= rel_tol * max(abs(a), abs(b)) + 1e-9
 
 
+@dataclass
+class Drift:
+    """One compared field of one matched row that left the tolerance band."""
+
+    figure: int
+    row: str
+    field: str
+    current: object
+    baseline: object
+    direction: str  # the field's spec direction: higher | lower | neutral
+
+
+@dataclass
+class Comparison:
+    """The row matcher's result, shared by ``check`` and ``regress``."""
+
+    figures: List[int] = field(default_factory=list)
+    rows_compared: int = 0
+    #: structural problems: schema/mode mismatch, missing or extra rows
+    problems: List[str] = field(default_factory=list)
+    drifts: List[Drift] = field(default_factory=list)
+
+
+def compare_rows(
+    current: Mapping[str, object],
+    baseline: Mapping[str, object],
+    rel_tol: float,
+    figures: Optional[Sequence[int]] = None,
+) -> Comparison:
+    """Match *current*'s rows to *baseline*'s by key; collect every drift.
+
+    Only figures present in both documents (and in *figures*, when
+    given) are compared, so a partial run checks just its own slice.
+    Rows are keyed by their figure kind's ``key`` template, and each of
+    the kind's value fields outside the *rel_tol* band is one
+    :class:`Drift`; wall-clock fields are never compared.
+    """
+    result = Comparison()
+    if baseline.get("schema") != SCHEMA_VERSION:
+        result.problems.append(
+            f"schema mismatch: baseline {baseline.get('schema')!r}, "
+            f"expected {SCHEMA_VERSION}"
+        )
+        return result
+    if bool(baseline.get("quick")) != bool(current.get("quick")):
+        result.problems.append(
+            f"mode mismatch: baseline quick={baseline.get('quick')}, "
+            f"current quick={current.get('quick')}"
+        )
+        return result
+    current_figs = current.get("figures", {})
+    baseline_figs = baseline.get("figures", {})
+    shared = sorted(set(current_figs) & set(baseline_figs), key=int)
+    if figures is not None:
+        wanted = {str(f) for f in figures}
+        shared = [f for f in shared if f in wanted]
+    if not shared:
+        result.problems.append("no common figures between current run and baseline")
+        return result
+    result.figures = [int(f) for f in shared]
+    for fig in shared:
+        kind = FIGURES[int(fig)].kind
+        cur_rows = {kind.key.format(**r): r for r in current_figs[fig]["rows"]}
+        base_rows = {kind.key.format(**r): r for r in baseline_figs[fig]["rows"]}
+        for key in sorted(base_rows.keys() - cur_rows.keys()):
+            result.problems.append(f"fig {fig}: row missing from current run: {key}")
+        for key in sorted(cur_rows.keys() - base_rows.keys()):
+            result.problems.append(f"fig {fig}: row not in baseline: {key}")
+        for key in sorted(cur_rows.keys() & base_rows.keys()):
+            cur, base = cur_rows[key], base_rows[key]
+            result.rows_compared += 1
+            for name, direction in kind.values.items():
+                c, b = cur.get(name), base.get(name)
+                if not _close(c, b, rel_tol):
+                    result.drifts.append(Drift(int(fig), key, name, c, b, direction))
+    return result
+
+
 def check(
     current: Mapping[str, object],
     baseline: Mapping[str, object],
@@ -230,49 +177,14 @@ def check(
 ) -> List[str]:
     """Compare *current* against *baseline*; return mismatch descriptions.
 
-    Only figures present in both documents (and in *figures*, when given)
-    are compared, so a partial run (``--fig 12 --check full.json``) checks
-    just its own slice.  The ``selftest`` section is deliberately ignored
-    here — it is wall-clock and host-specific; :mod:`repro.bench.regress`
-    owns that comparison.  An empty return value means the check passed.
+    Every out-of-band field counts, whichever way it moved.  The
+    ``selftest`` section is deliberately ignored here — it is wall-clock
+    and host-specific; :mod:`repro.bench.regress` owns that comparison.
+    An empty return value means the check passed.
     """
-    problems: List[str] = []
-    if baseline.get("schema") != SCHEMA_VERSION:
-        problems.append(
-            f"schema mismatch: baseline {baseline.get('schema')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-        return problems
-    if bool(baseline.get("quick")) != bool(current.get("quick")):
-        problems.append(
-            f"mode mismatch: baseline quick={baseline.get('quick')}, "
-            f"current quick={current.get('quick')}"
-        )
-        return problems
-    current_figs = current.get("figures", {})
-    baseline_figs = baseline.get("figures", {})
-    shared = sorted(set(current_figs) & set(baseline_figs), key=int)
-    if figures is not None:
-        wanted = {str(f) for f in figures}
-        shared = [f for f in shared if f in wanted]
-    if not shared:
-        problems.append("no common figures between current run and baseline")
-        return problems
-    for fig in shared:
-        cur_rows = {_row_key(r): r for r in current_figs[fig]["rows"]}
-        base_rows = {_row_key(r): r for r in baseline_figs[fig]["rows"]}
-        for key in sorted(set(base_rows) - set(cur_rows)):
-            problems.append(f"fig {fig}: row missing from current run: {key}")
-        for key in sorted(set(cur_rows) - set(base_rows)):
-            problems.append(f"fig {fig}: row not in baseline: {key}")
-        for key in sorted(set(cur_rows) & set(base_rows)):
-            cur, base = cur_rows[key], base_rows[key]
-            fields = KIND_VALUE_FIELDS[row_kind(cur)]
-            for name in fields:
-                if not _close(cur.get(name), base.get(name), rel_tol):
-                    problems.append(
-                        f"fig {fig}: {key}: {name} drifted: "
-                        f"current {cur.get(name)!r} vs baseline "
-                        f"{base.get(name)!r} (rel_tol={rel_tol})"
-                    )
-    return problems
+    result = compare_rows(current, baseline, rel_tol, figures)
+    return result.problems + [
+        f"fig {d.figure}: {d.row}: {d.field} drifted: current {d.current!r} "
+        f"vs baseline {d.baseline!r} (rel_tol={rel_tol})"
+        for d in result.drifts
+    ]

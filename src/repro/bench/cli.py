@@ -5,7 +5,8 @@ paper-style text table.  ``--quick`` shrinks sweeps for a fast sanity
 pass; the defaults regenerate the full-size figure.  ``--jobs N`` fans
 the independent sweep points over a process pool (results are identical
 to a serial run); ``--json`` / ``--check`` write and verify
-machine-readable baselines (see :mod:`repro.bench.baseline`).
+machine-readable baselines (see :mod:`repro.bench.baseline`), and
+``--report`` writes the same run as Markdown (:mod:`repro.bench.report`).
 """
 
 from __future__ import annotations
@@ -15,273 +16,8 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.bench import FIGURE_KINDS, FIGURES, baseline
-from repro.bench.format import format_table, human_size
-from repro.bench.micro import MicroRow
-from repro.bench.range import RangeRow
-from repro.bench.serve import ServeRow
-from repro.bench.shared import SharedStoreRow
-from repro.bench.store import StoreRow
-from repro.bench.structures import ThroughputRow
-from repro.bench.txn import TxnRow
-
-
-def _print_micro(rows: List[MicroRow]) -> None:
-    print(
-        format_table(
-            ["series", "size", "threads", "median cycles", "sigma"],
-            [
-                (
-                    r.series,
-                    human_size(r.size_bytes),
-                    r.threads,
-                    r.median_cycles,
-                    r.stdev_cycles,
-                )
-                for r in rows
-            ],
-        )
-    )
-
-
-def _print_throughput(rows: List[ThroughputRow]) -> None:
-    print(
-        format_table(
-            [
-                "structure",
-                "policy",
-                "optimizer",
-                "upd%",
-                "Mops/s",
-                "flush reqs",
-                "cbo issued",
-                "cbo skipped",
-            ],
-            [
-                (
-                    r.structure,
-                    r.policy,
-                    r.optimizer,
-                    r.update_percent,
-                    r.throughput_mops,
-                    r.flush_requests,
-                    r.cbo_issued,
-                    r.cbo_skipped,
-                )
-                for r in rows
-            ],
-        )
-    )
-
-
-def _print_store(rows: List[StoreRow]) -> None:
-    print(
-        format_table(
-            [
-                "optimizer",
-                "gc",
-                "threads",
-                "Mops/s",
-                "fences",
-                "cbo issued",
-                "cbo skipped",
-                "wal recs",
-                "mean batch",
-            ],
-            [
-                (
-                    r.optimizer,
-                    r.group_commit,
-                    r.threads,
-                    r.throughput_mops,
-                    r.fences,
-                    r.cbo_issued,
-                    r.cbo_skipped,
-                    r.wal_records,
-                    round(r.mean_batch, 2),
-                )
-                for r in rows
-            ],
-        )
-    )
-
-
-def _print_shared(rows: List[SharedStoreRow]) -> None:
-    print(
-        format_table(
-            [
-                "optimizer",
-                "threads",
-                "gc",
-                "Mops/s",
-                "fences/kop",
-                "ack p50",
-                "ack p99",
-                "clamped",
-                "takeovers",
-                "mean batch",
-            ],
-            [
-                (
-                    r.optimizer,
-                    r.threads,
-                    r.group_commit,
-                    r.throughput_mops,
-                    round(r.fences_per_kop, 2),
-                    r.ack_p50,
-                    r.ack_p99,
-                    r.ack_clamped,
-                    r.leader_takeovers,
-                    round(r.mean_batch, 2),
-                )
-                for r in rows
-            ],
-        )
-    )
-    clamped = sum(r.ack_clamped for r in rows)
-    if clamped:
-        print(
-            f"WARNING: {clamped} ack latencies were clamped to zero "
-            "(cross-thread virtual-clock skew); the p50/p99 columns "
-            "understate submit->durable latency for those ops"
-        )
-
-
-def _print_serve(rows: List[ServeRow]) -> None:
-    print(
-        format_table(
-            [
-                "optimizer",
-                "load",
-                "gen",
-                "done",
-                "shed",
-                "goodput",
-                "ack p50",
-                "ack p99",
-                "queue p99",
-                "bp",
-                "snap",
-            ],
-            [
-                (
-                    r.optimizer,
-                    r.offered_load,
-                    r.generated,
-                    r.completed,
-                    r.shed,
-                    round(r.throughput_mops, 3),
-                    r.ack_p50,
-                    r.ack_p99,
-                    r.queue_p99,
-                    r.backpressure_engagements,
-                    r.snapshot_reads,
-                )
-                for r in rows
-            ],
-        )
-    )
-    clamped = sum(r.ack_clamped for r in rows)
-    if clamped:
-        print(
-            f"WARNING: {clamped} ack latencies were clamped to zero "
-            "(cross-thread virtual-clock skew); the p50/p99 columns "
-            "understate arrival->durable latency for those requests"
-        )
-
-
-def _print_txn(rows: List[TxnRow]) -> None:
-    print(
-        format_table(
-            [
-                "optimizer",
-                "txn",
-                "gc",
-                "committed",
-                "aborted",
-                "Mtxn/s",
-                "fences/txn",
-                "ack p50",
-                "ack p99",
-                "abort p50",
-                "abort p99",
-            ],
-            [
-                (
-                    r.optimizer,
-                    r.txn_size,
-                    r.group_commit,
-                    r.committed,
-                    r.aborted,
-                    round(r.throughput_mtps, 3),
-                    round(r.fences_per_txn, 3),
-                    r.ack_p50,
-                    r.ack_p99,
-                    r.abort_p50,
-                    r.abort_p99,
-                )
-                for r in rows
-            ],
-        )
-    )
-    clamped = sum(r.ack_clamped for r in rows)
-    if clamped:
-        print(
-            f"WARNING: {clamped} ack latencies were clamped to zero "
-            "(cross-thread virtual-clock skew); the p50/p99 columns "
-            "understate submit->durable latency for those transactions"
-        )
-
-
-def _print_range(rows: List[RangeRow]) -> None:
-    print(
-        format_table(
-            [
-                "series",
-                "mode",
-                "optimizer",
-                "size",
-                "sweep cyc",
-                "resweep cyc",
-                "Mops/s",
-                "fences",
-                "flush reqs",
-                "cbo",
-                "cbo.range",
-                "fences/kop",
-            ],
-            [
-                (
-                    r.series,
-                    r.mode,
-                    r.optimizer or "-",
-                    human_size(r.size_bytes) if r.size_bytes else "-",
-                    r.sweep_cycles,
-                    r.resweep_cycles,
-                    round(r.throughput_mops, 3),
-                    r.fences,
-                    r.flush_requests,
-                    r.cbo_issued,
-                    r.cbo_range_issued,
-                    round(r.fences_per_kop, 2),
-                )
-                for r in rows
-            ],
-        )
-    )
-
-
-#: row-kind tag -> printer; the tag comes from FIGURE_KINDS, not from
-#: sniffing which fields a row happens to carry
-_PRINTERS = {
-    "micro": _print_micro,
-    "throughput": _print_throughput,
-    "store": _print_store,
-    "shared": _print_shared,
-    "serve": _print_serve,
-    "txn": _print_txn,
-    "range": _print_range,
-}
+from repro.bench import FIGURES, baseline
+from repro.bench.format import format_table
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -353,22 +89,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     figures = sorted(set(args.fig)) if args.fig else sorted(FIGURES)
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    if args.report:
-        from repro.bench.report import build_report
-
-        text = build_report(figures, quick=args.quick, jobs=jobs)
-        with open(args.report, "w") as handle:
-            handle.write(text)
-        print(f"report written to {args.report}")
-        return 0
-
     from repro.bench.runner import run_figures
 
     runs = run_figures(figures, quick=args.quick, jobs=jobs, progress=print)
     for fig in figures:
         run = runs[fig]
+        kind = FIGURES[fig].kind
         print(f"\n=== Figure {fig} ===")
-        _PRINTERS[FIGURE_KINDS[fig]](run.rows)
+        print(format_table(*kind.table(run.rows)))
+        warning = kind.warning(run.rows)
+        if warning:
+            print(warning)
         print(f"[figure {fig}: {run.points} points, {run.elapsed:.1f}s]")
 
     status = 0
@@ -382,6 +113,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     document = baseline.snapshot(
         runs, quick=args.quick, jobs=jobs, selftest=selftest
     )
+    if args.report:
+        from repro.bench.report import build_report
+
+        with open(args.report, "w") as handle:
+            handle.write(build_report(runs, quick=args.quick))
+        print(f"\nreport written to {args.report}")
     if args.json:
         baseline.write(args.json, document)
         print(f"\nbaseline written to {args.json}")

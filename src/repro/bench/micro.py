@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.format import human_size
+from repro.bench.spec import LOWER, NEUTRAL, Column, FigureKind
 from repro.workloads.redundant import redundant_writeback_latency
 from repro.workloads.reread import clean_vs_flush_reread
 from repro.workloads.sweep import writeback_sweep
@@ -66,6 +68,19 @@ class MicroRow:
     threads: int
     median_cycles: float
     stdev_cycles: float = 0.0
+
+
+MICRO = FigureKind(
+    key="{series}|size={size_bytes}|t={threads}",
+    columns=(
+        Column("series", "series"),
+        Column("size", "size_bytes", human_size),
+        Column("threads", "threads"),
+        Column("median cycles", "median_cycles"),
+        Column("sigma", "stdev_cycles"),
+    ),
+    values={"median_cycles": LOWER, "stdev_cycles": NEUTRAL},
+)
 
 
 def run_fig09(

@@ -26,7 +26,9 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.bench.format import human_size
 from repro.bench.micro import FULL_SIZES, QUICK_SIZES
+from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
@@ -61,6 +63,42 @@ class RangeRow:
     cbo_range_skipped: int = 0
     fences_per_kop: float = 0.0
     metrics: Optional[Dict[str, object]] = field(default=None)
+
+
+RANGE = FigureKind(
+    key=(
+        "range|{series}|{mode}|{optimizer}|size={size_bytes}"
+        "|gc={group_commit}|t={threads}"
+    ),
+    columns=(
+        Column("series", "series"),
+        Column("mode", "mode"),
+        Column("optimizer", "optimizer", lambda name: name or "-"),
+        Column("size", "size_bytes", lambda size: human_size(size) if size else "-"),
+        Column("sweep cyc", "sweep_cycles"),
+        Column("resweep cyc", "resweep_cycles"),
+        Column("Mops/s", "throughput_mops", rounded(3)),
+        Column("fences", "fences"),
+        Column("flush reqs", "flush_requests"),
+        Column("cbo", "cbo_issued"),
+        Column("cbo.range", "cbo_range_issued"),
+        Column("fences/kop", "fences_per_kop", rounded(2)),
+    ),
+    values={
+        "sweep_cycles": LOWER,
+        "resweep_cycles": LOWER,
+        "throughput_mops": HIGHER,
+        "fences": LOWER,
+        "ranged_seals": NEUTRAL,
+        "flush_requests": LOWER,
+        "cbo_issued": LOWER,
+        "cbo_skipped": NEUTRAL,
+        "cbo_range_issued": LOWER,
+        "cbo_range_lines": NEUTRAL,
+        "cbo_range_skipped": NEUTRAL,
+        "fences_per_kop": LOWER,
+    },
+)
 
 
 def sweep_axes(figure: int, quick: bool) -> Dict[str, Sequence]:

@@ -2,10 +2,11 @@
 
 ``python -m repro.bench --check`` answers "did the numbers move at
 all"; this module answers the sharper question "did they move in the
-*bad* direction".  Every compared field carries a direction — higher
-throughput is better, lower ack latency is better, fence counts lower
-is better, raw workload-volume counters are neutral — and a delta
-beyond the tolerance band is classified accordingly:
+*bad* direction".  Every compared field carries a direction, declared
+in its figure kind (:mod:`repro.bench.spec`) — higher throughput is
+better, lower ack latency is better, fence counts lower is better, raw
+workload-volume counters are neutral — and a delta beyond the tolerance
+band is classified accordingly:
 
 ``regression``
     moved in the harmful direction (turns the check red);
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.bench import baseline as baseline_mod
-from repro.bench.baseline import KIND_VALUE_FIELDS, _row_key, row_kind
+from repro.bench.spec import HIGHER, NEUTRAL
 
 #: default band: same as --check, deliberately tight — the sims are
 #: deterministic, so any delta at all is a code change speaking
@@ -40,43 +41,6 @@ DEFAULT_REL_TOL = baseline_mod.DEFAULT_REL_TOL
 #: noisy, so only a large drop (the kind a hot-path regression causes)
 #: should turn the check red
 SELFTEST_REL_TOL = 0.5
-
-#: which way each compared field should move; unknown fields are neutral
-FIELD_DIRECTION: Dict[str, str] = {
-    "throughput_mops": "higher",
-    "throughput_mtps": "higher",
-    "engine_cycles_per_sec": "higher",
-    "median_cycles": "lower",
-    "stdev_cycles": "neutral",
-    "fences": "lower",
-    "fences_per_kop": "lower",
-    "fences_per_txn": "lower",
-    "ack_p50": "lower",
-    "ack_p99": "lower",
-    "abort_p50": "lower",
-    "abort_p99": "lower",
-    "queue_p50": "lower",
-    "queue_p99": "lower",
-    "completed": "higher",
-    "committed": "higher",
-    "aborted": "neutral",
-    "shed": "lower",
-    "generated": "neutral",
-    "served": "neutral",
-    "snapshot_reads": "neutral",
-    "snapshot_fallbacks": "lower",
-    "flush_requests": "lower",
-    "cbo_issued": "lower",
-    "cbo_skipped": "neutral",
-    "wal_records": "neutral",
-    "commits": "neutral",
-    "sweep_cycles": "lower",
-    "resweep_cycles": "lower",
-    "ranged_seals": "neutral",
-    "cbo_range_issued": "lower",
-    "cbo_range_lines": "neutral",
-    "cbo_range_skipped": "neutral",
-}
 
 
 @dataclass
@@ -146,17 +110,19 @@ class RegressReport:
         return "\n".join(lines)
 
 
-def _fields_for(row: Mapping[str, object]) -> Sequence[str]:
-    """Compared fields for a row, dispatched on its explicit figure tag."""
-    return KIND_VALUE_FIELDS[row_kind(row)]
-
-
-def _classify(name: str, rel_delta: float) -> str:
-    direction = FIELD_DIRECTION.get(name, "neutral")
-    if direction == "neutral":
+def _classify(direction: str, rel_delta: float) -> str:
+    if direction == NEUTRAL:
         return "drift"
-    worse = rel_delta < 0 if direction == "higher" else rel_delta > 0
+    worse = rel_delta < 0 if direction == HIGHER else rel_delta > 0
     return "regression" if worse else "improvement"
+
+
+def _delta(
+    figure: int, row: str, name: str, baseline: object, current: object, direction: str
+) -> FieldDelta:
+    b, c = float(baseline), float(current)
+    rel = (c - b) / abs(b) if b else float("inf")
+    return FieldDelta(figure, row, name, b, c, rel, _classify(direction, rel))
 
 
 def compare(
@@ -166,63 +132,31 @@ def compare(
     figures: Optional[Sequence[int]] = None,
     baseline_path: str = "<baseline>",
 ) -> RegressReport:
-    """Direction-aware comparison of two baseline documents."""
-    report = RegressReport(baseline_path=baseline_path, rel_tol=rel_tol)
-    if baseline.get("schema") != baseline_mod.SCHEMA_VERSION:
-        report.problems.append(
-            f"schema mismatch: baseline {baseline.get('schema')!r}"
+    """Direction-aware comparison of two baseline documents.
+
+    Rows are matched exactly as ``--check`` matches them
+    (:func:`repro.bench.baseline.compare_rows`); each drifted field is
+    then classified by the direction its figure kind declares.
+    """
+    matched = baseline_mod.compare_rows(current, baseline, rel_tol, figures)
+    report = RegressReport(
+        baseline_path=baseline_path,
+        rel_tol=rel_tol,
+        figures=matched.figures,
+        rows_compared=matched.rows_compared,
+        problems=matched.problems,
+    )
+    for d in matched.drifts:
+        if d.current is None or d.baseline is None:
+            report.problems.append(
+                f"fig {d.figure}: {d.row}: {d.field} present on one side only"
+            )
+            continue
+        report.deltas.append(
+            _delta(d.figure, d.row, d.field, d.baseline, d.current, d.direction)
         )
-        return report
-    if bool(baseline.get("quick")) != bool(current.get("quick")):
-        report.problems.append(
-            f"mode mismatch: baseline quick={baseline.get('quick')}, "
-            f"current quick={current.get('quick')}"
-        )
-        return report
-    current_figs = current.get("figures", {})
-    baseline_figs = baseline.get("figures", {})
-    shared = sorted(set(current_figs) & set(baseline_figs), key=int)
-    if figures is not None:
-        wanted = {str(f) for f in figures}
-        shared = [f for f in shared if f in wanted]
-    if not shared:
-        report.problems.append("no common figures to compare")
-        return report
-    report.figures = [int(f) for f in shared]
-    for fig in shared:
-        cur_rows = {_row_key(r): r for r in current_figs[fig]["rows"]}
-        base_rows = {_row_key(r): r for r in baseline_figs[fig]["rows"]}
-        for key in sorted(set(base_rows) ^ set(cur_rows)):
-            side = "current run" if key in base_rows else "baseline"
-            report.problems.append(f"fig {fig}: row missing from {side}: {key}")
-        for key in sorted(set(cur_rows) & set(base_rows)):
-            cur, base = cur_rows[key], base_rows[key]
-            report.rows_compared += 1
-            for name in _fields_for(cur):
-                b = base.get(name)
-                c = cur.get(name)
-                if b is None or c is None:
-                    if b is not None or c is not None:
-                        report.problems.append(
-                            f"fig {fig}: {key}: {name} present on one side only"
-                        )
-                    continue
-                b, c = float(b), float(c)
-                if abs(c - b) <= rel_tol * max(abs(b), abs(c)) + 1e-9:
-                    continue
-                rel = (c - b) / abs(b) if b else float("inf")
-                report.deltas.append(
-                    FieldDelta(
-                        figure=int(fig),
-                        row=key,
-                        field=name,
-                        baseline=b,
-                        current=c,
-                        rel_delta=rel,
-                        kind=_classify(name, rel),
-                    )
-                )
-    _compare_selftest(report, current, baseline)
+    if matched.figures:
+        _compare_selftest(report, current, baseline)
     return report
 
 
@@ -251,20 +185,8 @@ def _compare_selftest(
     b = float(base_st.get(name, 0.0))
     c = float(cur_st.get(name, 0.0))
     report.rows_compared += 1
-    if abs(c - b) <= SELFTEST_REL_TOL * max(abs(b), abs(c)) + 1e-9:
-        return
-    rel = (c - b) / abs(b) if b else float("inf")
-    report.deltas.append(
-        FieldDelta(
-            figure=0,
-            row="selftest",
-            field=name,
-            baseline=b,
-            current=c,
-            rel_delta=rel,
-            kind=_classify(name, rel),
-        )
-    )
+    if not baseline_mod._close(c, b, SELFTEST_REL_TOL):
+        report.deltas.append(_delta(0, "selftest", name, b, c, HIGHER))
 
 
 def run_and_compare(

@@ -1,44 +1,17 @@
 """Markdown report generation: figure runs -> EXPERIMENTS-style tables.
 
-``build_report`` executes any subset of the figure runners and renders
-their rows as a Markdown document; the CLI exposes it through
+``build_report`` renders the rows of already-run figures as a Markdown
+document, drawing each figure's kind table with the terminal's columns;
+the CLI writes it from the same run as the tables and baselines through
 ``python -m repro.bench --report out.md``.  Handy for re-validating the
 numbers EXPERIMENTS.md quotes after changing model parameters.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
-from repro.bench import FIGURE_KINDS, FIGURES
-from repro.bench.format import human_size
-from repro.bench.micro import MicroRow
-from repro.bench.range import RangeRow
-from repro.bench.serve import ServeRow
-from repro.bench.shared import SharedStoreRow
-from repro.bench.store import StoreRow
-from repro.bench.structures import ThroughputRow
-from repro.bench.txn import TxnRow
-
-_FIGURE_TITLES = {
-    9: "CBO.X latency vs writeback size and threads (§7.2)",
-    10: "write / 10x CBO.X / fence / re-read (§7.2)",
-    11: "single-thread writeback latency across architectures (§7.3)",
-    12: "eight-thread writeback latency across architectures (§7.3)",
-    13: "redundant writebacks: naive vs Skip It (§7.4)",
-    14: "persistent-set throughput, 5% updates (§7.4)",
-    15: "throughput vs update percentage (§7.4)",
-    16: "BST vs FliT hash-table size (§7.4)",
-    17: "durable store: throughput vs group-commit x optimizer (repro.store)",
-    18: "shared-log store: fences/op and ack latency vs threads "
-    "(repro.store.shared)",
-    19: "serving tier: p99 ack latency vs offered load saturation curves "
-    "(repro.serve)",
-    20: "transactions: fences per committed txn vs write-set size "
-    "(repro.store.txn)",
-    21: "CBO.RANGE: loop-of-CBOs vs one ranged flush, micro + store "
-    "workloads (repro.bench.range)",
-}
+from repro.bench import FIGURES
 
 
 def _markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -59,234 +32,6 @@ def _markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) ->
     return "\n".join(lines)
 
 
-def _render_micro(rows: List[MicroRow]) -> str:
-    return _markdown_table(
-        ["series", "size", "threads", "median cycles", "sigma"],
-        [
-            (
-                r.series,
-                human_size(r.size_bytes),
-                r.threads,
-                r.median_cycles,
-                r.stdev_cycles,
-            )
-            for r in rows
-        ],
-    )
-
-
-def _render_store(rows: List[StoreRow]) -> str:
-    return _markdown_table(
-        [
-            "optimizer",
-            "gc",
-            "Mops/s",
-            "fences",
-            "cbo issued",
-            "cbo skipped",
-            "wal recs",
-            "mean batch",
-        ],
-        [
-            (
-                r.optimizer,
-                r.group_commit,
-                r.throughput_mops,
-                r.fences,
-                r.cbo_issued,
-                r.cbo_skipped,
-                r.wal_records,
-                r.mean_batch,
-            )
-            for r in rows
-        ],
-    )
-
-
-def _render_shared(rows: List[SharedStoreRow]) -> str:
-    table = _markdown_table(
-        [
-            "optimizer",
-            "threads",
-            "gc",
-            "Mops/s",
-            "fences/kop",
-            "ack p50",
-            "ack p99",
-            "clamped",
-            "takeovers",
-            "mean batch",
-        ],
-        [
-            (
-                r.optimizer,
-                r.threads,
-                r.group_commit,
-                r.throughput_mops,
-                r.fences_per_kop,
-                r.ack_p50,
-                r.ack_p99,
-                r.ack_clamped,
-                r.leader_takeovers,
-                r.mean_batch,
-            )
-            for r in rows
-        ],
-    )
-    clamped = sum(r.ack_clamped for r in rows)
-    if clamped:
-        table += (
-            f"\n\n**Warning:** {clamped} ack latencies were clamped to "
-            "zero (`store_ack_latency_clamped`): cross-thread "
-            "virtual-clock skew made the raw submit→durable delta "
-            "negative, so the p50/p99 columns understate those ops' "
-            "latency."
-        )
-    return table
-
-
-def _render_serve(rows: List[ServeRow]) -> str:
-    table = _markdown_table(
-        [
-            "optimizer",
-            "load",
-            "generated",
-            "completed",
-            "shed",
-            "goodput Mops/s",
-            "ack p50",
-            "ack p99",
-            "queue p99",
-            "backpressure",
-            "snapshot reads",
-        ],
-        [
-            (
-                r.optimizer,
-                r.offered_load,
-                r.generated,
-                r.completed,
-                r.shed,
-                r.throughput_mops,
-                r.ack_p50,
-                r.ack_p99,
-                r.queue_p99,
-                r.backpressure_engagements,
-                r.snapshot_reads,
-            )
-            for r in rows
-        ],
-    )
-    clamped = sum(r.ack_clamped for r in rows)
-    if clamped:
-        table += (
-            f"\n\n**Warning:** {clamped} ack latencies were clamped to "
-            "zero (`serve_ack_latency_clamped`): cross-thread "
-            "virtual-clock skew made the raw arrival→durable delta "
-            "negative, so the p50/p99 columns understate those "
-            "requests' latency."
-        )
-    return table
-
-
-def _render_txn(rows: List[TxnRow]) -> str:
-    table = _markdown_table(
-        [
-            "optimizer",
-            "txn size",
-            "gc",
-            "committed",
-            "aborted",
-            "Mtxn/s",
-            "fences/txn",
-            "ack p50",
-            "ack p99",
-            "abort p50",
-            "abort p99",
-        ],
-        [
-            (
-                r.optimizer,
-                r.txn_size,
-                r.group_commit,
-                r.committed,
-                r.aborted,
-                r.throughput_mtps,
-                r.fences_per_txn,
-                r.ack_p50,
-                r.ack_p99,
-                r.abort_p50,
-                r.abort_p99,
-            )
-            for r in rows
-        ],
-    )
-    clamped = sum(r.ack_clamped for r in rows)
-    if clamped:
-        table += (
-            f"\n\n**Warning:** {clamped} ack latencies were clamped to "
-            "zero (`store_ack_latency_clamped`): cross-thread "
-            "virtual-clock skew made the raw submit→durable delta "
-            "negative, so the p50/p99 columns understate those "
-            "transactions' latency."
-        )
-    return table
-
-
-def _render_range(rows: List[RangeRow]) -> str:
-    return _markdown_table(
-        [
-            "series",
-            "mode",
-            "optimizer",
-            "size",
-            "sweep cyc",
-            "resweep cyc",
-            "Mops/s",
-            "fences",
-            "flush reqs",
-            "cbo",
-            "cbo.range",
-            "fences/kop",
-        ],
-        [
-            (
-                r.series,
-                r.mode,
-                r.optimizer or "-",
-                human_size(r.size_bytes) if r.size_bytes else "-",
-                r.sweep_cycles,
-                r.resweep_cycles,
-                r.throughput_mops,
-                r.fences,
-                r.flush_requests,
-                r.cbo_issued,
-                r.cbo_range_issued,
-                r.fences_per_kop,
-            )
-            for r in rows
-        ],
-    )
-
-
-def _render_throughput(rows: List[ThroughputRow]) -> str:
-    return _markdown_table(
-        ["structure", "policy", "optimizer", "upd%", "Mops/s", "cbo issued", "cbo skipped"],
-        [
-            (
-                r.structure,
-                r.policy,
-                r.optimizer,
-                r.update_percent,
-                r.throughput_mops,
-                r.cbo_issued,
-                r.cbo_skipped,
-            )
-            for r in rows
-        ],
-    )
-
-
 #: timing.system counters worth surfacing in the per-figure summary
 _METRIC_KEYS = (
     "cbo_issued",
@@ -299,7 +44,7 @@ _METRIC_KEYS = (
 )
 
 
-def _render_metrics_summary(rows: List[ThroughputRow]) -> str:
+def _render_metrics_summary(rows: List[object]) -> str:
     """Aggregate the rows' metrics snapshots (``timing.system.*``).
 
     Each row carries the hierarchical registry snapshot its run produced;
@@ -309,9 +54,10 @@ def _render_metrics_summary(rows: List[ThroughputRow]) -> str:
     totals: dict = {}
     sampled = 0
     for row in rows:
-        if not row.metrics:
+        metrics = getattr(row, "metrics", None)
+        if not metrics:
             continue
-        system = row.metrics.get("timing", {}).get("system", {})
+        system = metrics.get("timing", {}).get("system", {})
         if not isinstance(system, dict):
             continue
         sampled += 1
@@ -332,43 +78,28 @@ def _render_metrics_summary(rows: List[ThroughputRow]) -> str:
 
 
 def build_report(
-    figures: Optional[Sequence[int]] = None, quick: bool = True, jobs: int = 1
+    runs: Mapping[int, "FigureRun"],  # noqa: F821 - repro.bench.runner.FigureRun
+    quick: bool,
 ) -> str:
-    """Run the requested figures and return a Markdown report.
+    """Render already-run figures as a Markdown report.
 
-    Routes through :func:`repro.bench.runner.run_figures` so the numbers
-    match the ``--json`` baselines exactly and *jobs* can parallelise
-    the regeneration.
+    *runs* is :func:`repro.bench.runner.run_figures`' result, so the
+    numbers are the ones the same invocation prints and writes to its
+    ``--json`` baseline.
     """
-    from repro.bench.runner import run_figures
-
-    figures = sorted(set(figures)) if figures else sorted(FIGURES)
-    runs = run_figures(figures, quick=quick, jobs=jobs)
     sections = [
         "# Measured figure reproductions",
         "",
         f"Mode: {'quick (reduced sweeps)' if quick else 'full size'}.",
     ]
-    for fig in figures:
-        rows = runs[fig].rows
-        title = _FIGURE_TITLES.get(fig, "")
-        sections.append(f"\n## Figure {fig} — {title}\n")
-        kind = FIGURE_KINDS[fig]
-        sections.append(_RENDERERS[kind](rows))
-        if kind != "micro":
-            summary = _render_metrics_summary(rows)
-            if summary:
-                sections.append(summary)
+    for fig in sorted(runs):
+        figure, rows = FIGURES[fig], runs[fig].rows
+        sections.append(f"\n## Figure {fig} — {figure.title}\n")
+        sections.append(_markdown_table(*figure.kind.table(rows)))
+        warning = figure.kind.warning(rows)
+        if warning:
+            sections.append(f"\n{warning}")
+        summary = _render_metrics_summary(rows)
+        if summary:
+            sections.append(summary)
     return "\n".join(sections) + "\n"
-
-
-#: row-kind tag -> renderer (same explicit-tag dispatch as the CLI)
-_RENDERERS = {
-    "micro": _render_micro,
-    "throughput": _render_throughput,
-    "store": _render_store,
-    "shared": _render_shared,
-    "serve": _render_serve,
-    "txn": _render_txn,
-    "range": _render_range,
-}

@@ -254,7 +254,7 @@ def execute_point(point: BenchPoint) -> PointResult:
 
     started = time.perf_counter()
     try:
-        rows = FIGURES[point.figure](**dict(point.kwargs))
+        rows = FIGURES[point.figure].run(**dict(point.kwargs))
     except Exception:
         return PointResult(
             point, None, time.perf_counter() - started, traceback.format_exc()

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.workloads.serve import ServeBenchmark
 
@@ -70,6 +71,41 @@ class ServeRow:
     ack_clamped: int = 0
     #: ``timing.*`` + ``serve.*`` + ``store.shared.*`` metrics snapshot
     metrics: Optional[Dict[str, object]] = None
+
+
+SERVE = FigureKind(
+    key="serve|{optimizer}|load={offered_load:g}|s={sessions}|gc={group_commit}",
+    columns=(
+        Column("optimizer", "optimizer"),
+        Column("load", "offered_load"),
+        Column("gen", "generated"),
+        Column("done", "completed"),
+        Column("shed", "shed"),
+        Column("goodput", "throughput_mops", rounded(3)),
+        Column("ack p50", "ack_p50"),
+        Column("ack p99", "ack_p99"),
+        Column("queue p99", "queue_p99"),
+        Column("bp", "backpressure_engagements"),
+        Column("snap", "snapshot_reads"),
+    ),
+    values={
+        "generated": NEUTRAL,
+        "served": NEUTRAL,
+        "completed": HIGHER,
+        "shed": LOWER,
+        "throughput_mops": HIGHER,
+        "ack_p50": LOWER,
+        "ack_p99": LOWER,
+        "queue_p50": LOWER,
+        "queue_p99": LOWER,
+        "snapshot_reads": NEUTRAL,
+        "snapshot_fallbacks": LOWER,
+        "fences": LOWER,
+        "commits": NEUTRAL,
+        "wal_records": NEUTRAL,
+    },
+    clamp_warning="arrival->durable latency for those requests",
+)
 
 
 def run_fig19(

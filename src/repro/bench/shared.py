@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.workloads.store import SharedStoreBenchmark
 
@@ -60,6 +61,35 @@ class SharedStoreRow:
     ack_clamped: int = 0
     #: ``timing.*`` + ``store.shared.*`` metrics snapshot from the run
     metrics: Optional[Dict[str, object]] = None
+
+
+SHARED = FigureKind(
+    key="shared|{optimizer}|t={threads}|gc={group_commit}",
+    columns=(
+        Column("optimizer", "optimizer"),
+        Column("threads", "threads"),
+        Column("gc", "group_commit"),
+        Column("Mops/s", "throughput_mops"),
+        Column("fences/kop", "fences_per_kop", rounded(2)),
+        Column("ack p50", "ack_p50"),
+        Column("ack p99", "ack_p99"),
+        Column("clamped", "ack_clamped"),
+        Column("takeovers", "leader_takeovers"),
+        Column("mean batch", "mean_batch", rounded(2)),
+    ),
+    values={
+        "throughput_mops": HIGHER,
+        "fences": LOWER,
+        "fences_per_kop": LOWER,
+        "ack_p50": LOWER,
+        "ack_p99": LOWER,
+        "cbo_issued": LOWER,
+        "cbo_skipped": NEUTRAL,
+        "wal_records": NEUTRAL,
+        "commits": NEUTRAL,
+    },
+    clamp_warning="submit->durable latency for those ops",
+)
 
 
 def run_fig18(

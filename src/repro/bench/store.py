@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.workloads.store import StoreBenchmark
 
@@ -49,6 +50,30 @@ class StoreRow:
     flush_requests: int = 0
     #: ``timing.*`` + ``store.*`` metrics snapshot from the run
     metrics: Optional[Dict[str, object]] = None
+
+
+STORE = FigureKind(
+    key="store|{optimizer}|gc={group_commit}|t={threads}",
+    columns=(
+        Column("optimizer", "optimizer"),
+        Column("gc", "group_commit"),
+        Column("threads", "threads"),
+        Column("Mops/s", "throughput_mops"),
+        Column("fences", "fences"),
+        Column("cbo issued", "cbo_issued"),
+        Column("cbo skipped", "cbo_skipped"),
+        Column("wal recs", "wal_records"),
+        Column("mean batch", "mean_batch", rounded(2)),
+    ),
+    values={
+        "throughput_mops": HIGHER,
+        "fences": LOWER,
+        "cbo_issued": LOWER,
+        "cbo_skipped": NEUTRAL,
+        "wal_records": NEUTRAL,
+        "commits": NEUTRAL,
+    },
+)
 
 
 def run_fig17(

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.persist.policies import POLICY_NAMES
 from repro.persist.structures import STRUCTURES
@@ -54,6 +55,27 @@ class ThroughputRow:
     cbo_skipped: int = 0
     #: ``timing.*`` metrics snapshot from the run (None when inapplicable)
     metrics: Optional[Dict[str, object]] = None
+
+
+THROUGHPUT = FigureKind(
+    key="{structure}|{policy}|{optimizer}|upd={update_percent}",
+    columns=(
+        Column("structure", "structure"),
+        Column("policy", "policy"),
+        Column("optimizer", "optimizer"),
+        Column("upd%", "update_percent"),
+        Column("Mops/s", "throughput_mops"),
+        Column("flush reqs", "flush_requests"),
+        Column("cbo issued", "cbo_issued"),
+        Column("cbo skipped", "cbo_skipped"),
+    ),
+    values={
+        "throughput_mops": HIGHER,
+        "flush_requests": LOWER,
+        "cbo_issued": LOWER,
+        "cbo_skipped": NEUTRAL,
+    },
+)
 
 
 def _run_cell(

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.workloads.txn import TxnBenchmark
 
@@ -65,6 +66,40 @@ class TxnRow:
     ack_clamped: int = 0
     #: ``timing.*`` + ``store.shared.*`` metrics snapshot from the run
     metrics: Optional[Dict[str, object]] = None
+
+
+TXN = FigureKind(
+    key="txn|{optimizer}|n={txn_size}|gc={group_commit}|t={threads}",
+    columns=(
+        Column("optimizer", "optimizer"),
+        Column("txn", "txn_size"),
+        Column("gc", "group_commit"),
+        Column("committed", "committed"),
+        Column("aborted", "aborted"),
+        Column("Mtxn/s", "throughput_mtps", rounded(3)),
+        Column("fences/txn", "fences_per_txn", rounded(3)),
+        Column("ack p50", "ack_p50"),
+        Column("ack p99", "ack_p99"),
+        Column("abort p50", "abort_p50"),
+        Column("abort p99", "abort_p99"),
+    ),
+    values={
+        "committed": HIGHER,
+        "aborted": NEUTRAL,
+        "throughput_mtps": HIGHER,
+        "fences": LOWER,
+        "fences_per_txn": LOWER,
+        "ack_p50": LOWER,
+        "ack_p99": LOWER,
+        "abort_p50": LOWER,
+        "abort_p99": LOWER,
+        "cbo_issued": LOWER,
+        "cbo_skipped": NEUTRAL,
+        "wal_records": NEUTRAL,
+        "commits": NEUTRAL,
+    },
+    clamp_warning="submit->durable latency for those transactions",
+)
 
 
 def run_fig20(

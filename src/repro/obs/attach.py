@@ -4,8 +4,8 @@ Every instrumented component carries an ``obs`` attribute that defaults
 to ``None``; :func:`acquire_bus` flips them all to one shared
 :class:`~repro.obs.events.EventBus` and :func:`release_bus` restores the
 no-op state.  The bus is reference-counted so the high-level
-:class:`Observability` facade and the thin
-:class:`~repro.sim.trace.TraceRecorder` adapter can coexist on one SoC.
+:class:`Observability` facade and other holders — a test reading
+``acquire_bus(soc).events`` — can share one SoC's bus.
 
 :class:`Observability` additionally builds the hierarchical
 :class:`~repro.obs.registry.MetricsRegistry` over the SoC —

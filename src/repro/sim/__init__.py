@@ -2,19 +2,17 @@
 
 The kernel is deliberately small: components register with an
 :class:`~repro.sim.engine.Engine` and are ticked once per simulated cycle.
-All inter-component communication happens through bounded queues
-(:mod:`repro.sim.queue`) so that back-pressure is explicit, as it is in the
-RTL the paper modifies.
+They exchange messages over beat-accurate TileLink channels
+(:mod:`repro.tilelink.channel`), so link occupancy and back-pressure are
+explicit, as they are in the RTL the paper modifies.
 """
 
 from repro.sim.engine import Engine, SimulationDeadlock
-from repro.sim.queue import BoundedQueue
 from repro.sim.stats import Histogram, StatCounter, median, stdev
 
 __all__ = [
     "Engine",
     "SimulationDeadlock",
-    "BoundedQueue",
     "StatCounter",
     "Histogram",
     "median",

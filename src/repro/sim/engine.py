@@ -3,9 +3,10 @@
 A *component* is any object with a ``tick(cycle)`` method.  Each simulated
 cycle the engine calls ``tick`` on every registered component in
 registration order, mirroring how synchronous RTL evaluates once per clock
-edge.  Components must only *sample* queue state during their tick and
-perform pushes/pops through :class:`repro.sim.queue.BoundedQueue`, whose
-capacity bounds model the finite buffering of the real design.
+edge.  Components talk through beat-accurate TileLink channels
+(:class:`repro.tilelink.channel.BeatChannel`) and their own fixed-size
+structures (flush queue, FSHRs, MSHRs), whose sizes model the finite
+buffering of the real design.
 
 The engine carries a watchdog: if ``watchdog_interval`` cycles elapse
 without any component reporting progress (via :meth:`Engine.note_progress`),

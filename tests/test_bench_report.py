@@ -4,6 +4,7 @@ import os
 
 from repro.bench.cli import main
 from repro.bench.report import _markdown_table, build_report
+from repro.bench.runner import run_figures
 
 
 class TestMarkdownTable:
@@ -23,14 +24,14 @@ class TestMarkdownTable:
 
 class TestBuildReport:
     def test_single_micro_figure(self):
-        text = build_report([13], quick=True)
+        text = build_report(run_figures([13], quick=True), quick=True)
         assert "# Measured figure reproductions" in text
         assert "## Figure 13" in text
         assert "Skip It" in text
         assert "| series |" in text
 
     def test_single_throughput_figure(self):
-        text = build_report([16], quick=True)
+        text = build_report(run_figures([16], quick=True), quick=True)
         assert "## Figure 16" in text
         assert "skipit" in text
 

@@ -1,20 +1,11 @@
 """Parallel benchmark runner and machine-readable baselines."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.bench import (
-    FIGURES,
-    MICRO_FIGURES,
-    RANGE_FIGURES,
-    SERVE_FIGURES,
-    SHARED_STORE_FIGURES,
-    STORE_FIGURES,
-    THROUGHPUT_FIGURES,
-    TXN_FIGURES,
-    baseline,
-)
+from repro.bench import FIGURES, baseline
 from repro.bench.micro import MicroRow
 from repro.bench.runner import (
     BenchPoint,
@@ -25,7 +16,7 @@ from repro.bench.runner import (
     point_seed,
     run_figures,
 )
-from repro.bench.structures import ThroughputRow
+from repro.bench.structures import THROUGHPUT, ThroughputRow
 
 
 class TestDecomposition:
@@ -38,7 +29,9 @@ class TestDecomposition:
         labels = [p.label for p in first]
         assert len(labels) == len(set(labels)), "labels must be unique"
 
-    @pytest.mark.parametrize("figure", sorted(THROUGHPUT_FIGURES))
+    @pytest.mark.parametrize(
+        "figure", [f for f in sorted(FIGURES) if FIGURES[f].kind is THROUGHPUT]
+    )
     def test_throughput_points_carry_coordinate_seeds(self, figure):
         for point in decompose(figure, quick=True):
             kwargs = dict(point.kwargs)
@@ -61,7 +54,7 @@ class TestDecomposition:
 class TestRunner:
     def test_serial_runner_matches_direct_call_fig11(self):
         runs = run_figures([11], quick=True, jobs=1)
-        assert runs[11].rows == FIGURES[11](quick=True)
+        assert runs[11].rows == FIGURES[11].run(quick=True)
         assert runs[11].points == len(decompose(11, quick=True))
         assert runs[11].elapsed > 0
 
@@ -81,7 +74,7 @@ class TestRunner:
         def boom(**kwargs):
             raise RuntimeError("injected point failure")
 
-        monkeypatch.setitem(FIGURES, 11, boom)
+        monkeypatch.setitem(FIGURES, 11, dataclasses.replace(FIGURES[11], run=boom))
         with pytest.raises(BenchPointError) as excinfo:
             run_figures([11], quick=True, jobs=1)
         assert "injected point failure" in str(excinfo.value)
@@ -92,7 +85,7 @@ class TestRunner:
         def boom(**kwargs):
             raise ValueError("bad cell")
 
-        monkeypatch.setitem(FIGURES, 9, boom)
+        monkeypatch.setitem(FIGURES, 9, dataclasses.replace(FIGURES[9], run=boom))
         result = execute_point(BenchPoint(9, 0, "x", (("quick", True),)))
         assert result.rows is None
         assert "bad cell" in result.error
@@ -183,6 +176,25 @@ class TestBaseline:
             for p in baseline.check(only9, both, figures=[14])
         )
 
+    @pytest.mark.parametrize(
+        "figure, key",
+        [
+            pytest.param(9, "1-thread flush|size=64|t=1", id="micro"),
+            pytest.param(14, "list|none|plain|upd=5", id="throughput"),
+            pytest.param(17, "store|plain|gc=1|t=2", id="store"),
+            pytest.param(18, "shared|plain|t=1|gc=8", id="shared"),
+            pytest.param(19, "serve|plain|load=8|s=4|gc=8", id="serve"),
+            pytest.param(20, "txn|plain|n=1|gc=4|t=2", id="txn"),
+            pytest.param(21, "range|micro|loop||size=64|gc=0|t=1", id="range"),
+        ],
+    )
+    def test_kind_keys_and_values_match_committed_rows(self, figure, key):
+        """A spec typo would orphan committed rows or compare None to None."""
+        kind = FIGURES[figure].kind
+        rows = baseline.load("baselines/quick.json")["figures"][str(figure)]["rows"]
+        assert key in {kind.key.format(**row) for row in rows}
+        assert all(set(kind.values) <= set(row) for row in rows)
+
     def test_wall_clock_never_compared(self):
         document = baseline.snapshot({9: _micro_run()}, quick=True, jobs=1)
         slower = json.loads(json.dumps(document))
@@ -191,54 +203,55 @@ class TestBaseline:
 
 
 class TestCliDispatch:
-    def test_row_type_sets_partition_all_figures(self):
-        assert (
-            MICRO_FIGURES
-            | THROUGHPUT_FIGURES
-            | STORE_FIGURES
-            | SHARED_STORE_FIGURES
-            | SERVE_FIGURES
-            | TXN_FIGURES
-            | RANGE_FIGURES
-        ) == set(FIGURES)
-        assert not MICRO_FIGURES & THROUGHPUT_FIGURES
-        assert not STORE_FIGURES & (MICRO_FIGURES | THROUGHPUT_FIGURES)
-        assert not SHARED_STORE_FIGURES & (
-            MICRO_FIGURES | THROUGHPUT_FIGURES | STORE_FIGURES
-        )
-        assert not SERVE_FIGURES & (
-            MICRO_FIGURES
-            | THROUGHPUT_FIGURES
-            | STORE_FIGURES
-            | SHARED_STORE_FIGURES
-        )
-        assert not TXN_FIGURES & (
-            MICRO_FIGURES
-            | THROUGHPUT_FIGURES
-            | STORE_FIGURES
-            | SHARED_STORE_FIGURES
-            | SERVE_FIGURES
-        )
-        assert not RANGE_FIGURES & (
-            MICRO_FIGURES
-            | THROUGHPUT_FIGURES
-            | STORE_FIGURES
-            | SHARED_STORE_FIGURES
-            | SERVE_FIGURES
-            | TXN_FIGURES
-        )
-
-    def test_empty_micro_figure_prints_micro_header(self, monkeypatch, capsys):
-        """Empty row lists must still dispatch on the figure's row type."""
+    @pytest.mark.parametrize("output", ["terminal", "report"])
+    @pytest.mark.parametrize(
+        "figure, header",
+        [
+            pytest.param(9, "median cycles", id="micro"),
+            pytest.param(14, "flush reqs", id="throughput"),
+            pytest.param(17, "wal recs", id="store"),
+            pytest.param(18, "takeovers", id="shared"),
+            pytest.param(19, "queue p99", id="serve"),
+            pytest.param(20, "fences/txn", id="txn"),
+            pytest.param(21, "cbo.range", id="range"),
+        ],
+    )
+    def test_empty_figure_prints_kind_header(
+        self, monkeypatch, capsys, tmp_path, figure, header, output
+    ):
+        """Empty row lists must still draw the figure's own kind table."""
         from repro.bench import cli, runner
 
         def fake_run_figures(figures, quick=False, jobs=1, progress=None):
             return {fig: FigureRun(figure=fig) for fig in figures}
 
         monkeypatch.setattr(runner, "run_figures", fake_run_figures)
-        assert cli.main(["--fig", "9"]) == 0
-        out = capsys.readouterr().out
-        assert "median cycles" in out  # micro table header, not throughput
+        report = tmp_path / "report.md"
+        argv = ["--fig", str(figure)]
+        if output == "report":
+            argv += ["--report", str(report)]
+        assert cli.main(argv) == 0
+        text = report.read_text() if output == "report" else capsys.readouterr().out
+        assert header in text
+
+    def test_report_keeps_json_and_check(self, monkeypatch, tmp_path):
+        """--report is one more output of the run, not a separate mode."""
+        from repro.bench import cli, runner
+
+        def fake_run_figures(figures, quick=False, jobs=1, progress=None):
+            return {fig: _micro_run() for fig in figures}
+
+        monkeypatch.setattr(runner, "run_figures", fake_run_figures)
+        drifted = baseline.snapshot({9: _micro_run()}, quick=True, jobs=1)
+        drifted["figures"]["9"]["rows"][0]["median_cycles"] *= 1.10
+        drifted_path = tmp_path / "drifted.json"
+        baseline.write(str(drifted_path), drifted)
+        report, out = tmp_path / "report.md", tmp_path / "out.json"
+        argv = ["--fig", "9", "--quick", "--report", str(report)]
+        argv += ["--json", str(out), "--check", str(drifted_path)]
+        assert cli.main(argv) == 1
+        assert "## Figure 9" in report.read_text()
+        assert baseline.load(str(out))["figures"]["9"]["points"] == 2
 
     def test_json_and_check_round_trip_via_cli(self, monkeypatch, tmp_path):
         from repro.bench import cli, runner

@@ -24,7 +24,6 @@ from repro.obs import (
 from repro.obs.export import validate_chrome_trace
 from repro.sim.config import SoCParams
 from repro.sim.engine import SimulationDeadlock
-from repro.sim.trace import TraceRecorder
 from repro.tilelink.permissions import Cap
 from repro.timing.system import TimingSystem
 from repro.uarch.cpu import Instr
@@ -319,9 +318,9 @@ class TestObserverIsTimingNeutral:
     def test_refcounted_bus_shared_between_holders(self):
         soc = Soc()
         obs = Observability.attach(soc)
-        trace = TraceRecorder.attach(soc)
-        assert trace._bus is obs.bus  # one shared bus
-        trace.detach()
+        bus = acquire_bus(soc)
+        assert bus is obs.bus  # one shared bus
+        release_bus(soc)
         assert soc.engine.obs is obs.bus  # still held by the Observability
         obs.detach()
         assert soc.engine.obs is None
@@ -344,41 +343,6 @@ class TestObserverIsTimingNeutral:
         detach_timing(observed)
 
 
-class TestTraceRecorderAdapter:
-    def test_detach_restores_noop_hooks(self):
-        soc = Soc()
-        trace = TraceRecorder.attach(soc)
-        soc.run_programs([[Instr.load(LINE)]])
-        recorded = len(trace.events)
-        assert recorded > 0 and trace.attached
-        trace.detach()
-        assert not trace.attached
-        assert soc.engine.obs is None
-        soc.run_programs([[Instr.load(LINE + 0x40)]])
-        assert len(trace.events) == recorded  # nothing new after detach
-        trace.detach()  # idempotent
-
-    def test_max_events_bound(self):
-        soc = Soc()
-        trace = TraceRecorder.attach(soc, max_events=5)
-        program = [Instr.store(0x3000 + i * 64, i) for i in range(10)]
-        soc.run_programs([program])
-        soc.drain()
-        assert len(trace.events) == 5
-        # the retained tail is the newest traffic
-        assert trace.events[-1].cycle >= trace.events[0].cycle
-
-    def test_coexists_with_observability(self):
-        soc = Soc()
-        obs = Observability.attach(soc)
-        trace = TraceRecorder.attach(soc)
-        soc.run_programs([[Instr.store(LINE, 1), Instr.clean(LINE), Instr.fence()]])
-        assert trace.count(message_type="ProbeAck") >= 1  # the RootRelease
-        assert len(cbo_spans(obs.bus)) == 1
-        trace.detach()
-        obs.detach()
-
-
 class TestBusAcquireRelease:
     def test_acquire_release_cycle(self):
         soc = Soc()
@@ -389,6 +353,28 @@ class TestBusAcquireRelease:
         assert soc.engine.obs is bus
         release_bus(soc)
         assert soc.engine.obs is None
+
+    def test_release_stops_recording(self):
+        soc = Soc()
+        bus = acquire_bus(soc)
+        soc.run_programs([[Instr.load(LINE)]])
+        recorded = len(bus.events)
+        assert recorded > 0
+        release_bus(soc)
+        assert soc.engine.obs is None
+        soc.run_programs([[Instr.load(LINE + 0x40)]])
+        assert len(bus.events) == recorded  # nothing new after release
+        release_bus(soc)  # idempotent
+
+    def test_max_events_keeps_newest(self):
+        soc = Soc()
+        bus = acquire_bus(soc, max_events=5)
+        program = [Instr.store(0x3000 + i * 64, i) for i in range(10)]
+        soc.run_programs([program])
+        soc.drain()
+        assert len(bus.events) == 5
+        # the retained tail is the newest traffic
+        assert bus.events[-1].cycle >= bus.events[0].cycle
 
     def test_reattach_after_release_starts_clean(self):
         soc = Soc()
