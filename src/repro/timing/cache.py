@@ -21,16 +21,29 @@ class LineCache(Generic[R]):
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
+        # plain attributes: CacheGeometry derives num_sets on every call
+        self.line_bytes = geometry.line_bytes
+        self.num_sets = geometry.num_sets
+        self.ways = geometry.ways
         self._sets: List["OrderedDict[int, R]"] = [
-            OrderedDict() for _ in range(geometry.num_sets)
+            OrderedDict() for _ in range(self.num_sets)
         ]
         self._resident = 0  # total lines, so __len__ skips the per-set sum
 
     def _set_of(self, address: int) -> "OrderedDict[int, R]":
-        return self._sets[self.geometry.set_index(address)]
+        # get() and lookup() inline this: they run on every access
+        return self._sets[(address // self.line_bytes) % self.num_sets]
 
     def get(self, address: int) -> Optional[R]:
-        return self._set_of(address).get(address)
+        return self._sets[(address // self.line_bytes) % self.num_sets].get(address)
+
+    def lookup(self, address: int) -> Optional[R]:
+        """:meth:`get` that also makes a hit MRU: one set lookup, not two."""
+        bucket = self._sets[(address // self.line_bytes) % self.num_sets]
+        record = bucket.get(address)
+        if record is not None:
+            bucket.move_to_end(address)
+        return record
 
     def touch(self, address: int) -> None:
         self._set_of(address).move_to_end(address)
@@ -42,7 +55,7 @@ class LineCache(Generic[R]):
             self._resident += 1
         bucket[address] = record
         bucket.move_to_end(address)
-        if len(bucket) > self.geometry.ways:
+        if len(bucket) > self.ways:
             self._resident -= 1
             return bucket.popitem(last=False)
         return None

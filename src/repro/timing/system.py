@@ -21,6 +21,13 @@ the L1 for ``cbo_skip`` cycles when the line hits clean with the skip bit
 set; the skip bit is set on fills from a clean L2 (GrantData) and cleared
 on fills from a dirty L2 (GrantDataDirty), on re-dirtying stores, and on
 dirty-data probes.
+
+Unfinished DRAM writes live in ``in_flight``, in arrival order.  Beside it,
+``in_flight_by_line`` maps each line to that line's entries: the same
+objects in the same order, with no empty lists.  Every method that adds,
+settles or drops entries keeps the two in step, so a clean CBO adopts
+same-line payloads and an L2 fill settles its line without scanning every
+pending write.
 """
 
 from __future__ import annotations
@@ -132,11 +139,15 @@ class TimingSystem:
         self.arch: Dict[int, int] = {}
         self.persisted: Dict[int, int] = {}
         self._line_words: Dict[int, Set[int]] = {}
+        self._line_bytes = p.line_bytes  # hot-path copy of the params property
         self.threads = [ThreadCtx(self, tid) for tid in range(p.num_threads)]
         self.stats = StatCounter()
         self.obs = None  # observability bus; attached via repro.obs.attach_timing
         #: DRAM writes still in flight; a crash drops the unfinished ones
         self.in_flight: List[InFlightWriteback] = []
+        #: ``in_flight`` grouped by line (same objects, same order, no
+        #: empty lists)
+        self.in_flight_by_line: Dict[int, List[InFlightWriteback]] = {}
         #: per-line DRAM writeback counts (differential fuzzing oracle)
         self.wb_lines: Dict[int, int] = {}
         #: test-only fault injection: names of re-introduced known bugs
@@ -145,7 +156,7 @@ class TimingSystem:
 
     # ------------------------------------------------------------- helpers
     def line_of(self, address: int) -> int:
-        return address - (address % self.params.line_bytes)
+        return address - (address % self._line_bytes)
 
     def _words_of(self, line: int) -> Set[int]:
         return self._line_words.get(line, set())
@@ -168,19 +179,18 @@ class TimingSystem:
     def _record_wb(self, ctx: ThreadCtx, line: int, values: Dict[int, int],
                    done: int) -> None:
         """Track one asynchronous DRAM write; it lands when settled."""
-        self.in_flight.append(
-            InFlightWriteback(tid=ctx.tid, done=done, line=line, values=dict(values))
-        )
+        wb = InFlightWriteback(tid=ctx.tid, done=done, line=line, values=dict(values))
+        self.in_flight.append(wb)
+        self.in_flight_by_line.setdefault(line, []).append(wb)
         self._count_wb(line)
 
     def _settle_line(self, line: int) -> None:
-        remaining = []
-        for wb in self.in_flight:
-            if wb.line == line:
-                self.persisted.update(wb.values)
-            else:
-                remaining.append(wb)
-        self.in_flight = remaining
+        pending = self.in_flight_by_line.pop(line, None)
+        if pending is None:
+            return
+        for wb in pending:
+            self.persisted.update(wb.values)
+        self.in_flight = [wb for wb in self.in_flight if wb.line != line]
 
     def _settle_thread(self, tid: int) -> None:
         """Land every in-flight write of *tid* (the fence waited for them).
@@ -196,12 +206,15 @@ class TimingSystem:
             if wb.tid == tid:
                 last[wb.line] = i
         remaining = []
+        by_line: Dict[int, List[InFlightWriteback]] = {}
         for i, wb in enumerate(self.in_flight):
             if i <= last.get(wb.line, -1):
                 self.persisted.update(wb.values)
             else:
                 remaining.append(wb)
+                by_line.setdefault(wb.line, []).append(wb)
         self.in_flight = remaining
+        self.in_flight_by_line = by_line
 
     def persisted_image(self, at: Optional[int] = None) -> Dict[int, int]:
         """The words DRAM would hold if power failed right now.
@@ -310,14 +323,13 @@ class TimingSystem:
     # ------------------------------------------------------------ accesses
     def _fill(self, ctx: ThreadCtx, line: int, want_write: bool) -> int:
         """L1 miss path; returns the access cost."""
-        rec = self.l2.get(line)
+        rec = self.l2.lookup(line)
         if rec is None:
             cost = self._fill_cost(line)
             rec = self._l2_fetch(line)
             self.stats.inc("mem_fills")
         else:
             cost = self.params.l2_hit
-            self.l2.touch(line)
             self.stats.inc("l2_hits")
         if want_write:
             if self._merge_owner_dirty(line, rec, keep_owner=False):
@@ -351,11 +363,9 @@ class TimingSystem:
         rec.directory.downgrade(tid, Perm.NONE)
 
     def load(self, ctx: ThreadCtx, address: int) -> int:
-        line = self.line_of(address)
+        line = address - address % self._line_bytes
         self.stats.inc("loads")
-        l1rec = self.l1s[ctx.tid].get(line)
-        if l1rec is not None:
-            self.l1s[ctx.tid].touch(line)
+        if self.l1s[ctx.tid].lookup(line) is not None:
             ctx.now += self.params.l1_hit
             self.stats.inc("l1_hits")
         else:
@@ -364,14 +374,15 @@ class TimingSystem:
         return self.arch.get(address, 0)
 
     def store(self, ctx: ThreadCtx, address: int, value: int) -> None:
-        line = self.line_of(address)
+        line = address - address % self._line_bytes
         self.stats.inc("stores")
-        l1rec = self.l1s[ctx.tid].get(line)
+        l1 = self.l1s[ctx.tid]
+        l1rec = l1.get(line)
         if l1rec is not None and l1rec.perm is Perm.TRUNK:
-            self.l1s[ctx.tid].touch(line)
+            l1.touch(line)
             ctx.now += self.params.l1_hit
             self.stats.inc("l1_hits")
-        elif l1rec is not None:  # upgrade BRANCH -> TRUNK
+        elif l1rec is not None:  # upgrade BRANCH -> TRUNK, LRU order kept
             rec = self.l2.get(line)
             assert rec is not None
             self._revoke_sharers(line, rec, keep=ctx.tid)
@@ -383,8 +394,8 @@ class TimingSystem:
         else:
             ctx.now += self._fill(ctx, line, want_write=True)
             self.stats.inc("l1_misses")
-        l1rec = self.l1s[ctx.tid].get(line)
-        assert l1rec is not None
+            l1rec = l1.get(line)
+            assert l1rec is not None
         l1rec.dirty = True
         if "store_keeps_skip" not in self.mutants:
             l1rec.skip = False  # a dirty line is never persisted
@@ -412,9 +423,8 @@ class TimingSystem:
     # ----------------------------------------------------------- writeback
     def cbo(self, ctx: ThreadCtx, address: int, invalidate: bool) -> None:
         """CBO.FLUSH (*invalidate*) / CBO.CLEAN, asynchronous per §4."""
-        line = self.line_of(address)
-        l1 = self.l1s[ctx.tid]
-        l1rec = l1.get(line)
+        line = address - address % self._line_bytes
+        l1rec = self.l1s[ctx.tid].get(line)
         # Skip It (§6.1): hit + clean + skip set => drop before the queue.
         if (
             self.params.skip_it
@@ -545,16 +555,18 @@ class TimingSystem:
             # those writes, so the fence that waits for *this* CBO also
             # covers them: adopt their payload under our completion.
             # Not a new DRAM write — wb_lines is deliberately untouched.
+            pending = self.in_flight_by_line.get(line)
+            if pending is None:
+                return
             merged: Dict[int, int] = {}
-            for wb in self.in_flight:
-                if wb.line == line:
-                    merged.update(wb.values)
+            for wb in pending:
+                merged.update(wb.values)
             if merged:
-                self.in_flight.append(
-                    InFlightWriteback(
-                        tid=ctx.tid, done=completion, line=line, values=merged
-                    )
+                adopted = InFlightWriteback(
+                    tid=ctx.tid, done=completion, line=line, values=merged
                 )
+                self.in_flight.append(adopted)
+                pending.append(adopted)
 
     def cbo_range(
         self,
@@ -723,6 +735,7 @@ class TimingSystem:
         instead of measuring the prefill's writeback transient.
         """
         self.in_flight.clear()  # superseded: everything lands right now
+        self.in_flight_by_line.clear()
         self.persisted.update(self.arch)
         for _, rec in self.l2.items():
             rec.values.update(
@@ -760,6 +773,7 @@ class TimingSystem:
             if effective <= deadline:
                 self.persisted.update(wb.values)
         self.in_flight = []
+        self.in_flight_by_line = {}
         p = self.params
         self.l1s = [LineCache(p.l1) for _ in range(p.num_threads)]
         self.l2 = LineCache(p.l2)

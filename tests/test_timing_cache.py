@@ -19,14 +19,29 @@ class TestLineCache:
         assert cache.get(0x1000) == "rec"
         assert 0x1000 in cache
 
-    def test_lru_eviction_order(self):
+    @staticmethod
+    def _check_lru_eviction_order(promote):
         cache = mk()
         stride = cache.geometry.num_sets * 64  # same set
         cache.put(0x0, "a")
         cache.put(stride, "b")
-        cache.touch(0x0)  # a becomes MRU
+        getattr(cache, promote)(0x0)  # a becomes MRU
         evicted = cache.put(2 * stride, "c")
         assert evicted == (stride, "b")
+
+    def test_lru_eviction_order(self):
+        self._check_lru_eviction_order("touch")
+
+    def test_lru_eviction_order_via_lookup(self):
+        self._check_lru_eviction_order("lookup")
+
+    def test_lookup_miss_inserts_nothing(self):
+        cache = mk()
+        cache.put(0x0, "a")
+        assert cache.lookup(0x0) == "a"
+        assert cache.lookup(0x40) is None
+        assert 0x40 not in cache
+        assert len(cache) == 1
 
     def test_no_eviction_across_sets(self):
         cache = mk()

@@ -136,3 +136,69 @@ class TestDurabilityMatrix:
         dirty_in(system_flush, "l3")
         system_flush.threads[0].flush(ADDR)
         assert ADDR not in system_flush.l3
+
+
+class TestAdoption:
+    """A CBO that finds its line clean adopts the line's in-flight payloads.
+
+    The line is clean in the hierarchy, but an earlier CBO's DRAM write for
+    it may still be queued.  The clean CBO completes behind those writes,
+    so its entry carries their merged words and a fence that waits for it
+    lands them too.  Default hierarchy, Skip It off, so the repeated clean
+    is not filtered at the L1.
+    """
+
+    LINE = 0x4000
+
+    def mk(self) -> TimingSystem:
+        return TimingSystem(TimingParams(skip_it=False))
+
+    def test_same_thread_second_clean_adopts_first_payload(self):
+        system = self.mk()
+        t0 = system.threads[0]
+        t0.store(self.LINE, VALUE)
+        t0.clean(self.LINE)
+        t0.clean(self.LINE)
+        first, adopted = system.in_flight
+        assert (first.tid, first.done, first.values) == (0, 218, {self.LINE: VALUE})
+        # the clean round trip finishes before the DRAM write it adopts
+        assert (adopted.tid, adopted.done) == (0, 171)
+        assert adopted.values == first.values
+        assert adopted.line == first.line == self.LINE
+        assert system.wb_lines[self.LINE] == 1  # adopting is not a DRAM write
+
+    def test_adopted_payload_lands_in_arrival_order(self):
+        system = self.mk()
+        t0 = system.threads[0]
+        t0.store(self.LINE, VALUE)
+        t0.clean(self.LINE)
+        t0.clean(self.LINE)
+        # the adopted entry's own done has passed, but it cannot land
+        # before the same-line write that arrived ahead of it
+        assert self.LINE not in system.persisted_image(at=171)
+        assert system.persisted_image(at=218)[self.LINE] == VALUE
+
+    def test_other_thread_adopts_and_its_fence_lands_the_payload(self):
+        system = self.mk()
+        t0, t1 = system.threads
+        t0.store(self.LINE, VALUE)
+        t0.clean(self.LINE)  # t0 never fences
+        t1.clean(self.LINE)
+        assert [(wb.tid, wb.values) for wb in system.in_flight] == [
+            (0, {self.LINE: VALUE}),
+            (1, {self.LINE: VALUE}),
+        ]
+        t1.fence()
+        assert system.persisted[self.LINE] == VALUE
+        assert not [wb for wb in system.in_flight if wb.line == self.LINE]
+
+    def test_adopted_payload_holds_the_newest_write(self):
+        system = self.mk()
+        t0 = system.threads[0]
+        t0.store(self.LINE, 1)
+        t0.clean(self.LINE)
+        t0.store(self.LINE, 2)
+        t0.clean(self.LINE)
+        t0.clean(self.LINE)
+        assert [wb.values[self.LINE] for wb in system.in_flight] == [1, 2, 2]
+        assert system.wb_lines[self.LINE] == 2

@@ -114,3 +114,106 @@ class TestSingleThreadProperties:
         apply(skip.threads[0], ops)
         assert base.persisted == skip.persisted
         assert skip.threads[0].now <= base.threads[0].now  # never slower
+
+
+# -- the per-line index of in-flight writebacks ------------------------------
+
+# three lines share an L1/L2 set (evictions, refills); one sits beside them
+INDEX_LINES = [0x4000, 0x4040, 0x4100, 0x4200]
+INDEX_WORDS = [line + word for line in INDEX_LINES for word in (0, 8)]
+# kind -> weight: dirtying and cleaning dominate so writes pile up in
+# flight; fences settle them; persist_all and crash are occasional
+INDEX_KINDS = {
+    "store": 10, "clean": 8, "flush": 4, "load": 4, "clean_range": 3,
+    "flush_range": 3, "fence": 2, "await_writebacks": 1, "persist_all": 1,
+    "crash": 1,
+}
+
+
+@st.composite
+def index_op(draw):
+    kind = draw(st.sampled_from([k for k, n in INDEX_KINDS.items() for _ in range(n)]))
+    if kind in ("persist_all", "crash"):
+        return (kind,)
+    tid = draw(st.integers(0, 1))
+    if kind in ("fence", "await_writebacks"):
+        return (kind, tid)
+    address = draw(st.sampled_from(INDEX_WORDS))
+    if kind == "store":
+        return (kind, tid, address, draw(st.integers(1, 99)))
+    if kind.endswith("_range"):
+        return (kind, tid, address, draw(st.integers(1, 4 * 64)), draw(st.booleans()))
+    return (kind, tid, address)
+
+
+def index_params(l3: bool) -> TimingParams:
+    """Two threads on a 512 B 2-way L1 and L2, so evictions and refills
+    (which settle a line's pending writes) happen every few ops."""
+    return TimingParams(
+        num_threads=2,
+        skip_it=False,
+        l1=CacheGeometry(size_bytes=512, ways=2),
+        l2=CacheGeometry(size_bytes=512, ways=2),
+        l3=CacheGeometry(size_bytes=1024, ways=2) if l3 else None,
+    )
+
+
+def scan_merge(in_flight, line):
+    """Reference adopt merge: one pass over every in-flight write."""
+    merged = {}
+    for wb in in_flight:
+        if wb.line == line:
+            merged.update(wb.values)
+    return merged
+
+
+def index_merge(system, line):
+    merged = {}
+    for wb in system.in_flight_by_line.get(line, ()):
+        merged.update(wb.values)
+    return merged
+
+
+def check_index(system):
+    grouped = {}
+    for wb in system.in_flight:
+        grouped.setdefault(wb.line, []).append(wb)
+    index = system.in_flight_by_line
+    assert index.keys() == grouped.keys()
+    for line, entries in grouped.items():
+        assert len(index[line]) == len(entries)
+        assert all(a is b for a, b in zip(index[line], entries))
+    for line in INDEX_LINES:
+        assert index_merge(system, line) == scan_merge(system.in_flight, line)
+
+
+def run_index_op(system, op):
+    kind = op[0]
+    if kind in ("persist_all", "crash"):
+        getattr(system, kind)()
+        return
+    thread = system.threads[op[1]]
+    if kind.endswith("_range"):
+        address, length, wait = op[2:]
+        getattr(thread, kind)(address, length, wait=wait)
+    else:
+        getattr(thread, kind)(*op[2:])
+
+
+class TestInFlightIndex:
+    @settings(max_examples=30, deadline=None)
+    @given(ops=st.lists(index_op(), min_size=20, max_size=60), l3=st.booleans())
+    def test_index_matches_in_flight_grouped_by_line(self, ops, l3):
+        system = TimingSystem(index_params(l3))
+        for op in ops:
+            before = list(system.in_flight)  # keeps ids unique while compared
+            old = {id(wb) for wb in before}
+            reference = {line: scan_merge(before, line) for line in INDEX_LINES}
+            writes = dict(system.wb_lines)
+            run_index_op(system, op)
+            check_index(system)
+            for wb in system.in_flight:
+                if id(wb) in old or system.wb_lines.get(wb.line) != writes.get(wb.line):
+                    continue
+                # new, yet no DRAM write: adopted from what was in flight
+                assert wb.values == reference[wb.line]

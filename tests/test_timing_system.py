@@ -88,6 +88,19 @@ class TestCoherence:
         assert system.l1s[0].get(0x40).perm is Perm.TRUNK
         assert system.l1s[1].get(0x40) is None
 
+    def test_upgrade_keeps_lru_order(self):
+        """A BRANCH -> TRUNK upgrade does not make the line MRU."""
+        system = mk(l1=CacheGeometry(size_bytes=256, ways=2))
+        a, b = system.threads
+        stride = system.params.l1.num_sets * 64  # same L1 set
+        a.load(0x0)
+        b.load(0x0)  # a now holds 0x0 as BRANCH
+        a.load(stride)  # 0x0 is a's LRU line
+        a.store(0x0, 1)  # upgrade
+        a.load(2 * stride)  # evicts a's LRU line
+        assert system.l1s[0].get(0x0) is None
+        assert system.l1s[0].get(stride) is not None
+
 
 class TestSkipBit:
     def test_fill_from_clean_l2_sets_skip(self):
