@@ -186,7 +186,7 @@ def timing_registry(system: "TimingSystem") -> MetricsRegistry:
 
 
 def store_registry(store) -> MetricsRegistry:
-    """Metrics tree for a :class:`~repro.store.store.DurableStore`.
+    """Metrics tree for a store (:class:`~repro.store.store.LogStore`).
 
     ``store.*`` counters (commits, fences, checkpoints, log traffic),
     the commit-batch-size histogram, and liveness gauges over the
@@ -208,13 +208,14 @@ def store_registry(store) -> MetricsRegistry:
     registry.register_gauge("store.acked_lsn", lambda s=store: s.acked_lsn)
     registry.register_gauge("store.watermark", lambda s=store: s.watermark)
     registry.register_gauge(
-        "store.pending_ops", lambda s=store: len(s.committer.pending)
+        "store.pending_ops", lambda s=store: len(s.sealer.pending)
     )
     registry.register_gauge(
         "store.memtable_size", lambda s=store: len(s.memtable)
     )
     registry.register_gauge(
-        "store.flush_requests", lambda s=store: s.view.flush_requests
+        "store.flush_requests",
+        lambda s=store: sum(v.flush_requests for v in s.views),
     )
     return registry
 
@@ -227,37 +228,14 @@ def shared_store_registry(store) -> MetricsRegistry:
     (submit→durable cycles, the subsystem's headline metric — p50/p99
     in every snapshot), the leader tid, and tail-reservation traffic.
     """
-    registry = MetricsRegistry()
-    registry.register_counter("store", store.stats)
-    registry.register_histogram("store.commit_batch", store.batch_sizes)
+    registry = store_registry(store)
     registry.register_histogram("store.ack_latency", store.ack_latency_all)
     for tid, histogram in enumerate(store.ack_latency):
         registry.register_histogram(f"store.ack_latency.t{tid}", histogram)
     registry.register_gauge(
-        "store.wal.records_appended", lambda s=store: s.wal.records_appended
-    )
-    registry.register_gauge(
-        "store.wal.bytes_appended", lambda s=store: s.wal.bytes_appended
-    )
-    registry.register_gauge(
-        "store.wal.next_lsn", lambda s=store: s.wal.next_lsn
-    )
-    registry.register_gauge(
         "store.wal.tail_cas_failures", lambda s=store: s.wal.tail_cas_failures
     )
-    registry.register_gauge("store.acked_lsn", lambda s=store: s.acked_lsn)
-    registry.register_gauge("store.watermark", lambda s=store: s.watermark)
     registry.register_gauge("store.leader_tid", lambda s=store: s.leader_tid)
-    registry.register_gauge(
-        "store.pending_ops", lambda s=store: len(s.sealer.pending)
-    )
-    registry.register_gauge(
-        "store.memtable_size", lambda s=store: len(s.memtable)
-    )
-    registry.register_gauge(
-        "store.flush_requests",
-        lambda s=store: sum(v.flush_requests for v in s.views),
-    )
     return registry
 
 

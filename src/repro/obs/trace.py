@@ -6,12 +6,12 @@ isolation — nothing links a CBO back to the store operation whose epoch
 issued it, and a p99 outlier cannot be decomposed.  This module closes
 the loop:
 
-* a :class:`StoreTracer` attaches to a
-  :class:`~repro.store.store.DurableStore` or
+* a :class:`StoreTracer` attaches to a store — either face of the one
+  engine, :class:`~repro.store.store.DurableStore` or
   :class:`~repro.store.shared.SharedLogStore` (``store.tracer``, ``None``
-  by default — the usual zero-cost-when-detached contract) and opens one
-  ``store.op`` span per submitted operation and one ``store.epoch`` span
-  per seal;
+  by default — the usual zero-cost-when-detached contract) — and opens
+  one ``store.op`` span per submitted operation and one ``store.epoch``
+  span per :class:`~repro.store.commit.EpochSealer` seal;
 * while an op's append or an epoch's marker/clean/fence sequence runs,
   the tracer sets :attr:`~repro.obs.events.EventBus.cause`, so every
   bus record the work produces — ``cbo_issued``/``cbo_skipped``/``fence``
@@ -273,7 +273,7 @@ class StoreTracer:
         ``durable_now - submit_now`` by construction — exact on every op,
         including cross-clock (possibly negative) latencies.
         """
-        trace_id = getattr(ticket, "trace_id", None)
+        trace_id = ticket.trace_id
         if trace_id is None:
             return None
         submit_now = self._submit_now.pop(trace_id, None)
@@ -291,7 +291,7 @@ class StoreTracer:
         latency = durable_now - submit_now
         blame = OpBlame(
             trace_id=trace_id,
-            tid=getattr(ticket, "tid", 0),
+            tid=ticket.tid,
             lsn=ticket.lsn,
             epoch=es.key,
             submit_now=submit_now,

@@ -8,22 +8,26 @@ key-value store built from the repo's own primitives:
   (CRC + monotonic LSN), superblock, checkpoint descriptor.
 * :mod:`repro.store.wal` — the write-ahead log, written through a
   :class:`~repro.persist.api.PMemView` and sealed with CBO + fence.
-* :mod:`repro.store.commit` — group commit: N operations (or a cycle
-  budget) coalesced into one clean+fence epoch, amortizing the fence
-  and exposing the Skip-It win on log-tail rewrites.
+* :mod:`repro.store.commit` — :class:`EpochSealer`, group commit: N
+  operations per thread (or a cycle budget) coalesced into one
+  clean+fence epoch sealed by a leader thread, amortizing the fence and
+  exposing the Skip-It win on log-tail rewrites.
 * :mod:`repro.store.checkpoint` — memtable compaction into a persistent
   hash-table snapshot behind an atomically flipped superblock pointer.
 * :mod:`repro.store.recovery` — superblock → checkpoint → log replay,
   tolerant of torn / invalid-CRC tail records.
-* :mod:`repro.store.store` — :class:`DurableStore`, tying it together.
-* :mod:`repro.store.shared` — :class:`SharedLogStore`: N threads on one
-  shared WAL (CAS-reserved slots), epochs sealed by a leader with one
-  cross-thread fence, ack latency as the headline metric.
+* :mod:`repro.store.store` — :class:`LogStore`, the one store engine
+  tying it together over N per-thread views, and :class:`DurableStore`,
+  the engine on one thread with a private log.
+* :mod:`repro.store.shared` — :class:`SharedLogStore`: the engine on N
+  threads over one shared WAL (CAS-reserved slots), epochs sealed by a
+  leader with one cross-thread fence, ack latency as the headline metric.
 * :mod:`repro.store.txn` — :class:`Transaction`: buffered multi-key
   read/write sets committed as one contiguous OP_TXN run sealed by a
   per-txn OP_TXN_COMMIT record; all-or-nothing across crashes.
 """
 
+from repro.store.commit import EpochSealer
 from repro.store.layout import (
     OP_COMMIT,
     OP_DELETE,
@@ -35,21 +39,15 @@ from repro.store.layout import (
     record_crc,
 )
 from repro.store.recovery import RecoveredState, RecoveryError, recover
-from repro.store.shared import (
-    EpochSealer,
-    SharedCommitTicket,
-    SharedLogStore,
-    SharedWriteAheadLog,
-    StoreHandle,
-)
-from repro.store.store import CommitTicket, DurableStore
+from repro.store.shared import SharedLogStore, SharedWriteAheadLog, StoreHandle
+from repro.store.store import CommitTicket, DurableStore, LogStore
 from repro.store.txn import Transaction, TxnAborted, TxnTicket, ticket_lsns
 
 __all__ = [
     "CommitTicket",
     "DurableStore",
     "EpochSealer",
-    "SharedCommitTicket",
+    "LogStore",
     "SharedLogStore",
     "SharedWriteAheadLog",
     "StoreHandle",

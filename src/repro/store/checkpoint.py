@@ -132,12 +132,12 @@ class CheckpointManager:
     def __init__(self, store) -> None:
         self.store = store
 
-    def checkpoint(self) -> None:
-        """Snapshot the *committed* state; caller must sync() first."""
+    def checkpoint(self, view: PMemView) -> None:
+        """Snapshot the *committed* state on *view*'s clock; caller must
+        sync() first."""
         store = self.store
-        view: PMemView = store.view
         started = view.ctx.now
-        ranged = getattr(store, "ranged_seal", False)
+        ranged = store.ranged_seal
 
         snapshot = CheckpointMap(store.heap, store.layout)
         written = snapshot.write_items(view, store.memtable)

@@ -1,5 +1,13 @@
-""":class:`DurableStore` — the facade tying WAL, commit, checkpoint,
-recovery together over one per-thread :class:`~repro.persist.api.PMemView`.
+""":class:`LogStore` — the store engine — and :class:`DurableStore`, its
+one-thread face over a private log.
+
+The engine ties WAL, epoch sealing, checkpoint and recovery adoption
+together over N per-thread views (``views[tid]``, each a
+:class:`~repro.persist.api.PMemView`), keyed by the acting ``tid``.
+:class:`DurableStore` is the engine on one thread with the private
+:class:`WriteAheadLog`; :class:`~repro.store.shared.SharedLogStore` is
+the engine on N threads with a CAS-reserved shared tail.  Both keep one
+promise through one code path.
 
 The store does its own explicit cleans and fences (that is the whole
 point), so it is meant to run with the ``none`` persistence policy;
@@ -9,23 +17,24 @@ group-commit signal.
 Durability contract
 -------------------
 ``put``/``delete`` return a :class:`CommitTicket`.  The operation is
-*durable* once ``ticket.acked`` is True (its epoch's fence retired).
-Before that it may or may not survive a crash — group commit applies
-epochs atomically, so recovery surfaces either the whole batch or none
-of it, and never anything beyond the last *initiated* epoch marker.
-``get`` reads the memtable: read-your-own-writes, including unacked.
+*durable* once ``ticket.acked`` is True (its epoch's fence retired, on
+whichever thread sealed it).  Before that it may or may not survive a
+crash — epochs are applied atomically, so recovery surfaces either the
+whole epoch or none of it, and never anything beyond the last
+*initiated* epoch marker.  ``get`` reads the shared memtable:
+read-your-own-writes (every thread's), including unacked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.persist.api import PMemView
 from repro.persist.heap import SimHeap
 from repro.sim.stats import Histogram, StatCounter
 from repro.store.checkpoint import CheckpointManager
-from repro.store.commit import GroupCommitter
+from repro.store.commit import EpochSealer
 from repro.store.layout import (
     OP_DELETE,
     OP_PUT,
@@ -41,21 +50,36 @@ from repro.store.wal import WriteAheadLog
 
 @dataclass
 class CommitTicket:
-    """Handle for one submitted operation."""
+    """Handle for one submitted operation.
+
+    ``submit_now`` is the submitting thread's clock at append time;
+    ``durable_now`` is the sealing thread's clock when the epoch's fence
+    retired.  Their difference is the ack latency the store reports.
+    """
 
     lsn: int
+    tid: int = 0
+    submit_now: int = 0
     acked: bool = False
+    durable_now: Optional[int] = None
     #: causal trace id assigned by an attached StoreTracer (None untraced)
     trace_id: Optional[int] = None
 
 
-class DurableStore:
-    """A crash-consistent KV store (keys and values are positive ints)."""
+class LogStore:
+    """Crash-consistent KV engine over per-thread views (positive ints).
+
+    Every mutating call takes the acting ``tid`` first and is charged to
+    ``views[tid]``'s clock; ``sync``/``checkpoint`` default to the
+    current leader.  Internal paths re-enter through ``self.sync(tid)``
+    and ``self.checkpoint(tid)`` so a wrapper on the instance sees every
+    seal and checkpoint.
+    """
 
     def __init__(
         self,
         heap: SimHeap,
-        view: PMemView,
+        views: Sequence[PMemView],
         *,
         log_capacity: int = 512,
         batch_size: int = 8,
@@ -66,12 +90,15 @@ class DurableStore:
         probe: Optional[Callable[[str], None]] = None,
         ranged_seal: bool = False,
     ) -> None:
-        stride = view.optimizer.field_stride
+        if not views:
+            raise ValueError("a store needs at least one thread view")
+        strides = {view.optimizer.field_stride for view in views}
+        if len(strides) != 1:
+            raise ValueError("all views must share one optimizer stride")
+        stride = strides.pop()
         if layout is None:
             superblock = heap.alloc_region(heap.line_bytes)
-            log_base = heap.alloc_region(
-                log_capacity * RECORD_FIELDS * stride
-            )
+            log_base = heap.alloc_region(log_capacity * RECORD_FIELDS * stride)
             layout = StoreLayout(
                 superblock=superblock,
                 log_base=log_base,
@@ -81,32 +108,42 @@ class DurableStore:
                 num_buckets=num_buckets,
             )
         elif layout.field_stride != stride:
+            raise ValueError("layout stride does not match the views' optimizer")
+        # an epoch may overshoot by one record per thread (the leader's
+        # grace round; a lone thread always leads, so it never does) and
+        # needs its marker plus one op of slack, or the capacity check
+        # below can never free enough slots
+        threads = len(views)
+        overshoot = threads if threads > 1 else 0
+        if batch_size * threads + overshoot + 2 > layout.log_capacity:
             raise ValueError(
-                "layout stride does not match the view's optimizer"
-            )
-        # a batch (plus its marker and one op of slack) must fit the log,
-        # or the capacity check below can never free enough slots
-        if batch_size + 2 > layout.log_capacity:
-            raise ValueError(
-                f"batch_size {batch_size} does not fit a "
-                f"{layout.log_capacity}-slot log"
+                f"epoch of {batch_size} ops x {threads} threads does "
+                f"not fit a {layout.log_capacity}-slot log"
             )
         self.heap = heap
-        self.view = view
+        self.views = list(views)
         self.layout = layout
         #: policy knob: seal epochs (and publish checkpoints) with
         #: CBO.RANGE sweeps instead of per-line clean loops + fences
         self.ranged_seal = ranged_seal
-        self.wal = WriteAheadLog(layout)
-        self.committer = GroupCommitter(self, batch_size, cycle_budget)
+        self.wal = self._open_wal(layout)
+        self.sealer = EpochSealer(self, batch_size, cycle_budget)
         self.checkpointer = CheckpointManager(self)
         self.checkpoint_every = checkpoint_every
         self.memtable: Dict[int, int] = {}
+        #: key -> LSN of its last submitted mutation (session plumbing:
+        #: a memtable read of one key observes exactly this LSN, so a
+        #: serving session's floor rises no further than it must)
+        self.memtable_lsn: Dict[int, int] = {}
         self.acked_lsn = 0  # last durable epoch marker
         self.initiated_lsn = 0  # last epoch marker written to cache
         self.watermark = 0  # log below this is checkpointed
         self.stats = StatCounter()
         self.batch_sizes = Histogram()
+        #: submit→durable cycles, per thread and aggregated — the
+        #: headline metric of cross-thread group commit
+        self.ack_latency: List[Histogram] = [Histogram() for _ in views]
+        self.ack_latency_all = Histogram()
         self.mutants: Set[str] = set()  # seeded-bug flags (tests only)
         self.probe: Optional[Callable[[str], None]] = probe
         #: causal tracer (repro.obs.trace.StoreTracer); None = zero-cost
@@ -114,68 +151,74 @@ class DurableStore:
         self._commits_at_checkpoint = 0
         self.txn_counter = 0  # txn ids, monotonic per store instance
 
+    def _open_wal(self, layout: StoreLayout) -> WriteAheadLog:
+        return WriteAheadLog(layout)
+
+    @property
+    def leader_tid(self) -> int:
+        """The thread that seals (and that ``sync()`` defaults to)."""
+        return self.sealer.leader_tid
+
     # ---------------------------------------------------------- internals
     def probe_point(self, name: str) -> None:
         """Crash-sweep hook: fired at every protocol boundary."""
         if self.probe is not None:
             self.probe(name)
 
-    def _ensure_capacity(self, span: int = 1) -> None:
+    def _ensure_capacity(self, tid: int, span: int = 1) -> None:
         # slots in use after the next *span* appends (watermark,
-        # next_lsn + span - 1] plus headroom for the batch's eventual
-        # COMMIT marker
-        if (
-            self.wal.next_lsn + span - self.watermark
-            > self.layout.log_capacity
-        ):
-            self.checkpoint()
+        # next_lsn + span - 1] plus headroom for the epoch's marker
+        if self.wal.next_lsn + span - self.watermark > self.layout.log_capacity:
+            self.checkpoint(tid)
 
-    def _maybe_checkpoint(self) -> None:
+    def _maybe_checkpoint(self, tid: int) -> None:
         if not self.checkpoint_every:
             return
         commits = self.stats.get("store_commits")
         if commits - self._commits_at_checkpoint >= self.checkpoint_every:
-            self.checkpoint()
+            self.checkpoint(tid)
 
-    def _submit(self, op: int, key: int, value: int) -> CommitTicket:
+    def _submit(self, tid: int, op: int, key: int, value: int) -> CommitTicket:
         if key <= 0:
             raise ValueError("keys must be positive integers")
-        self._ensure_capacity()
+        self._ensure_capacity(tid)
+        view = self.views[tid]
         tracer = self.tracer
         if tracer is not None:
-            trace_id = tracer.op_begin(0, self.view.ctx.now)
-        lsn = self.wal.append(self.view, op, key, value)
+            trace_id = tracer.op_begin(tid, view.ctx.now)
+        lsn = self.wal.append(view, op, key, value)
         if op == OP_PUT:
             self.memtable[key] = value
         else:
             self.memtable.pop(key, None)
-        ticket = CommitTicket(lsn)
+        self.memtable_lsn[key] = lsn
+        ticket = CommitTicket(lsn, tid, view.ctx.now)
         if tracer is not None:
-            tracer.op_submitted(trace_id, ticket, self.view.ctx.now)
+            tracer.op_submitted(trace_id, ticket, ticket.submit_now)
         self.probe_point("op_submitted")
-        self.committer.submit(ticket)
-        self._maybe_checkpoint()
+        self.sealer.submit(tid, ticket)
+        self._maybe_checkpoint(tid)
         return ticket
 
     # ---------------------------------------------------------------- API
-    def put(self, key: int, value: int) -> CommitTicket:
+    def put(self, tid: int, key: int, value: int) -> CommitTicket:
         if value <= 0:
             raise ValueError("values must be positive integers")
         self.stats.inc("store_puts")
-        return self._submit(OP_PUT, key, value)
+        return self._submit(tid, OP_PUT, key, value)
 
-    def delete(self, key: int) -> CommitTicket:
+    def delete(self, tid: int, key: int) -> CommitTicket:
         self.stats.inc("store_deletes")
-        return self._submit(OP_DELETE, key, 0)
+        return self._submit(tid, OP_DELETE, key, 0)
 
-    def get(self, key: int) -> Optional[int]:
+    def get(self, tid: int, key: int) -> Optional[int]:
         self.stats.inc("store_gets")
         return self.memtable.get(key)
 
     # ------------------------------------------------------- transactions
-    def begin(self) -> Transaction:
-        """Open a buffered multi-key transaction (see repro.store.txn)."""
-        return Transaction(self, 0)
+    def begin(self, tid: int = 0) -> Transaction:
+        """Open a buffered multi-key transaction on thread *tid*."""
+        return Transaction(self, tid)
 
     def _txn_read(self, tid: int, key: int) -> Optional[int]:
         """Fall-through read for a transaction buffer miss."""
@@ -185,17 +228,22 @@ class DurableStore:
     def _commit_txn(self, txn: Transaction) -> TxnTicket:
         """Publish a transaction's write set as one atomic log run.
 
-        The run — ``n`` OP_TXN records plus one OP_TXN_COMMIT record,
-        written last — is reserved contiguously, appended, and handed to
-        the group committer as **one** ticket: the epoch's clean
-        sequence and single fence cover the whole run, and recovery
-        replays it iff the commit record (and its epoch marker)
-        survives.
+        The run (``n`` OP_TXN records + one OP_TXN_COMMIT, written
+        last) is reserved contiguously — on a shared log with **one**
+        CAS bump of the tail, so no other thread's append can land
+        inside it — and handed to the sealer as **one** ticket: one
+        epoch seal, one clean sequence, one fence makes the transaction
+        durable, and recovery replays it iff the commit record (and its
+        epoch marker) survives.  The per-key ``memtable_lsn`` advances
+        only to the commit record's LSN (session floors move at txn
+        commit, not per key).
         """
+        tid = txn.tid
         self.stats.inc("store_txns")
         self.txn_counter += 1
         txn_id = self.txn_counter
         writes = txn.writes
+        view = self.views[tid]
         if not writes:
             # nothing to log: durable by vacuity, covers no slots
             return TxnTicket(
@@ -203,6 +251,8 @@ class DurableStore:
                 txn_id=txn_id,
                 first_lsn=self.acked_lsn + 1,
                 records=0,
+                tid=tid,
+                submit_now=view.ctx.now,
                 acked=True,
             )
         span = len(writes) + 1  # payload run + TXN_COMMIT record
@@ -211,11 +261,10 @@ class DurableStore:
                 f"transaction of {len(writes)} writes does not fit a "
                 f"{self.layout.log_capacity}-slot log"
             )
-        self._ensure_capacity(span)
-        view = self.view
+        self._ensure_capacity(tid, span)
         tracer = self.tracer
         if tracer is not None:
-            trace_id = tracer.op_begin(0, view.ctx.now)
+            trace_id = tracer.op_begin(tid, view.ctx.now)
         first = self.wal.reserve_run(view, span)
         self.probe_point("txn_reserved")
         lsn = first
@@ -232,15 +281,18 @@ class DurableStore:
                 self.memtable[key] = value
             else:
                 self.memtable.pop(key, None)
+            self.memtable_lsn[key] = commit_lsn
         self.stats.inc("store_txn_records", len(writes))
         ticket = TxnTicket(
             lsn=commit_lsn,
             txn_id=txn_id,
             first_lsn=first,
             records=len(writes),
+            tid=tid,
+            submit_now=view.ctx.now,
         )
         if tracer is not None:
-            tracer.op_submitted(trace_id, ticket, view.ctx.now)
+            tracer.op_submitted(trace_id, ticket, ticket.submit_now)
         if "txn_commit_before_fence" in self.mutants:
             # seeded bug: the commit record exists only in cache, yet
             # the client is told the transaction is durable — a crash
@@ -248,41 +300,24 @@ class DurableStore:
             ticket.acked = True
             self.acked_lsn = max(self.acked_lsn, commit_lsn)
         self.probe_point("txn_committed")
-        self.committer.submit(ticket)
-        self._maybe_checkpoint()
+        self.sealer.submit(tid, ticket)
+        self._maybe_checkpoint(tid)
         return ticket
 
-    def sync(self) -> None:
-        """Seal the pending batch (if any); durable on return."""
-        self.committer.commit()
+    def sync(self, tid: Optional[int] = None) -> None:
+        """Seal the pending epoch (if any) on *tid*'s clock; durable on
+        return.  Defaults to the current leader."""
+        self.sealer.seal(self.sealer.leader_tid if tid is None else tid)
 
-    def checkpoint(self) -> None:
+    def checkpoint(self, tid: Optional[int] = None) -> None:
         """Sync, then compact the committed state into a snapshot."""
-        self.sync()
-        self.checkpointer.checkpoint()
+        tid = self.sealer.leader_tid if tid is None else tid
+        self.sync(tid)
+        self.checkpointer.checkpoint(self.views[tid])
         self._commits_at_checkpoint = self.stats.get("store_commits")
 
-    def reset_measurement(self) -> None:
-        """Zero every measurement-facing counter and the thread clock.
-
-        Benchmarks prefill and checkpoint before measuring; this discards
-        the prefill's traffic (stats, WAL counters, flush requests) and
-        rewinds the virtual clock so throughput starts from cycle zero.
-        Durable state (log, memtable, LSNs) is untouched.
-        """
-        self.stats.reset()
-        # store_commits restarts from zero, so the periodic-checkpoint
-        # baseline must too (no-op when checkpoint_every is disabled)
-        self._commits_at_checkpoint = 0
-        self.batch_sizes = Histogram()
-        self.wal.records_appended = 0
-        self.wal.bytes_appended = 0
-        self.view.flush_requests = 0
-        self.view.ctx.now = 0
-        self.view.ctx.outstanding.clear()
-
     # ------------------------------------------------------------ restart
-    def adopt(self, state: RecoveredState) -> None:
+    def adopt(self, state: RecoveredState, tid: int = 0) -> None:
         """Resume from a recovered image (same layout, same regions).
 
         Erases the stale log tail first: pre-crash records beyond
@@ -293,15 +328,62 @@ class DurableStore:
         """
         if self.memtable or self.wal.next_lsn != 1:
             raise RuntimeError("adopt() requires a fresh store instance")
+        view = self.views[tid]
         self.memtable = dict(state.items)
+        # recovery loses per-key provenance; pin every adopted key at the
+        # applied tip (conservative: sessions over-wait, never under-wait)
+        self.memtable_lsn = {key: state.applied_lsn for key in state.items}
         self.acked_lsn = state.applied_lsn
         self.initiated_lsn = state.applied_lsn
         self.watermark = state.checkpoint_lsn
-        self.wal.next_lsn = state.applied_lsn + 1
+        self.wal.reset_tail(view, state.applied_lsn)
         stale = self.layout.log_capacity - (
             state.applied_lsn - state.checkpoint_lsn
         )
-        self.wal.invalidate_slots(self.view, state.applied_lsn + 1, stale)
-        self.view.ctx.fence()
+        self.wal.invalidate_slots(view, state.applied_lsn + 1, stale)
+        view.ctx.fence()
         self.stats.inc("store_fences")
-        self.checkpoint()
+        self.checkpoint(tid)
+
+    # ---------------------------------------------------------- benchmark
+    def reset_measurement(self) -> None:
+        """Zero every measurement-facing counter and all thread clocks.
+
+        Benchmarks prefill and checkpoint before measuring; this discards
+        the prefill's traffic (stats, WAL counters, flush requests) and
+        rewinds the virtual clocks so throughput starts from cycle zero.
+        Durable state (log, memtable, LSNs) is untouched.
+        """
+        self.stats.reset()
+        # store_commits restarts from zero, so the periodic-checkpoint
+        # baseline must too (no-op when checkpoint_every is disabled)
+        self._commits_at_checkpoint = 0
+        self.batch_sizes = Histogram()
+        self.ack_latency = [Histogram() for _ in self.views]
+        self.ack_latency_all = Histogram()
+        self.wal.reset_counters()
+        for view in self.views:
+            view.flush_requests = 0
+            view.ctx.now = 0
+            view.ctx.outstanding.clear()
+
+
+class DurableStore(LogStore):
+    """The engine on one thread with a private log.
+
+    ``put``/``delete``/``get`` act as thread 0 (the only thread); every
+    other call is the engine's own.
+    """
+
+    def __init__(self, heap: SimHeap, view: PMemView, **options) -> None:
+        super().__init__(heap, [view], **options)
+        self.view = view
+
+    def put(self, key: int, value: int) -> CommitTicket:
+        return super().put(0, key, value)
+
+    def delete(self, key: int) -> CommitTicket:
+        return super().delete(0, key)
+
+    def get(self, key: int) -> Optional[int]:
+        return super().get(0, key)

@@ -53,15 +53,12 @@ class TxnTicket:
 def ticket_lsns(ticket) -> range:
     """Every log slot a ticket covers, in append order.
 
-    Plain :class:`~repro.store.store.CommitTicket` /
-    :class:`~repro.store.shared.SharedCommitTicket` cover one slot;
-    a :class:`TxnTicket` covers its whole contiguous run.  The group
-    committer and epoch sealer clean through this, so a transaction's
-    payload records are cleaned with the rest of the epoch.
+    A plain :class:`~repro.store.store.CommitTicket` covers one slot; a
+    :class:`TxnTicket` covers its whole contiguous run.  The epoch
+    sealer cleans through this, so a transaction's payload records are
+    cleaned with the rest of the epoch.
     """
-    first = getattr(ticket, "first_lsn", None)
-    if first is None:
-        return range(ticket.lsn, ticket.lsn + 1)
+    first = ticket.first_lsn if isinstance(ticket, TxnTicket) else ticket.lsn
     return range(first, ticket.lsn + 1)
 
 

@@ -1,7 +1,8 @@
 """Write-ahead log: append records through a PMemView, seal with CBO.
 
-The WAL only *writes*; making records durable is the group committer's
-job (:mod:`repro.store.commit`), which cleans whole epochs at once.
+The WAL only *writes*; making records durable is the epoch sealer's
+job (:class:`repro.store.commit.EpochSealer`), which cleans whole
+epochs at once.
 Separating append from seal is the point of the exercise: per-record
 flushes are what the paper's fence costs punish.
 """
@@ -36,28 +37,33 @@ class WriteAheadLog:
         self.on_append: Optional[Callable[[int, int, int, int], None]] = None
 
     def reserve(self, view: PMemView) -> int:
-        """Claim the next slot; returns its LSN.
-
-        The private-log base case is plain bookkeeping; the shared log
-        (:class:`repro.store.shared.SharedWriteAheadLog`) overrides this
-        with a CAS-bumped tail word on the shared cache hierarchy.
-        """
-        lsn = self.next_lsn
-        self.next_lsn += 1
-        return lsn
+        """Claim the next slot; returns its LSN."""
+        return self.reserve_run(view, 1)
 
     def reserve_run(self, view: PMemView, count: int) -> int:
         """Claim *count* contiguous slots; returns the first LSN.
 
         One reservation covers a whole transaction, so its records can
         never interleave with another thread's — the run plus its
-        TXN_COMMIT record is one unbroken LSN range in the log.
+        TXN_COMMIT record is one unbroken LSN range in the log.  The
+        private-log base case is plain bookkeeping; the shared log
+        (:class:`repro.store.shared.SharedWriteAheadLog`) overrides this
+        with a CAS-bumped tail word on the shared cache hierarchy.
         """
         if count < 1:
             raise ValueError("reserve_run needs at least one slot")
         first = self.next_lsn
         self.next_lsn += count
         return first
+
+    def reset_tail(self, view: PMemView, lsn: int) -> None:
+        """Resume reservation after *lsn* (recovery adoption)."""
+        self.next_lsn = lsn + 1
+
+    def reset_counters(self) -> None:
+        """Zero the traffic counters (durable state is untouched)."""
+        self.records_appended = 0
+        self.bytes_appended = 0
 
     def append(self, view: PMemView, op: int, key: int, value: int) -> int:
         """Write one record into the next slot; returns its LSN.

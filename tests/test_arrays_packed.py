@@ -5,8 +5,9 @@ object-per-line reference (:mod:`repro.uarch.arrays_ref`) with randomized
 differential tests, covers the ``write_word``/``read_word`` bounds fix
 (the reference implementation silently *grew* the line on an
 out-of-range offset), and checks engine-level bit-identity of one quick
-figure-9 point and one quick figure-18 point against the committed
-``baselines/quick.json``.
+figure-9 point and one quick figure-18 point, and the store metrics
+snapshots of one figure-17 and one figure-18 point, against the
+committed ``baselines/quick.json``.
 """
 
 import json
@@ -259,3 +260,70 @@ class TestEngineBitIdentity:
         assert row.wal_bytes == want["wal_bytes"]
         assert row.commits == want["commits"]
         assert row.mean_batch == want["mean_batch"]
+
+
+def assert_snapshot_matches(got, want, path="metrics"):
+    """Nested metrics snapshot equality: integers exact, floats to a
+    relative 1e-12 (Python 3.12's compensated ``sum`` can move the last
+    bit of a histogram's stdev)."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict), path
+        assert sorted(got) == sorted(want), path
+        for key, value in want.items():
+            assert_snapshot_matches(got[key], value, f"{path}.{key}")
+    elif isinstance(want, float):
+        assert isinstance(got, float), path
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+class TestStoreMetricsSnapshot:
+    """The store registries' snapshots, pinned against committed rows.
+
+    ``--check`` compares only a kind's value fields, so a registry
+    change (a gauge renamed, dropped or double-counted) would pass it;
+    these re-run one fig-17 and one fig-18 point with their canonical
+    seeds and compare the whole ``metrics`` tree.
+    """
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        with open(BASELINE) as fh:
+            return json.load(fh)
+
+    def test_fig17_store_metrics_match_committed_row(self, baseline):
+        from repro.bench.runner import point_seed
+        from repro.bench.store import run_fig17
+
+        rows = run_fig17(
+            quick=True,
+            optimizers=["skipit"],
+            group_commits=[8],
+            seed=point_seed(17, "skipit,gc=8"),
+        )
+        assert len(rows) == 1
+        want = next(
+            r
+            for r in baseline["figures"]["17"]["rows"]
+            if r["optimizer"] == "skipit" and r["group_commit"] == 8
+        )
+        assert_snapshot_matches(rows[0].metrics, want["metrics"])
+
+    def test_fig18_shared_metrics_match_committed_row(self, baseline):
+        from repro.bench.runner import point_seed
+        from repro.bench.shared import run_fig18
+
+        rows = run_fig18(
+            quick=True,
+            optimizers=["skipit"],
+            threads=[2],
+            seed=point_seed(18, "skipit,t=2"),
+        )
+        assert len(rows) == 1
+        want = next(
+            r
+            for r in baseline["figures"]["18"]["rows"]
+            if r["optimizer"] == "skipit" and r["threads"] == 2
+        )
+        assert_snapshot_matches(rows[0].metrics, want["metrics"])

@@ -195,6 +195,25 @@ class TestBaseline:
         assert key in {kind.key.format(**row) for row in rows}
         assert all(set(kind.values) <= set(row) for row in rows)
 
+    @pytest.mark.parametrize(
+        "figure",
+        [
+            pytest.param(9, id="micro"),
+            pytest.param(14, id="throughput"),
+            pytest.param(17, id="store"),
+            pytest.param(18, id="shared"),
+            pytest.param(19, id="serve"),
+            pytest.param(20, id="txn"),
+            pytest.param(21, id="range"),
+        ],
+    )
+    def test_kind_columns_exist_in_committed_rows(self, figure):
+        """Every table column is a committed field, so a table drawn
+        from the baseline shows what a fresh run shows."""
+        fields = {column.field for column in FIGURES[figure].kind.columns}
+        rows = baseline.load("baselines/quick.json")["figures"][str(figure)]["rows"]
+        assert all(fields <= set(row) for row in rows)
+
     def test_wall_clock_never_compared(self):
         document = baseline.snapshot({9: _micro_run()}, quick=True, jobs=1)
         slower = json.loads(json.dumps(document))

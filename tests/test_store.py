@@ -137,6 +137,13 @@ class TestGroupCommit:
         with pytest.raises(ValueError, match="fit"):
             mk_store(batch_size=64, log_capacity=32)
 
+    def test_log_capacity_boundary(self):
+        # a lone thread always leads, so it seals at exactly batch_size
+        # records: the batch, its marker and one op of slack must fit
+        with pytest.raises(ValueError, match="fit"):
+            mk_store(batch_size=8, log_capacity=9)
+        mk_store(batch_size=8, log_capacity=10)
+
     def test_keys_and_values_must_be_positive(self):
         system, heap, view, store = mk_store()
         with pytest.raises(ValueError):

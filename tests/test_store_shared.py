@@ -1,5 +1,7 @@
 """Tests for :mod:`repro.store.shared` — the shared-log store."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from repro.persist.flushopt import OPTIMIZER_NAMES, make_optimizer
 from repro.persist.heap import SimHeap
 from repro.persist.policies import make_policy
 from repro.persist.structures.base import persisted_reader
-from repro.store import SharedLogStore, recover
+from repro.store import DurableStore, SharedLogStore, recover
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
 from repro.workloads.store import SharedStoreBenchmark, StoreBenchmark
@@ -58,6 +60,26 @@ class TestConstruction:
     def test_epoch_must_fit_the_log(self):
         with pytest.raises(ValueError, match="fit"):
             mk_shared(threads=4, batch_size=16, log_capacity=64)
+
+    def test_epoch_capacity_boundary(self):
+        # 3 threads x 8 ops, plus one grace round of 3 records, plus the
+        # marker and one op of slack
+        with pytest.raises(ValueError, match="fit"):
+            mk_shared(threads=3, batch_size=8, log_capacity=28)
+        mk_shared(threads=3, batch_size=8, log_capacity=29)
+
+    def test_one_view_capacity_matches_the_private_log(self):
+        # a lone thread always leads: no grace round to leave room for
+        with pytest.raises(ValueError, match="fit"):
+            mk_shared(threads=1, batch_size=8, log_capacity=9)
+        system, heap, views, store = mk_shared(
+            threads=1, batch_size=8, log_capacity=10
+        )
+        for i in range(1, 40):
+            store.put(0, i % 9 + 1, 100 + i)
+        store.sync()
+        assert max(store.batch_sizes.samples) == 8
+        assert recovered(system, store).items == store.memtable
 
 
 class TestSharedCommit:
@@ -281,6 +303,84 @@ class TestRecovery:
         state = recovered(system, store)
         with pytest.raises(RuntimeError, match="fresh"):
             store.adopt(state)
+
+    def test_adopt_rejects_a_used_store_after_reset_measurement(self):
+        # an emptied memtable and zeroed traffic counters must not make
+        # a used store look fresh: adopting would re-point a live tail
+        system, heap, views, store = mk_shared(threads=2, batch_size=4)
+        store.put(0, 5, 50)
+        store.delete(0, 5)
+        store.sync()
+        store.checkpoint()
+        store.reset_measurement()
+        state = recovered(system, store)
+        with pytest.raises(RuntimeError, match="fresh"):
+            store.adopt(state)
+
+
+def one_view_run(store, client, system, seed):
+    """A seeded mix of puts, deletes and transactions (empty ones
+    included) through *client*; everything a one-thread store decides."""
+    rng = random.Random(seed)
+    tickets, acked = [], []
+    for i in range(80):
+        roll, key = rng.random(), rng.randint(1, 12)
+        if roll < 0.55:
+            tickets.append(client.put(key, 1000 + i))
+        elif roll < 0.75:
+            tickets.append(client.delete(key))
+        else:
+            txn = client.begin()
+            for j in range(rng.randint(0, 3)):
+                wkey = rng.randint(1, 12)
+                if rng.random() < 0.8:
+                    txn.put(wkey, 5000 + 10 * i + j)
+                else:
+                    txn.delete(wkey)
+            tickets.append(txn.commit())
+        acked.append(sum(t.acked for t in tickets))
+    store.sync()
+    return dict(
+        batches=store.batch_sizes.samples,
+        commits=store.stats.get("store_commits"),
+        fences=store.stats.get("store_fences"),
+        checkpoints=store.stats.get("store_checkpoints"),
+        acked=acked,
+        lsns=[t.lsn for t in tickets],
+        acked_lsn=store.acked_lsn,
+        recovered=recovered(system, store).items,
+    )
+
+
+class TestOneViewEquivalence:
+    """A one-view shared store is the private-log store: the submitter
+    always leads, so it seals, checkpoints and acks at the same ops."""
+
+    @pytest.mark.parametrize("ranged_seal", [False, True])
+    @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
+    def test_same_decisions_as_durable_store(self, optimizer, ranged_seal):
+        options = dict(
+            batch_size=4,
+            log_capacity=40,
+            checkpoint_every=3,
+            num_buckets=16,
+            ranged_seal=ranged_seal,
+        )
+        params = TimingParams(num_threads=1, skip_it=(optimizer == "skipit"))
+        system = TimingSystem(params)
+        heap = SimHeap(params.line_bytes)
+        view = PMemView(
+            system.threads[0],
+            make_policy("none"),
+            make_optimizer(optimizer, heap),
+        )
+        private = DurableStore(heap, view, **options)
+        want = one_view_run(private, private, system, seed=11)
+
+        system, heap, views, shared = mk_shared(optimizer, threads=1, **options)
+        got = one_view_run(shared, shared.handle(0), system, seed=11)
+        assert got == want
+        assert want["checkpoints"] >= 2  # the mix crosses checkpoints
 
 
 class TestResetMeasurement:
