@@ -25,7 +25,8 @@ class DirectoryEntry:
         if perm is Perm.NONE:
             raise ValueError("cannot grant NONE")
         if perm is Perm.TRUNK:
-            if self.sharers - {client}:
+            # a sharer other than *client*, counted without a set difference
+            if len(self.sharers) > (client in self.sharers):
                 raise ValueError(
                     "granting TRUNK while other sharers exist violates "
                     "single-writer"

@@ -29,11 +29,23 @@ class PMemView:
         self.optimizer = optimizer
         self._did_update = False
         self.flush_requests = 0
+        # Reads dominate every operation, so their dispatch is decided here:
+        # a policy is a pure decision table, and an optimizer that inherits
+        # FlushOptimizer's pass-through read or flush is skipped.  The
+        # timing system's load/cbo are still looked up at each call, since
+        # tracers and tests replace them after construction.
+        self._system = ctx.system
+        self._flush_read = (policy.flush_on_read(False), policy.flush_on_read(True))
+        self._direct_read = type(optimizer).read is FlushOptimizer.read
+        self._direct_flush = type(optimizer).flush is FlushOptimizer.flush
 
     # ------------------------------------------------------------ accesses
     def read(self, address: int, critical: bool = False) -> int:
-        value = self.optimizer.read(self.ctx, address)
-        if self.policy.flush_on_read(critical):
+        if self._direct_read:
+            value = self._system.load(self.ctx, address)
+        else:
+            value = self.optimizer.read(self.ctx, address)
+        if self._flush_read[critical]:
             self.flush(address)
         return value
 
@@ -56,7 +68,10 @@ class PMemView:
     def flush(self, address: int) -> None:
         """Request a writeback; the optimizer may prove it redundant."""
         self.flush_requests += 1
-        self.optimizer.flush(self.ctx, address)
+        if self._direct_flush:
+            self._system.cbo(self.ctx, address, True)
+        else:
+            self.optimizer.flush(self.ctx, address)
 
     def clean(self, address: int) -> None:
         """Request a non-invalidating writeback (CBO.CLEAN).

@@ -33,7 +33,12 @@ _LNP_BIT = 1 << 62  # link-and-persist dirty mark (paper: the 63rd bit)
 
 
 class FlushOptimizer:
-    """Base class: direct pass-through behaviour, no bookkeeping."""
+    """Base class: direct pass-through behaviour, no bookkeeping.
+
+    :class:`~repro.persist.api.PMemView` calls the timing system directly
+    for an optimizer that inherits :meth:`read` or :meth:`flush` from
+    here, so both must stay pure pass-throughs.
+    """
 
     name = "base"
     field_stride = 8  # bytes between consecutive 64-bit object fields

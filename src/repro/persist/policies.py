@@ -24,7 +24,12 @@ from __future__ import annotations
 
 
 class PersistencePolicy:
-    """Decides which accesses are followed by writebacks."""
+    """Decides which accesses are followed by writebacks.
+
+    A policy is a pure decision table: each answer depends only on its
+    argument, never on state or history.  :class:`~repro.persist.api.
+    PMemView` relies on that and asks for the two read answers once.
+    """
 
     name = "base"
 

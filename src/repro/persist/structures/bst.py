@@ -59,17 +59,21 @@ class PersistentBst(PersistentSet):
 
     def _seek(self, view: PMemView, key: int) -> Tuple[int, int, int, int]:
         """(grandparent, parent, leaf, leaf_key) for *key*."""
+        # bound per call, not per structure: tracers replace view.read
+        read = view.read
+        key_at = KEY * self.field_stride
+        left_at = LEFT * self.field_stride
+        right_at = RIGHT * self.field_stride
         gparent = 0
         parent = self._root.base
-        node = view.read(self._field(parent, LEFT))
-        while view.read(self._field(node, LEFT)):
+        node = read(parent + left_at)
+        while read(node + left_at):
             gparent = parent
             parent = node
-            node_key = view.read(self._field(node, KEY))
-            child = LEFT if key <= node_key else RIGHT
-            node = view.read(self._field(node, child))
-        leaf_key = view.read(self._field(node, KEY), critical=True)
-        view.read(self._field(parent, KEY), critical=True)
+            node_key = read(node + key_at)
+            node = read(node + (left_at if key <= node_key else right_at))
+        leaf_key = read(node + key_at, critical=True)
+        read(parent + key_at, critical=True)
         return gparent, parent, node, leaf_key
 
     def _child_slot(self, view: PMemView, parent: int, key: int) -> int:

@@ -51,18 +51,22 @@ class PersistentHashTable(PersistentSet):
 
     def _search(self, view: PMemView, key: int) -> Tuple[int, int, int]:
         """(prev_slot_address, curr_base, curr_key); prev is a pointer slot."""
+        # bound per call, not per structure: tracers replace view.read
+        read = view.read
+        key_at = KEY * self.field_stride
+        next_at = NEXT * self.field_stride
         slot = self._head_of(key)
-        curr = view.read(slot)
+        curr = read(slot)
         curr_key = -1
         while curr:
-            curr_key = view.read(self._field(curr, KEY))
+            curr_key = read(curr + key_at)
             if curr_key >= key:
                 break
-            slot = self._field(curr, NEXT)
-            curr = view.read(slot)
-        view.read(slot, critical=True)
+            slot = curr + next_at
+            curr = read(slot)
+        read(slot, critical=True)
         if curr:
-            view.read(self._field(curr, KEY), critical=True)
+            read(curr + key_at, critical=True)
         return slot, curr, curr_key
 
     # ------------------------------------------------------------- set API

@@ -42,19 +42,23 @@ class PersistentLinkedList(PersistentSet):
 
     def _search(self, view: PMemView, key: int) -> Tuple[int, int, int]:
         """Return (prev_base, curr_base, curr_key); curr may be 0 (tail)."""
+        # bound per call, not per structure: tracers replace view.read
+        read = view.read
+        key_at = KEY * self.field_stride
+        next_at = NEXT * self.field_stride
         prev = self._head.base
-        curr = view.read(self._field(prev, NEXT))
+        curr = read(prev + next_at)
         curr_key = -1
         while curr:
-            curr_key = view.read(self._field(curr, KEY))
+            curr_key = read(curr + key_at)
             if curr_key >= key:
                 break
             prev = curr
-            curr = view.read(self._field(curr, NEXT))
+            curr = read(curr + next_at)
         # NVTraverse-style: persist the decision window
-        view.read(self._field(prev, NEXT), critical=True)
+        read(prev + next_at, critical=True)
         if curr:
-            view.read(self._field(curr, KEY), critical=True)
+            read(curr + key_at, critical=True)
         return prev, curr, curr_key
 
     # ------------------------------------------------------------- set API

@@ -54,22 +54,27 @@ class PersistentSkipList(PersistentSet):
         self, view: PMemView, key: int
     ) -> Tuple[List[int], List[int], int, int]:
         """Per-level predecessors/successors plus the bottom-level match."""
+        # bound per call, not per structure: tracers replace view.read
+        read = view.read
+        stride = self.field_stride
+        key_at = KEY * stride
         preds: List[int] = [0] * MAX_LEVEL
         succs: List[int] = [0] * MAX_LEVEL
         pred = self._head.base
         for level in range(MAX_LEVEL - 1, -1, -1):
-            curr = view.read(self._field(pred, NEXT0 + level))
+            next_at = (NEXT0 + level) * stride
+            curr = read(pred + next_at)
             while curr:
-                curr_key = view.read(self._field(curr, KEY))
+                curr_key = read(curr + key_at)
                 if curr_key >= key:
                     break
                 pred = curr
-                curr = view.read(self._field(curr, NEXT0 + level))
+                curr = read(curr + next_at)
             preds[level] = pred
             succs[level] = curr
         curr = succs[0]
-        curr_key = view.read(self._field(curr, KEY), critical=True) if curr else -1
-        view.read(self._field(preds[0], NEXT0), critical=True)
+        curr_key = read(curr + key_at, critical=True) if curr else -1
+        read(preds[0] + NEXT0 * stride, critical=True)
         return preds, succs, curr, curr_key
 
     # ------------------------------------------------------------- set API

@@ -27,25 +27,34 @@ def stdev(values: Sequence[float]) -> float:
 
 
 class StatCounter:
-    """Named event counters for a hardware component."""
+    """Named event counters for a hardware component.
+
+    ``counts`` is the live :class:`~collections.Counter` behind the
+    methods.  The timing model's per-access paths (``TimingSystem.load``,
+    ``store``, ``cbo``, ``_fill``) keep a reference to it and write
+    ``counts["loads"] += 1`` directly, one dict update instead of an
+    :meth:`inc` call.  :meth:`reset` therefore clears it in place and
+    never rebinds it: a store or serve run resets its system's counters
+    mid-run, and the reference must stay live.
+    """
 
     def __init__(self) -> None:
-        self._counts: Counter = Counter()
+        self.counts: Counter = Counter()
 
     def inc(self, name: str, amount: int = 1) -> None:
-        self._counts[name] += amount
+        self.counts[name] += amount
 
     def get(self, name: str) -> int:
-        return self._counts[name]
+        return self.counts[name]
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
+        return dict(self.counts)
 
     def reset(self) -> None:
-        self._counts.clear()
+        self.counts.clear()
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
+        body = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
         return f"StatCounter({body})"
 
 

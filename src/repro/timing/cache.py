@@ -17,7 +17,17 @@ R = TypeVar("R")
 
 
 class LineCache(Generic[R]):
-    """LRU set-associative map: line address -> record."""
+    """LRU set-associative map: line address -> record.
+
+    ``sets`` is public: set ``(address // line_bytes) % num_sets`` is an
+    ``OrderedDict`` from line address to record, least recently used
+    first.  ``TimingSystem.load``, ``store``, ``cbo``, ``_fill`` and
+    ``_l1_evict`` index it directly and call ``move_to_end`` themselves,
+    so an L1 hit costs one set lookup and no method call here.  The
+    methods below serve the colder paths and the tests, and keep the
+    same LRU rules: a hit made MRU, an insert made MRU, the LRU line
+    evicted when a set spills.
+    """
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
@@ -25,21 +35,20 @@ class LineCache(Generic[R]):
         self.line_bytes = geometry.line_bytes
         self.num_sets = geometry.num_sets
         self.ways = geometry.ways
-        self._sets: List["OrderedDict[int, R]"] = [
+        self.sets: List["OrderedDict[int, R]"] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
-        self._resident = 0  # total lines, so __len__ skips the per-set sum
 
     def _set_of(self, address: int) -> "OrderedDict[int, R]":
-        # get() and lookup() inline this: they run on every access
-        return self._sets[(address // self.line_bytes) % self.num_sets]
+        # get() and lookup() inline this: the CBO and probe paths call them
+        return self.sets[(address // self.line_bytes) % self.num_sets]
 
     def get(self, address: int) -> Optional[R]:
-        return self._sets[(address // self.line_bytes) % self.num_sets].get(address)
+        return self.sets[(address // self.line_bytes) % self.num_sets].get(address)
 
     def lookup(self, address: int) -> Optional[R]:
         """:meth:`get` that also makes a hit MRU: one set lookup, not two."""
-        bucket = self._sets[(address // self.line_bytes) % self.num_sets]
+        bucket = self.sets[(address // self.line_bytes) % self.num_sets]
         record = bucket.get(address)
         if record is not None:
             bucket.move_to_end(address)
@@ -51,27 +60,21 @@ class LineCache(Generic[R]):
     def put(self, address: int, record: R) -> Optional[Tuple[int, R]]:
         """Insert (MRU); return the evicted (address, record) if the set spilled."""
         bucket = self._set_of(address)
-        if address not in bucket:
-            self._resident += 1
         bucket[address] = record
         bucket.move_to_end(address)
         if len(bucket) > self.ways:
-            self._resident -= 1
             return bucket.popitem(last=False)
         return None
 
     def remove(self, address: int) -> Optional[R]:
-        record = self._set_of(address).pop(address, None)
-        if record is not None:
-            self._resident -= 1
-        return record
+        return self._set_of(address).pop(address, None)
 
     def __contains__(self, address: int) -> bool:
         return address in self._set_of(address)
 
     def __len__(self) -> int:
-        return self._resident
+        return sum(len(bucket) for bucket in self.sets)
 
     def items(self) -> Iterator[Tuple[int, R]]:
-        for bucket in self._sets:
+        for bucket in self.sets:
             yield from bucket.items()

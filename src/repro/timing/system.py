@@ -43,7 +43,7 @@ from repro.timing.params import TimingParams
 from repro.tilelink.permissions import Perm
 
 
-@dataclass
+@dataclass(slots=True)
 class L1Rec:
     perm: Perm
     dirty: bool = False
@@ -142,6 +142,9 @@ class TimingSystem:
         self._line_bytes = p.line_bytes  # hot-path copy of the params property
         self.threads = [ThreadCtx(self, tid) for tid in range(p.num_threads)]
         self.stats = StatCounter()
+        #: ``stats.counts``, which the per-access paths bump directly
+        #: (``StatCounter.reset`` clears it in place, never rebinds it)
+        self._counts = self.stats.counts
         self.obs = None  # observability bus; attached via repro.obs.attach_timing
         #: DRAM writes still in flight; a crash drops the unfinished ones
         self.in_flight: List[InFlightWriteback] = []
@@ -321,67 +324,88 @@ class TimingSystem:
             rec.directory.downgrade(tid, Perm.NONE)
 
     # ------------------------------------------------------------ accesses
+    # The per-access paths below (load, store, cbo, _fill, _l1_evict) index
+    # ``LineCache.sets`` themselves, bump ``self._counts`` directly and read
+    # ``self.l1s``/``self.l2`` on every call (``crash`` rebuilds them).
     def _fill(self, ctx: ThreadCtx, line: int, want_write: bool) -> int:
         """L1 miss path; returns the access cost."""
-        rec = self.l2.lookup(line)
+        l2 = self.l2
+        bucket = l2.sets[(line // l2.line_bytes) % l2.num_sets]
+        rec = bucket.get(line)
         if rec is None:
             cost = self._fill_cost(line)
             rec = self._l2_fetch(line)
-            self.stats.inc("mem_fills")
+            self._counts["mem_fills"] += 1
         else:
+            bucket.move_to_end(line)
             cost = self.params.l2_hit
-            self.stats.inc("l2_hits")
+            self._counts["l2_hits"] += 1
+        directory = rec.directory
         if want_write:
-            if self._merge_owner_dirty(line, rec, keep_owner=False):
+            if directory.owner is not None and self._merge_owner_dirty(
+                line, rec, keep_owner=False
+            ):
                 cost += self.params.probe_extra
-            self._revoke_sharers(line, rec, keep=ctx.tid)
+            if directory.sharers:
+                self._revoke_sharers(line, rec, keep=ctx.tid)
             perm = Perm.TRUNK
         else:
-            if self._merge_owner_dirty(line, rec, keep_owner=True):
+            if directory.owner is not None and self._merge_owner_dirty(
+                line, rec, keep_owner=True
+            ):
                 cost += self.params.probe_extra
-            perm = Perm.TRUNK if rec.directory.idle else Perm.BRANCH
+            perm = Perm.BRANCH if directory.sharers else Perm.TRUNK
         # GrantData vs GrantDataDirty decides the skip bit (§6.1)
         skip = self.params.skip_it and (
             not rec.dirty or "skip_dirty_grant" in self.mutants
         )
-        l1rec = L1Rec(perm=perm, dirty=want_write, skip=skip and not want_write)
-        evicted = self.l1s[ctx.tid].put(line, l1rec)
-        if evicted is not None:
-            self._l1_evict(ctx.tid, *evicted)
+        # a miss: the line is not in this set, so the insert lands MRU
+        l1 = self.l1s[ctx.tid]
+        bucket = l1.sets[(line // l1.line_bytes) % l1.num_sets]
+        bucket[line] = L1Rec(perm, want_write, skip and not want_write)
+        if len(bucket) > l1.ways:
+            self._l1_evict(ctx.tid, *bucket.popitem(last=False))
             cost += 5
-        rec.directory.grant(ctx.tid, perm)
+        directory.grant(ctx.tid, perm)
         return cost
 
     def _l1_evict(self, tid: int, line: int, l1rec: L1Rec) -> None:
-        rec = self.l2.get(line)
+        l2 = self.l2
+        rec = l2.sets[(line // l2.line_bytes) % l2.num_sets].get(line)
         if rec is None:  # pragma: no cover - inclusivity guarantees presence
             raise RuntimeError("L1 line absent from inclusive L2")
         if l1rec.dirty:
             rec.values.update(self._arch_line(line))
             rec.dirty = True
-            self.stats.inc("l1_evict_writebacks")
+            self._counts["l1_evict_writebacks"] += 1
         rec.directory.downgrade(tid, Perm.NONE)
 
     def load(self, ctx: ThreadCtx, address: int) -> int:
         line = address - address % self._line_bytes
-        self.stats.inc("loads")
-        if self.l1s[ctx.tid].lookup(line) is not None:
+        counts = self._counts
+        counts["loads"] += 1
+        l1 = self.l1s[ctx.tid]
+        bucket = l1.sets[(line // l1.line_bytes) % l1.num_sets]
+        if line in bucket:
+            bucket.move_to_end(line)
             ctx.now += self.params.l1_hit
-            self.stats.inc("l1_hits")
+            counts["l1_hits"] += 1
         else:
-            ctx.now += self._fill(ctx, line, want_write=False)
-            self.stats.inc("l1_misses")
+            ctx.now += self._fill(ctx, line, False)
+            counts["l1_misses"] += 1
         return self.arch.get(address, 0)
 
     def store(self, ctx: ThreadCtx, address: int, value: int) -> None:
         line = address - address % self._line_bytes
-        self.stats.inc("stores")
+        counts = self._counts
+        counts["stores"] += 1
         l1 = self.l1s[ctx.tid]
-        l1rec = l1.get(line)
+        bucket = l1.sets[(line // l1.line_bytes) % l1.num_sets]
+        l1rec = bucket.get(line)
         if l1rec is not None and l1rec.perm is Perm.TRUNK:
-            l1.touch(line)
+            bucket.move_to_end(line)
             ctx.now += self.params.l1_hit
-            self.stats.inc("l1_hits")
+            counts["l1_hits"] += 1
         elif l1rec is not None:  # upgrade BRANCH -> TRUNK, LRU order kept
             rec = self.l2.get(line)
             assert rec is not None
@@ -390,12 +414,11 @@ class TimingSystem:
             rec.directory.grant(ctx.tid, Perm.TRUNK)
             l1rec.perm = Perm.TRUNK
             ctx.now += self.params.upgrade
-            self.stats.inc("upgrades")
+            counts["upgrades"] += 1
         else:
-            ctx.now += self._fill(ctx, line, want_write=True)
-            self.stats.inc("l1_misses")
-            l1rec = l1.get(line)
-            assert l1rec is not None
+            ctx.now += self._fill(ctx, line, True)
+            counts["l1_misses"] += 1
+            l1rec = bucket[line]
         l1rec.dirty = True
         if "store_keeps_skip" not in self.mutants:
             l1rec.skip = False  # a dirty line is never persisted
@@ -424,7 +447,8 @@ class TimingSystem:
     def cbo(self, ctx: ThreadCtx, address: int, invalidate: bool) -> None:
         """CBO.FLUSH (*invalidate*) / CBO.CLEAN, asynchronous per §4."""
         line = address - address % self._line_bytes
-        l1rec = self.l1s[ctx.tid].get(line)
+        l1 = self.l1s[ctx.tid]
+        l1rec = l1.sets[(line // l1.line_bytes) % l1.num_sets].get(line)
         # Skip It (§6.1): hit + clean + skip set => drop before the queue.
         if (
             self.params.skip_it
@@ -433,7 +457,7 @@ class TimingSystem:
             and l1rec.skip
         ):
             ctx.now += self.params.cbo_skip
-            self.stats.inc("cbo_skipped")
+            self._counts["cbo_skipped"] += 1
             if self.obs is not None:
                 self.obs.emit(
                     ctx.now,
@@ -445,7 +469,7 @@ class TimingSystem:
                 )
             return
         ctx.now += self.params.cbo_issue
-        self.stats.inc("cbo_issued")
+        self._counts["cbo_issued"] += 1
         if self.obs is not None:
             self.obs.emit(
                 ctx.now,

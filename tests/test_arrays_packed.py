@@ -327,3 +327,78 @@ class TestStoreMetricsSnapshot:
             if r["optimizer"] == "skipit" and r["threads"] == 2
         )
         assert_snapshot_matches(rows[0].metrics, want["metrics"])
+
+
+class TestThroughputMetricsSnapshot:
+    """The figs 14-16 ``timing.*`` snapshots, pinned against committed rows.
+
+    ``--check`` compares only throughput, flush requests and CBO counts;
+    these re-run four points with their canonical seeds and compare the
+    whole ``metrics`` tree (the ``timing.system`` counters and the
+    per-thread gauges, all integers) exactly.
+    """
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        with open(BASELINE) as fh:
+            return json.load(fh)
+
+    @staticmethod
+    def committed(baseline, figure, structure, optimizer, update_percent):
+        return next(
+            r
+            for r in baseline["figures"][str(figure)]["rows"]
+            if r["structure"] == structure
+            and r["policy"] == "automatic"
+            and r["optimizer"] == optimizer
+            and r["update_percent"] == update_percent
+        )
+
+    @pytest.mark.parametrize(
+        "structure,optimizer",
+        [("list", "skipit"), ("hashtable", "flit-hashtable")],
+    )
+    def test_fig14_metrics_match_committed_row(self, baseline, structure, optimizer):
+        from repro.bench.runner import point_seed
+        from repro.bench.structures import run_fig14
+
+        rows = run_fig14(
+            quick=True,
+            structures=[structure],
+            policies=["automatic"],
+            optimizers=[optimizer],
+            include_baseline=False,
+            seed=point_seed(14, f"{structure},automatic,{optimizer}"),
+        )
+        assert len(rows) == 1
+        want = self.committed(baseline, 14, structure, optimizer, 5)
+        assert rows[0].metrics == want["metrics"]
+
+    def test_fig15_metrics_match_committed_row(self, baseline):
+        from repro.bench.runner import point_seed
+        from repro.bench.structures import run_fig15
+
+        rows = run_fig15(
+            quick=True,
+            structures=["list"],
+            optimizers=["link-and-persist"],
+            update_percents=[50],
+            seed=point_seed(15, "list,link-and-persist,upd=50"),
+        )
+        assert len(rows) == 1
+        want = self.committed(baseline, 15, "list", "link-and-persist", 50)
+        assert rows[0].metrics == want["metrics"]
+
+    def test_fig16_metrics_match_committed_row(self, baseline):
+        from repro.bench.runner import point_seed
+        from repro.bench.structures import run_fig16
+
+        rows = run_fig16(
+            quick=True,
+            table_sizes=[256],
+            include_reference=False,
+            seed=point_seed(16, "flit-hashtable(256)"),
+        )
+        assert len(rows) == 1
+        want = self.committed(baseline, 16, "bst", "flit-hashtable(256)", 5)
+        assert rows[0].metrics == want["metrics"]

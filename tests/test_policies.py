@@ -1,10 +1,14 @@
 """Unit tests for the persistence policies and the PMemView frame."""
 
+import random
+
 import pytest
 
 from repro.persist.api import PMemView
-from repro.persist.flushopt import Plain
+from repro.persist.flushopt import OPTIMIZER_NAMES, Plain, make_optimizer
+from repro.persist.heap import SimHeap
 from repro.persist.policies import (
+    POLICY_NAMES,
     Automatic,
     Manual,
     NonPersistent,
@@ -134,3 +138,114 @@ class TestPMemView:
         view.op_end()
         assert view.flush_requests == 1
         assert system.stats.get("fences") == 1
+
+
+class GenericView:
+    """Reference view: asks the optimizer and the policy on every access.
+
+    :class:`PMemView` works out at construction which reads and flushes
+    can skip the optimizer and which read answers the policy gives; this
+    is the dispatch it must reproduce.
+    """
+
+    def __init__(self, ctx, policy, optimizer):
+        self.ctx, self.policy, self.optimizer = ctx, policy, optimizer
+        self.did_update = False
+        self.flush_requests = 0
+
+    def read(self, address, critical=False):
+        value = self.optimizer.read(self.ctx, address)
+        if self.policy.flush_on_read(critical):
+            self.flush(address)
+        return value
+
+    def write(self, address, value, critical=False):
+        self.optimizer.write(self.ctx, address, value)
+        self.did_update = True
+        if self.policy.flush_on_write(critical):
+            self.flush(address)
+
+    def cas(self, address, expected, new, critical=True):
+        ok = self.optimizer.cas(self.ctx, address, expected, new)
+        if ok:
+            self.did_update = True
+            if self.policy.flush_on_write(critical):
+                self.flush(address)
+        return ok
+
+    def flush(self, address):
+        self.flush_requests += 1
+        self.optimizer.flush(self.ctx, address)
+
+    def clean(self, address):
+        self.flush_requests += 1
+        self.optimizer.clean(self.ctx, address)
+
+    def op_begin(self):
+        self.did_update = False
+
+    def op_end(self):
+        if self.policy.fence_on_op_end(self.did_update):
+            self.ctx.fence()
+
+
+def run_mix(view_cls, optimizer_name, policy_name, seed, ops=400):
+    """One seeded access mix on a fresh 1-thread system; returns its state."""
+    system = TimingSystem(
+        TimingParams(num_threads=1, skip_it=optimizer_name == "skipit")
+    )
+    heap = SimHeap()
+    optimizer = make_optimizer(optimizer_name, heap, table_entries=16)
+    view = view_cls(system.threads[0], make_policy(policy_name), optimizer)
+    # 16-byte words, so FliT-adjacent counters never alias data; 12 lines
+    words = [heap.alloc_region(64 * 12) + 16 * i for i in range(48)]
+    rng = random.Random(seed)
+    results = []
+    for _ in range(ops):
+        kind = rng.choice(
+            ("read", "read", "read", "write", "cas", "flush", "clean", "frame")
+        )
+        address = rng.choice(words)
+        critical = rng.random() < 0.5
+        if kind == "read":
+            results.append(view.read(address, critical=critical))
+        elif kind == "write":
+            view.write(address, rng.randint(1, 1 << 40), critical=critical)
+        elif kind == "cas":
+            current = view.read(address)
+            expected = current if rng.random() < 0.7 else current + 1
+            results.append(view.cas(address, expected, rng.randint(1, 1 << 40)))
+        elif kind == "flush":
+            view.flush(address)
+        elif kind == "clean":
+            view.clean(address)
+        else:
+            view.op_end()
+            view.op_begin()
+    return {
+        "results": results,
+        "now": system.threads[0].now,
+        "stats": list(system.stats.as_dict().items()),
+        "flush_requests": view.flush_requests,
+        "arch": system.arch,
+        "persisted": system.persisted,
+    }
+
+
+class TestViewDispatch:
+    """PMemView's construction-time dispatch equals asking every time."""
+
+    @pytest.mark.parametrize("policy_name", POLICY_NAMES)
+    @pytest.mark.parametrize("optimizer_name", OPTIMIZER_NAMES)
+    def test_matches_generic_dispatch(self, optimizer_name, policy_name):
+        for seed in range(3):
+            fast = run_mix(PMemView, optimizer_name, policy_name, seed)
+            generic = run_mix(GenericView, optimizer_name, policy_name, seed)
+            assert fast == generic
+
+    def test_counters_live_after_reset(self):
+        view, system = view_for(Automatic())
+        view.read(0x40)
+        system.stats.reset()
+        view.ctx.load(0x80)
+        assert system.stats.get("loads") == 1

@@ -1,11 +1,14 @@
 """Hypothesis properties of the timing model (with and without the L3)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.config import CacheGeometry
+from repro.tilelink.permissions import Perm
 from repro.timing.params import TimingParams
-from repro.timing.system import TimingSystem
+from repro.timing.system import L1Rec, TimingSystem
+from repro.verify.mutants import TIMING_MUTANTS
 
 LINES = [0x4000 + i * 64 for i in range(4)]
 
@@ -217,3 +220,202 @@ class TestInFlightIndex:
                     continue
                 # new, yet no DRAM write: adopted from what was in flight
                 assert wb.values == reference[wb.line]
+
+
+# -- the per-access paths against their method-call form ---------------------
+
+
+class MethodCallTimingSystem(TimingSystem):
+    """``load``, ``store``, ``cbo``, ``_fill`` and ``_l1_evict`` written
+    through ``LineCache`` methods and ``StatCounter.inc``: the form the
+    inlined set lookups and counters must reproduce, step for step."""
+
+    def _fill(self, ctx, line, want_write):
+        rec = self.l2.lookup(line)
+        if rec is None:
+            cost = self._fill_cost(line)
+            rec = self._l2_fetch(line)
+            self.stats.inc("mem_fills")
+        else:
+            cost = self.params.l2_hit
+            self.stats.inc("l2_hits")
+        if want_write:
+            if self._merge_owner_dirty(line, rec, keep_owner=False):
+                cost += self.params.probe_extra
+            self._revoke_sharers(line, rec, keep=ctx.tid)
+            perm = Perm.TRUNK
+        else:
+            if self._merge_owner_dirty(line, rec, keep_owner=True):
+                cost += self.params.probe_extra
+            perm = Perm.TRUNK if rec.directory.idle else Perm.BRANCH
+        skip = self.params.skip_it and (
+            not rec.dirty or "skip_dirty_grant" in self.mutants
+        )
+        l1rec = L1Rec(perm=perm, dirty=want_write, skip=skip and not want_write)
+        evicted = self.l1s[ctx.tid].put(line, l1rec)
+        if evicted is not None:
+            self._l1_evict(ctx.tid, *evicted)
+            cost += 5
+        rec.directory.grant(ctx.tid, perm)
+        return cost
+
+    def _l1_evict(self, tid, line, l1rec):
+        rec = self.l2.get(line)
+        if rec is None:
+            raise RuntimeError("L1 line absent from inclusive L2")
+        if l1rec.dirty:
+            rec.values.update(self._arch_line(line))
+            rec.dirty = True
+            self.stats.inc("l1_evict_writebacks")
+        rec.directory.downgrade(tid, Perm.NONE)
+
+    def load(self, ctx, address):
+        line = address - address % self._line_bytes
+        self.stats.inc("loads")
+        if self.l1s[ctx.tid].lookup(line) is not None:
+            ctx.now += self.params.l1_hit
+            self.stats.inc("l1_hits")
+        else:
+            ctx.now += self._fill(ctx, line, want_write=False)
+            self.stats.inc("l1_misses")
+        return self.arch.get(address, 0)
+
+    def store(self, ctx, address, value):
+        line = address - address % self._line_bytes
+        self.stats.inc("stores")
+        l1 = self.l1s[ctx.tid]
+        l1rec = l1.get(line)
+        if l1rec is not None and l1rec.perm is Perm.TRUNK:
+            l1.touch(line)
+            ctx.now += self.params.l1_hit
+            self.stats.inc("l1_hits")
+        elif l1rec is not None:  # upgrade BRANCH -> TRUNK, LRU order kept
+            rec = self.l2.get(line)
+            assert rec is not None
+            self._revoke_sharers(line, rec, keep=ctx.tid)
+            rec.directory.downgrade(ctx.tid, Perm.NONE)
+            rec.directory.grant(ctx.tid, Perm.TRUNK)
+            l1rec.perm = Perm.TRUNK
+            ctx.now += self.params.upgrade
+            self.stats.inc("upgrades")
+        else:
+            ctx.now += self._fill(ctx, line, want_write=True)
+            self.stats.inc("l1_misses")
+            l1rec = l1.get(line)
+            assert l1rec is not None
+        l1rec.dirty = True
+        if "store_keeps_skip" not in self.mutants:
+            l1rec.skip = False
+        self.arch[address] = value
+        self._line_words.setdefault(line, set()).add(address)
+
+    def cbo(self, ctx, address, invalidate):
+        line = address - address % self._line_bytes
+        l1rec = self.l1s[ctx.tid].get(line)
+        if (
+            self.params.skip_it
+            and l1rec is not None
+            and not l1rec.dirty
+            and l1rec.skip
+        ):
+            ctx.now += self.params.cbo_skip
+            self.stats.inc("cbo_skipped")
+            return
+        ctx.now += self.params.cbo_issue
+        self.stats.inc("cbo_issued")
+        latency, payload = self._cbo_line(ctx, line, l1rec, invalidate)
+        completion = self._issue_async(ctx, latency)
+        self._record_or_adopt(ctx, line, payload, completion)
+
+
+# L1 2 sets, L2 4 sets, both 2-way: lines k = 0, 4, 8, 12 share L2 set 0
+# and every even k shares L1 set 0, so evictions, refills, upgrades and
+# probes of the other thread's copy all happen within a few ops
+PATH_LINES = [0x8000 + 64 * k for k in (0, 1, 2, 3, 4, 8, 12)]
+PATH_WORDS = [line + word for line in PATH_LINES for word in (0, 8)]
+PATH_KINDS = {
+    "load": 8, "store": 8, "cas": 3, "clean": 4, "flush": 3, "fence": 2,
+    "clean_range": 1, "flush_range": 1, "crash": 1, "persist_all": 1,
+}
+
+
+@st.composite
+def path_op(draw):
+    kind = draw(st.sampled_from([k for k, n in PATH_KINDS.items() for _ in range(n)]))
+    if kind in ("crash", "persist_all"):
+        return (kind,)
+    tid = draw(st.integers(0, 1))
+    if kind == "fence":
+        return (kind, tid)
+    address = draw(st.sampled_from(PATH_WORDS))
+    if kind == "store":
+        return (kind, tid, address, draw(st.integers(1, 99)))
+    if kind == "cas":
+        return (kind, tid, address, draw(st.integers(0, 3)), draw(st.integers(1, 99)))
+    if kind.endswith("_range"):
+        return (kind, tid, address, draw(st.integers(1, 3 * 64)))
+    return (kind, tid, address)
+
+
+def path_params(l3, skip_it):
+    return TimingParams(
+        num_threads=2,
+        skip_it=skip_it,
+        l1=CacheGeometry(size_bytes=256, ways=2),
+        l2=CacheGeometry(size_bytes=512, ways=2),
+        l3=CacheGeometry(size_bytes=512, ways=2) if l3 else None,
+    )
+
+
+def run_path_op(system, op):
+    kind = op[0]
+    if kind in ("crash", "persist_all"):
+        return getattr(system, kind)()
+    thread = system.threads[op[1]]
+    if kind == "cas":
+        address, expected, new = op[2:]
+        current = system.arch.get(address, 0)
+        return thread.cas(address, current if expected else current + 1, new)
+    return getattr(thread, kind)(*op[2:])
+
+
+def model_state(system):
+    """Everything an access can change, caches in LRU order."""
+    def lines(cache, fields):
+        return [(line, fields(rec)) for line, rec in cache.items()]
+
+    return {
+        "clocks": [(t.now, list(t.outstanding), t.last_fence_waited)
+                   for t in system.threads],
+        "stats": list(system.stats.as_dict().items()),
+        "arch": system.arch,
+        "persisted": system.persisted,
+        "in_flight": [(wb.tid, wb.done, wb.line, wb.values)
+                      for wb in system.in_flight],
+        "l1s": [lines(l1, lambda r: (r.perm, r.dirty, r.skip))
+                for l1 in system.l1s],
+        "l2": lines(system.l2, lambda r: (
+            r.dirty, sorted(r.directory.sharers), r.directory.owner, r.values)),
+        "l3": None if system.l3 is None
+        else lines(system.l3, lambda r: (r.dirty, r.values)),
+        "wb_lines": system.wb_lines,
+    }
+
+
+class TestAccessPathsMatchMethodCallForm:
+    @pytest.mark.parametrize("mutant", [None, *TIMING_MUTANTS])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ops=st.lists(path_op(), min_size=10, max_size=60),
+        l3=st.booleans(),
+        skip_it=st.booleans(),
+    )
+    def test_same_state_after_every_op(self, mutant, ops, l3, skip_it):
+        fast = TimingSystem(path_params(l3, skip_it))
+        reference = MethodCallTimingSystem(path_params(l3, skip_it))
+        if mutant is not None:
+            fast.mutants.add(mutant)
+            reference.mutants.add(mutant)
+        for op in ops:
+            assert run_path_op(fast, op) == run_path_op(reference, op), op
+            assert model_state(fast) == model_state(reference), op
