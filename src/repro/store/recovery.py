@@ -111,6 +111,11 @@ def recover(
 ) -> RecoveredState:
     """Rebuild KV state from a crash image.
 
+    Pure: the result depends only on what *read* returns, and *read*
+    is only ever called, never written through.  The crash sweep relies
+    on that to recover each distinct crash image once and judge the
+    same :class:`RecoveredState` at every crash point that sees it.
+
     ``check_lsn=False`` is the seeded ``store_replay_trusts_crc``
     mutant: replay accepts any CRC-valid record in the next slot,
     ignoring the LSN chain — after the log wraps, stale records from an
@@ -146,17 +151,22 @@ def recover(
         state.rolled_back_txns += 1
         txn_buffer.clear()
 
+    # the slot geometry of StoreLayout.field_addr, hoisted out of the loop
+    capacity = layout.log_capacity
+    log_base = layout.log_base
+    slot_bytes = layout.slot_bytes
+    stride = layout.field_stride
     expected = watermark + 1
-    for _ in range(layout.log_capacity):
-        index = layout.slot_of(expected)
-        lsn = read(layout.field_addr(index, F_LSN))
-        op = read(layout.field_addr(index, F_OP))
-        key = read(layout.field_addr(index, F_KEY))
-        value = read(layout.field_addr(index, F_VALUE))
-        crc = read(layout.field_addr(index, F_CRC))
+    for _ in range(capacity):
+        slot = log_base + ((expected - 1) % capacity) * slot_bytes
+        lsn = read(slot + F_LSN * stride)
         if lsn == 0:
             state.stop_reason = "empty_slot"
             break
+        op = read(slot + F_OP * stride)
+        key = read(slot + F_KEY * stride)
+        value = read(slot + F_VALUE * stride)
+        crc = read(slot + F_CRC * stride)
         if check_lsn and lsn != expected:
             state.stop_reason = "lsn_mismatch"
             break

@@ -219,24 +219,35 @@ class TimingSystem:
         self.in_flight = remaining
         self.in_flight_by_line = by_line
 
+    def _land(self, image: Dict[int, int], at: Optional[int]) -> None:
+        """Apply to *image* every in-flight write that reached DRAM by *at*.
+
+        The one landing rule of :meth:`persisted_image` and :meth:`crash`.
+        A write lands once its completion time has passed (``done <= at``,
+        or the issuing thread's clock when *at* is ``None``); younger ones
+        are the mid-writeback window a crash loses.  Same-line writes
+        complete in arrival order at the controller, so a write cannot
+        land before its predecessors: its landing time is the running
+        maximum of ``done`` over its line.  Each write carries words of
+        its own line only, so the order across lines does not matter.
+        """
+        threads = self.threads
+        for pending in self.in_flight_by_line.values():
+            landed = pending[0].done
+            for wb in pending:
+                if wb.done > landed:
+                    landed = wb.done
+                if landed <= (threads[wb.tid].now if at is None else at):
+                    image.update(wb.values)
+
     def persisted_image(self, at: Optional[int] = None) -> Dict[int, int]:
         """The words DRAM would hold if power failed right now.
 
-        Non-destructive counterpart of :meth:`crash`: in-flight writebacks
-        whose completion time has passed (``done <= at``, or the issuing
-        thread's clock when *at* is ``None``) are included; younger ones
-        are the mid-writeback window a crash would lose.
+        Non-destructive counterpart of :meth:`crash`: the persisted words
+        plus every in-flight write that landed by *at* (see :meth:`_land`).
         """
         image = dict(self.persisted)
-        horizon: Dict[int, int] = {}
-        for wb in self.in_flight:
-            # same-line writes complete in arrival order at the
-            # controller, so a write cannot land before its predecessors
-            effective = max(wb.done, horizon.get(wb.line, wb.done))
-            horizon[wb.line] = effective
-            deadline = at if at is not None else self.threads[wb.tid].now
-            if effective <= deadline:
-                image.update(wb.values)
+        self._land(image, at)
         return image
 
     # ------------------------------------------------------ L2 maintenance
@@ -784,18 +795,12 @@ class TimingSystem:
     def crash(self, at: Optional[int] = None) -> Dict[int, int]:
         """Drop all cache state; return what survived (the persisted words).
 
-        In-flight writebacks that completed by *at* (or by their issuing
-        thread's clock when *at* is ``None``) made it to DRAM; younger
-        ones are lost with the caches — the mid-writeback crash window
-        the injector (:mod:`repro.verify.injector`) enumerates.
+        Exactly the in-flight writebacks :meth:`persisted_image` shows for
+        the same *at* land, in place; younger ones are lost with the
+        caches — the mid-writeback crash window the injector
+        (:mod:`repro.verify.injector`) enumerates.
         """
-        horizon: Dict[int, int] = {}
-        for wb in self.in_flight:
-            effective = max(wb.done, horizon.get(wb.line, wb.done))
-            horizon[wb.line] = effective
-            deadline = at if at is not None else self.threads[wb.tid].now
-            if effective <= deadline:
-                self.persisted.update(wb.values)
+        self._land(self.persisted, at)
         self.in_flight = []
         self.in_flight_by_line = {}
         p = self.params

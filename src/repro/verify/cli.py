@@ -49,6 +49,10 @@
 the full crash-sweep product: every scenario in
 :data:`~repro.verify.sweep.SCENARIOS` under both seal modes.
 
+``--json PATH`` also writes the verdict as JSON: ``elapsed_seconds``
+for the whole run and ``stage_seconds``, the wall time of each stage
+keyed by its printed header.
+
 Exit status: 0 all green, 1 on any oracle violation or model divergence,
 2 when FSM coverage is below the floor (``--floor``, default 90% of
 FSHR states).
@@ -59,8 +63,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from typing import List, Optional, Tuple
+from time import perf_counter
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.config import CacheGeometry
 from repro.timing.params import TimingParams
@@ -333,11 +337,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     mode = "exhaustive" if args.exhaustive else "sampled"
 
-    started = time.time()
+    started = perf_counter()
     failures = 0
     out = []
+    # (header, perf_counter at its start) for every stage the run prints
+    stages: List[Tuple[str, float]] = []
 
-    out.append("== timing crash-point matrix ==")
+    def stage(header: str) -> None:
+        out.append(f"== {header} ==")
+        stages.append((header, perf_counter()))
+
+    stage("timing crash-point matrix")
     for name, report in run_timing_matrix():
         mark = "ok" if report.ok else "FAIL"
         out.append(
@@ -348,7 +358,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for violation in report.violations[:3]:
             out.append(f"       {violation}")
 
-    out.append(f"== soc crash-point sweep ({mode}) ==")
+    stage(f"soc crash-point sweep ({mode})")
     soc_results, coverage = run_soc_sweep(mode, args.floor)
     for name, report in soc_results:
         mark = "ok" if report.ok else "FAIL"
@@ -360,7 +370,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for violation in report.violations[:3]:
             out.append(f"       {violation}")
 
-    out.append(f"== differential fuzzing (seed {args.seed}) ==")
+    stage(f"differential fuzzing (seed {args.seed})")
     for label, case_failures in run_fuzz(args.fuzz, args.seed, args.cores):
         mark = "ok" if not case_failures else "FAIL"
         out.append(f"  {mark} {label}: {len(case_failures)} divergences")
@@ -371,7 +381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for header, scenario, ranged_seal in (
         EXHAUSTIVE_SWEEPS if args.exhaustive else SMOKE_SWEEPS
     ):
-        out.append(f"== {header} ==")
+        stage(header)
         for name, report in sweep_matrix(scenario, ranged_seal=ranged_seal):
             mark = "ok" if report.ok else "FAIL"
             out.append(
@@ -382,10 +392,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             for violation in report.violations[:3]:
                 out.append(f"       {violation}")
 
-    out.append("== fsm coverage ==")
+    stage("fsm coverage")
     out.extend("  " + line for line in coverage.report_lines())
 
-    elapsed = time.time() - started
+    finished = perf_counter()
+    elapsed = finished - started
+    ends = [begun for _, begun in stages[1:]] + [finished]
+    stage_seconds: Dict[str, float] = {
+        header: end - begun for (header, begun), end in zip(stages, ends)
+    }
     gate_ok = coverage.meets_floor(args.floor)
     status = 0 if failures == 0 and gate_ok else (1 if failures else 2)
     out.append(
@@ -401,6 +416,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "failures": failures,
             "coverage": coverage.report(),
             "elapsed_seconds": elapsed,
+            "stage_seconds": stage_seconds,
             "status": status,
         }
         with open(args.json, "w") as handle:

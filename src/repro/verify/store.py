@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.store.layout import OP_DELETE, OP_PUT, OP_TXN, OP_TXN_COMMIT
-from repro.store.recovery import RecoveryError, recover
+from repro.store.recovery import RecoveredState, RecoveryError, recover
 from repro.store.shared import SharedLogStore
 from repro.verify.oracle import Violation
 
@@ -65,10 +65,14 @@ class StoreOracle:
     def __init__(self) -> None:
         # lsn -> (op, key, value); markers included (op=OP_COMMIT)
         self.journal: Dict[int, Tuple[int, int, int]] = {}
+        # applied_lsn -> reference_state(applied_lsn) for this journal
+        self._references: Dict[int, Dict[int, int]] = {}
 
     def observe(self, lsn: int, op: int, key: int, value: int) -> None:
         """``wal.on_append`` hook: journal every appended record."""
         self.journal[lsn] = (op, key, value)
+        # a shared log appends out of LSN order, so any prefix may change
+        self._references.clear()
 
     def reference_state(self, applied_lsn: int) -> Dict[int, int]:
         """KV state after replaying the journal prefix up to a marker.
@@ -76,8 +80,12 @@ class StoreOracle:
         Mirrors :func:`repro.store.recovery.recover` exactly, including
         transactions: OP_TXN records buffer and fold in only at their
         OP_TXN_COMMIT, so a transaction whose commit record lies beyond
-        ``applied_lsn`` contributes nothing.
+        ``applied_lsn`` contributes nothing.  The answer is cached until
+        the next :meth:`observe`; callers must not mutate it.
         """
+        cached = self._references.get(applied_lsn)
+        if cached is not None:
+            return cached
         state: Dict[int, int] = {}
         txn_buffer: List[Tuple[int, int]] = []  # (key, value); 0 = delete
         for lsn in sorted(self.journal):
@@ -97,6 +105,7 @@ class StoreOracle:
                     else:
                         state.pop(tkey, None)
                 txn_buffer.clear()
+        self._references[applied_lsn] = state
         return state
 
     def check(
@@ -110,22 +119,57 @@ class StoreOracle:
         check_lsn: bool = True,
         txn_partial: bool = False,
     ) -> List[Violation]:
-        """Recover the crash image behind *read*, then :meth:`check_state`."""
+        """Recover the crash image behind *read*, then :meth:`judge` it."""
+        return self.judge(
+            self.recover_image(
+                read, layout, check_lsn=check_lsn, txn_partial=txn_partial
+            ),
+            layout,
+            acked_lsn=acked_lsn,
+            initiated_lsn=initiated_lsn,
+            at=at,
+        )
+
+    @staticmethod
+    def recover_image(
+        read, layout, *, check_lsn: bool = True, txn_partial: bool = False
+    ) -> Union[RecoveredState, RecoveryError]:
+        """The recovery step: the recovered state, or the
+        :class:`RecoveryError` the image raised, as a value.
+
+        Depends on the image alone (:func:`recover` is pure), so a sweep
+        may reuse one outcome for every crash point with an equal image.
+        """
         try:
-            state = recover(
+            return recover(
                 read, layout, check_lsn=check_lsn, txn_partial=txn_partial
             )
         except RecoveryError as exc:
+            return exc
+
+    def judge(
+        self,
+        outcome: Union[RecoveredState, RecoveryError],
+        layout,
+        *,
+        acked_lsn: int,
+        initiated_lsn: int,
+        at: object,
+    ) -> List[Violation]:
+        """The judging step: ``unrecoverable`` for a failed recovery, else
+        :meth:`check_state`.  Runs at every crash point: the verdict
+        depends on that point's LSNs as well as on the image."""
+        if isinstance(outcome, RecoveryError):
             return [
                 Violation(
                     kind="unrecoverable",
                     word=layout.superblock,
-                    detail=str(exc),
+                    detail=str(outcome),
                     at=at,
                 )
             ]
         return self.check_state(
-            state,
+            outcome,
             layout,
             acked_lsn=acked_lsn,
             initiated_lsn=initiated_lsn,
@@ -143,7 +187,11 @@ class StoreOracle:
         reference: Optional[Dict[int, int]] = None,
     ) -> List[Violation]:
         """The three contract checks against an already-recovered *state*
-        (subclasses extend it, passing *reference* if they computed it)."""
+        (subclasses extend it, passing *reference* if they computed it).
+
+        *state* and *reference* are read-only here and in every override:
+        a sweep judges one recovered state at many crash points, and
+        :meth:`reference_state` hands out its cached dict."""
         violations: List[Violation] = []
         if state.applied_lsn < acked_lsn:
             violations.append(

@@ -419,3 +419,41 @@ class TestAccessPathsMatchMethodCallForm:
         for op in ops:
             assert run_path_op(fast, op) == run_path_op(reference, op), op
             assert model_state(fast) == model_state(reference), op
+
+
+# -- crash images from the per-line index ------------------------------------
+
+
+def arrival_order_image(system, at=None):
+    """``persisted_image`` as one pass over ``in_flight`` in arrival order,
+    with a per-line landing horizon: the form the per-line walk replaces."""
+    image = dict(system.persisted)
+    horizon = {}
+    for wb in system.in_flight:
+        effective = max(wb.done, horizon.get(wb.line, wb.done))
+        horizon[wb.line] = effective
+        deadline = at if at is not None else system.threads[wb.tid].now
+        if effective <= deadline:
+            image.update(wb.values)
+    return image
+
+
+class TestPersistedImageMatchesArrivalOrder:
+    @pytest.mark.parametrize("mutant", [None, *TIMING_MUTANTS])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ops=st.lists(path_op(), min_size=10, max_size=60),
+        l3=st.booleans(),
+        skip_it=st.booleans(),
+    )
+    def test_same_image_at_every_landing_time(self, mutant, ops, l3, skip_it):
+        system = TimingSystem(path_params(l3, skip_it))
+        if mutant is not None:
+            system.mutants.add(mutant)
+        for op in ops:
+            run_path_op(system, op)
+            dones = {wb.done for wb in system.in_flight}
+            for at in [None, *sorted(dones | {done - 1 for done in dones})]:
+                assert system.persisted_image(at) == arrival_order_image(
+                    system, at
+                ), (op, at)

@@ -104,6 +104,17 @@ class TestVerifyCli:
         assert payload["coverage"]["fshr_coverage"] >= DEFAULT_FLOOR
         assert payload["coverage"]["fshr_missing"] == []
         assert payload["coverage"]["tilelink_missing"] == []
+        # one timing per printed stage header, in print order
+        headers = [
+            line[3:-3]
+            for line in out.splitlines()
+            if line.startswith("== ") and not line.startswith("== verdict")
+        ]
+        stages = payload["stage_seconds"]
+        assert list(stages) == headers
+        assert len(headers) == 9
+        assert all(seconds >= 0 for seconds in stages.values())
+        assert sum(stages.values()) <= payload["elapsed_seconds"]
 
     def test_unreachable_floor_exits_2(self, capsys):
         status = cli.main(["--smoke", "--fuzz", "0", "--floor", "1.1"])

@@ -8,6 +8,8 @@ the injector's image computation.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.persist.api import PMemView
 from repro.persist.flushopt import make_optimizer
@@ -27,6 +29,46 @@ from repro.verify.injector import (
 )
 
 LINE = 0x3000
+
+# two lines, two words each: same-line writes from both threads
+CRASH_WORDS = [LINE, LINE + 8, LINE + 0x40, LINE + 0x48]
+HISTORY_OP = st.one_of(
+    st.tuples(
+        st.just("store"),
+        st.integers(0, 1),
+        st.sampled_from(CRASH_WORDS),
+        st.integers(1, 99),
+    ),
+    st.tuples(
+        st.sampled_from(("clean", "flush", "load")),
+        st.integers(0, 1),
+        st.sampled_from(CRASH_WORDS),
+    ),
+    st.tuples(st.just("fence"), st.integers(0, 1)),
+    # the thread computes off-memory, skewing its clock from the other's
+    st.tuples(st.just("idle"), st.integers(0, 1), st.integers(1, 500)),
+)
+#: thread 0 cleans LINE late on its clock; thread 1, far behind, then
+#: writes and cleans the same line: the later arrival has the earlier done
+INVERTED = [
+    ("idle", 0, 400),
+    ("store", 0, LINE, 1),
+    ("clean", 0, LINE),
+    ("store", 1, LINE + 8, 2),
+    ("clean", 1, LINE),
+]
+
+
+def replay(history):
+    """A fresh two-thread timing system after *history*."""
+    system = TimingSystem(TimingParams(num_threads=2))
+    for kind, tid, *args in history:
+        thread = system.threads[tid]
+        if kind == "idle":
+            thread.now += args[0]
+        else:
+            getattr(thread, kind)(*args)
+    return system
 
 
 class TestTimingInjector:
@@ -53,13 +95,29 @@ class TestTimingInjector:
         assert report.crash_points == 3
         assert report.words == 1
 
-    def test_timing_crash_image_matches_crash(self):
-        system = TimingSystem(TimingParams(num_threads=1))
-        thread = system.threads[0]
-        thread.store(LINE, 7)
-        thread.clean(LINE)
-        image = timing_crash_image(system, at=thread.now)
-        assert image == system.crash(at=thread.now)
+    @example(history=INVERTED)
+    @example(history=[("store", 0, LINE, 7), ("clean", 0, LINE)])
+    @settings(max_examples=60, deadline=None)
+    @given(history=st.lists(HISTORY_OP, max_size=30))
+    def test_timing_crash_image_matches_crash(self, history):
+        """``crash(at)`` lands exactly the writes ``persisted_image(at)``
+        shows, in place, at every time a write could land."""
+        system = replay(history)
+        dones = {wb.done for wb in system.in_flight}
+        for at in [None, *sorted(dones | {done - 1 for done in dones})]:
+            image = timing_crash_image(system, at=at)
+            crashed = replay(history)
+            persisted = crashed.persisted
+            assert crashed.crash(at=at) == image, at
+            assert crashed.persisted is persisted
+
+    def test_inverted_same_line_writes_land_in_arrival_order(self):
+        system = replay(INVERTED)
+        first, second = system.in_flight_by_line[LINE]
+        assert second.done < first.done
+        # the younger write cannot land before the older one has
+        assert LINE + 8 not in timing_crash_image(system, at=second.done)
+        assert timing_crash_image(system, at=first.done)[LINE + 8] == 2
 
     def test_at_gates_the_mid_writeback_window(self):
         """A CBO's DRAM write lands at its completion time, not at issue."""

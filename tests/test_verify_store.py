@@ -7,16 +7,37 @@ nothing beyond the last initiated epoch, and a state equal to the
 journal prefix, for every optimizer x group-commit {1, 8, 64}.
 """
 
+from copy import deepcopy
+
 import pytest
 
 from repro.persist.flushopt import OPTIMIZER_NAMES
-from repro.store.layout import OP_COMMIT, OP_DELETE, OP_PUT
+from repro.store.layout import (
+    OP_COMMIT,
+    OP_DELETE,
+    OP_PUT,
+    OP_TXN,
+    OP_TXN_COMMIT,
+    StoreLayout,
+)
+from repro.store.recovery import RecoveredState
+from repro.verify.serve import SessionOracle
 from repro.verify.store import (
     StoreOracle,
     run_shared_store_sweep,
     run_store_sweep,
 )
 from repro.verify.sweep import CrashSweep
+from repro.verify.txn import TxnOracle
+
+LAYOUT = StoreLayout(
+    superblock=0x1000,
+    log_base=0x2000,
+    log_capacity=8,
+    field_stride=8,
+    line_bytes=64,
+    num_buckets=4,
+)
 
 
 class TestAcceptanceMatrix:
@@ -120,3 +141,54 @@ class TestStoreOracle:
             oracle.check(empty, layout, acked_lsn=0, initiated_lsn=0, at="t")
             == []
         )
+
+    def test_reference_cache_sees_an_out_of_order_append(self):
+        # a shared log journals LSNs out of order: lsn 2 after lsn 3
+        oracle = StoreOracle()
+        oracle.observe(1, OP_PUT, 5, 50)
+        oracle.observe(3, OP_COMMIT, 2, 0)
+        cached = oracle.reference_state(3)
+        assert cached == {5: 50}
+        assert oracle.reference_state(3) is cached
+        oracle.observe(2, OP_PUT, 6, 60)
+        assert oracle.reference_state(3) == {5: 50, 6: 60}
+
+
+def txn_journal(oracle):
+    """Put 5, a two-write transaction (6, 7), then delete 5."""
+    oracle.observe(1, OP_PUT, 5, 50)
+    oracle.observe(2, OP_TXN, 6, 60)
+    oracle.observe(3, OP_TXN, 7, 70)
+    oracle.observe(4, OP_TXN_COMMIT, 1, 2)  # txn id 1, two records
+    oracle.observe(5, OP_COMMIT, 4, 0)
+    oracle.observe(6, OP_DELETE, 5, 0)
+    oracle.observe(7, OP_COMMIT, 1, 0)
+
+
+class TestCheckStateIsReadOnly:
+    """A sweep judges one recovered state at many crash points against a
+    cached reference, so no oracle may mutate either."""
+
+    @pytest.mark.parametrize("oracle_type", [StoreOracle, TxnOracle, SessionOracle])
+    @pytest.mark.parametrize(
+        "items",
+        [
+            pytest.param({5: 50, 6: 60, 7: 70}, id="exact"),
+            pytest.param({5: 50, 6: 60}, id="torn-txn"),
+            pytest.param({9: 90}, id="corrupt"),
+        ],
+    )
+    def test_state_and_reference_unchanged(self, oracle_type, items):
+        oracle = oracle_type()
+        txn_journal(oracle)
+        state = RecoveredState(items=dict(items), applied_lsn=5)
+        before = deepcopy(state)
+        reference = oracle.reference_state(5)
+        expected = dict(reference)
+        violations = oracle.check_state(
+            state, LAYOUT, acked_lsn=5, initiated_lsn=7, at="t"
+        )
+        assert bool(violations) == (items != expected)
+        assert state == before
+        assert reference == expected
+        assert oracle.reference_state(5) is reference

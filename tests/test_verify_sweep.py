@@ -4,14 +4,22 @@ Every scenario runs through one :class:`~repro.verify.sweep.CrashSweep`,
 so a seeded mutant must reach the flag set its registry names whatever
 the scenario, an unknown name must be refused rather than silently
 sweeping green, and every scenario must hold up — and catch the
-truncated-sweep mutant — under the CBO.RANGE seal.
+truncated-sweep mutant — under the CBO.RANGE seal.  Recovering each
+distinct crash image once must change no verdict.
 """
+
+import itertools
+from types import SimpleNamespace
 
 import pytest
 
+from repro.verify import mutants as registry
+from repro.verify import store as verify_store
+from repro.verify import sweep
 from repro.verify.cli import EXHAUSTIVE_SWEEPS, SMOKE_SWEEPS
 from repro.verify.mutants import SERVE_MUTANTS
-from repro.verify.sweep import SCENARIOS, CrashSweep
+from repro.verify.serve import SessionOracle
+from repro.verify.sweep import SCENARIOS, CrashSweep, route_mutants
 
 
 class TestMutantRouting:
@@ -92,3 +100,108 @@ class TestCliStages:
         assert set(stages) == {
             (s, seal) for s in SCENARIOS for seal in (False, True)
         }
+
+
+#: every registered mutant name, seeded SoC bugs included
+ALL_MUTANTS = [
+    name
+    for names in (
+        registry.TIMING_MUTANTS,
+        registry.SOC_MUTANTS,
+        registry.STORE_MUTANTS,
+        registry.SHARED_STORE_MUTANTS,
+        registry.SERVE_MUTANTS,
+        registry.TXN_MUTANTS,
+    )
+    for name in names
+]
+#: an address no recovery reads: the heap hands out positive addresses
+SENTINEL = -8
+
+
+def accepted_mutants(scenario):
+    """The mutants :func:`route_mutants` routes for *scenario*."""
+    tier = None
+    if SCENARIOS[scenario].oracle is SessionOracle:
+        tier = SimpleNamespace(mutants=set())
+    accepted = []
+    for name in ALL_MUTANTS:
+        system = SimpleNamespace(mutants=set())
+        store = SimpleNamespace(mutants=set())
+        try:
+            route_mutants((name,), system, store, tier)
+        except ValueError:
+            continue
+        accepted.append(name)
+    return accepted
+
+
+MEMO_CASES = [
+    (scenario, ranged_seal, mutant)
+    for scenario in sorted(SCENARIOS)
+    for ranged_seal in (False, True)
+    for mutant in [None, *accepted_mutants(scenario)]
+]
+
+
+def unique_images(monkeypatch):
+    """Make every crash image distinct, so every crash point recovers."""
+    crash_image = sweep.timing_crash_image
+    stamps = itertools.count(1)
+
+    def stamped(system, at=None):
+        image = crash_image(system, at=at)
+        image[SENTINEL] = next(stamps)
+        return image
+
+    monkeypatch.setattr(sweep, "timing_crash_image", stamped)
+
+
+def count_recoveries(monkeypatch):
+    calls = []
+    recover = verify_store.recover
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return recover(*args, **kwargs)
+
+    monkeypatch.setattr(verify_store, "recover", counted)
+    return calls
+
+
+class TestRecoveryMemo:
+    def test_cases_cover_every_routable_mutant(self):
+        routable = set(registry.TIMING_MUTANTS) | set(
+            sweep.STORE_LEVEL_MUTANTS
+        )
+        for scenario in SCENARIOS:
+            tier = set(SERVE_MUTANTS) if scenario == "serve" else set()
+            assert set(accepted_mutants(scenario)) == routable | tier
+
+    @pytest.mark.parametrize("scenario,ranged_seal,mutant", MEMO_CASES)
+    def test_memo_changes_no_verdict(
+        self, monkeypatch, scenario, ranged_seal, mutant
+    ):
+        def run():
+            return CrashSweep(
+                scenario,
+                ranged_seal=ranged_seal,
+                mutants=() if mutant is None else (mutant,),
+            ).run()
+
+        plain = run()
+        unique_images(monkeypatch)
+        # boundaries, crash points, and every violation's kind, word,
+        # detail and crash point
+        assert run() == plain
+
+    def test_equal_images_recover_once(self, monkeypatch):
+        calls = count_recoveries(monkeypatch)
+        report = CrashSweep("shared", "skipit", 8).run()
+        assert report.ok, report.summary()
+        assert report.crash_points > report.boundaries  # windowed points ran
+        assert 0 < len(calls) < report.crash_points
+        del calls[:]
+        unique_images(monkeypatch)
+        assert CrashSweep("shared", "skipit", 8).run() == report
+        assert len(calls) == report.crash_points
