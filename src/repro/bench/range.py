@@ -29,10 +29,10 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.bench.format import human_size
 from repro.bench.micro import FULL_SIZES, QUICK_SIZES
 from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
+from repro.bench.store import run_mix
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
-from repro.workloads.store import SharedStoreBenchmark, StoreBenchmark
 
 MODES = ("loop", "range")
 STORE_SERIES = ("store", "shared")
@@ -169,6 +169,7 @@ def _micro_cell(size_bytes: int, mode: str, repeats: int) -> RangeRow:
 
 # --------------------------------------------------------------- store cells
 def _store_cell(
+    kind: str,
     optimizer: str,
     mode: str,
     group_commit: int,
@@ -176,72 +177,30 @@ def _store_cell(
     duration: int,
     seed: Optional[int],
 ) -> RangeRow:
-    extra = {} if seed is None else {"seed": seed}
-    result = StoreBenchmark(
+    """A figure-17 (``store``) or figure-18 (``shared``) cell with
+    ``ranged_seal`` off (``loop``) or on (``range``)."""
+    rig = run_mix(
         optimizer,
         group_commit,
-        threads=threads,
+        threads,
+        duration,
+        seed,
+        shared=(kind == "shared"),
         ranged_seal=(mode == "range"),
-        **extra,
-    ).run(duration=duration)
-    kops = result.total_ops / 1000.0
-    return RangeRow(
-        figure=21,
-        series="store",
-        mode=mode,
-        optimizer=optimizer,
-        size_bytes=0,
-        group_commit=group_commit,
-        threads=threads,
-        throughput_mops=result.throughput_mops,
-        fences=result.fences,
-        ranged_seals=result.ranged_seals,
-        flush_requests=result.flush_requests,
-        cbo_issued=result.cbo_issued,
-        cbo_skipped=result.cbo_skipped,
-        cbo_range_issued=result.cbo_range_issued,
-        cbo_range_lines=result.cbo_range_lines,
-        cbo_range_skipped=result.cbo_range_skipped,
-        fences_per_kop=(result.fences / kops) if kops else 0.0,
-        metrics=result.metrics,
     )
-
-
-def _shared_cell(
-    optimizer: str,
-    mode: str,
-    group_commit: int,
-    threads: int,
-    duration: int,
-    seed: Optional[int],
-) -> RangeRow:
-    extra = {} if seed is None else {"seed": seed}
-    result = SharedStoreBenchmark(
-        optimizer,
-        group_commit,
-        threads=threads,
-        ranged_seal=(mode == "range"),
-        **extra,
-    ).run(duration=duration)
-    return RangeRow(
+    fences, ops = rig.total("store_fences"), rig.result.total_ops
+    if kind == "store":
+        kops = ops / 1000.0
+        fences_per_kop = (fences / kops) if kops else 0.0
+    else:
+        fences_per_kop = fences * 1000.0 / ops if ops else 0.0
+    return rig.row(
+        RangeRow,
         figure=21,
-        series="shared",
+        series=kind,
         mode=mode,
-        optimizer=optimizer,
         size_bytes=0,
-        group_commit=group_commit,
-        threads=threads,
-        throughput_mops=result.throughput_mops,
-        fences=result.fences,
-        ranged_seals=result.ranged_seals,
-        flush_requests=result.flush_requests,
-        cbo_issued=result.cbo_issued,
-        cbo_skipped=result.cbo_skipped,
-        cbo_range_issued=result.cbo_range_issued,
-        cbo_range_lines=result.cbo_range_lines,
-        cbo_range_skipped=result.cbo_range_skipped,
-        fences_per_kop=result.fences_per_kop,
-        metrics=result.metrics,
+        fences_per_kop=fences_per_kop,
     )
 
 
@@ -286,11 +245,12 @@ def run_fig21(
         for size in region_sizes:
             rows.append(_micro_cell(size, mode, repeats))
     for kind in series:
-        cell = _store_cell if kind == "store" else _shared_cell
         nthreads = threads if kind == "store" else shared_threads
         for optimizer in optimizers:
             for mode in modes:
                 rows.append(
-                    cell(optimizer, mode, group_commit, nthreads, duration, seed)
+                    _store_cell(
+                        kind, optimizer, mode, group_commit, nthreads, duration, seed
+                    )
                 )
     return rows

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
+from repro.bench.store import SHARED_LOG_CAPACITY
 from repro.persist.flushopt import OPTIMIZER_NAMES
-from repro.workloads.serve import ServeBenchmark
+from repro.workloads.openloop import OpenLoopClient, PoissonArrivals, ZipfianKeys
+from repro.workloads.rig import SEED, StoreRig
 
 #: epoch trigger per session (matches figure 18's group commit)
 DEFAULT_GROUP_COMMIT = 8
@@ -28,6 +30,21 @@ DEFAULT_SESSIONS = 4
 #: the middle loads at the default sessions/group-commit configuration
 ALL_LOADS = (4.0, 8.0, 16.0, 24.0, 32.0, 48.0)
 QUICK_LOADS = (8.0, 20.0, 32.0)
+#: publish a checkpoint every this many commits (snapshot reads hit it)
+CHECKPOINT_EVERY = 4
+#: admission control engages above HIGH_WATER queued writes and
+#: releases below LOW_WATER
+HIGH_WATER = 48
+LOW_WATER = 12
+#: zipfian skew of every tenant's keys
+THETA = 0.99
+#: distinct hot keys written before measurement
+PREFILL_KEYS = 128
+#: an OLTP tenant's put and snapshot-read shares (the rest are gets)
+UPDATE_FRACTION = 0.6
+SNAPSHOT_FRACTION = 0.15
+#: read-mostly tenants, the last sessions
+ANALYTICS_SESSIONS = 1
 
 
 def sweep_axes(figure: int, quick: bool) -> Dict[str, list]:
@@ -108,6 +125,91 @@ SERVE = FigureKind(
 )
 
 
+def serve_cell(
+    optimizer: str,
+    offered_load: float,
+    sessions: int,
+    group_commit: int,
+    duration: int,
+    key_space: int,
+    seed: Optional[int] = None,
+) -> ServeRow:
+    """One figure-19 cell: *sessions* open-loop tenants against one
+    :class:`~repro.serve.tier.ServeTier` over a shared log."""
+    seed = SEED if seed is None else seed
+    rig = StoreRig(
+        optimizer,
+        sessions,
+        group_commit,
+        SHARED_LOG_CAPACITY,
+        shared=True,
+        checkpoint_every=CHECKPOINT_EVERY,
+    )
+    tier = rig.serve(high_water=HIGH_WATER, low_water=LOW_WATER)
+
+    # Prefill a slice of the keyspace and publish a checkpoint so
+    # snapshot reads have a snapshot to hit from cycle zero; prefill
+    # values live below every tenant's value space.
+    hot = ZipfianKeys(key_space, THETA, seed=seed + 977)
+    prefilled = set()
+    while len(prefilled) < PREFILL_KEYS:
+        key = hot.next()
+        if key not in prefilled:
+            prefilled.add(key)
+            rig.clients[0].put(key, 1_000 + len(prefilled))
+    rig.clients[0].checkpoint()
+    rig.settle()
+
+    # offered_load is the *total* rate: split evenly across tenants
+    mean_interarrival = 1000.0 * sessions / offered_load
+    clients = []
+    for sid in range(sessions):
+        if sid < sessions - ANALYTICS_SESSIONS:
+            update, snapshot = UPDATE_FRACTION, SNAPSHOT_FRACTION
+        else:
+            # read-mostly "analytics" tenant: lives on the published
+            # checkpoint, so its floor stays at the watermark and its
+            # reads never contend on the write path
+            update, snapshot = 0.05, 0.80
+        clients.append(
+            OpenLoopClient(
+                tier,
+                tier.session(sid, sid),
+                ZipfianKeys(key_space, THETA, seed=seed + sid),
+                PoissonArrivals(mean_interarrival, seed=seed + 31 * sid),
+                update_fraction=update,
+                snapshot_fraction=snapshot,
+                value_base=1_000_000 + sid * 10_000_000,
+                seed=seed + 7 * sid,
+            )
+        )
+    result = rig.run([client.step for client in clients], duration)
+
+    completed = tier.stats.get("serve_completed")
+    elapsed = result.elapsed
+    return rig.row(
+        ServeRow,
+        figure=19,
+        offered_load=offered_load,
+        sessions=sessions,
+        generated=sum(c.generated for c in clients),
+        served=sum(c.served for c in clients),
+        completed=completed,
+        shed=tier.stats.get("serve_rejected"),
+        throughput_mops=completed * 50e6 / elapsed / 1e6 if elapsed else 0.0,
+        ack_p50=tier.ack_latency.p50(),
+        ack_p99=tier.ack_latency.p99(),
+        queue_p50=tier.queue_wait.p50(),
+        queue_p99=tier.queue_wait.p99(),
+        max_depth=tier.max_depth,
+        max_client_queue=max(c.max_queue_depth for c in clients),
+        backpressure_engagements=tier.admission.engagements,
+        snapshot_reads=tier.stats.get("serve_snapshot_reads"),
+        snapshot_fallbacks=tier.stats.get("serve_snapshot_fallback"),
+        ack_clamped=tier.stats.get("serve_ack_latency_clamped"),
+    )
+
+
 def run_fig19(
     quick: bool = False,
     optimizers: Optional[Sequence[str]] = None,
@@ -119,56 +221,20 @@ def run_fig19(
 ) -> List[ServeRow]:
     """Figure 19: serving-tier saturation curves vs offered load."""
     axes = sweep_axes(19, quick)
-    optimizers = (
-        list(optimizers) if optimizers is not None else axes["optimizers"]
+    optimizers = list(axes["optimizers"] if optimizers is None else optimizers)
+    offered_loads = list(
+        axes["offered_loads"] if offered_loads is None else offered_loads
     )
-    offered_loads = (
-        list(offered_loads)
-        if offered_loads is not None
-        else axes["offered_loads"]
-    )
+    if any(load <= 0 for load in offered_loads):
+        raise ValueError("offered load must be positive")
+    if ANALYTICS_SESSIONS >= sessions:
+        raise ValueError("at least one OLTP session is required")
     duration = duration or (30_000 if quick else 150_000)
     key_space = 65_536 if quick else 1_000_000
-    rows: List[ServeRow] = []
-    for optimizer in optimizers:
-        for load in offered_loads:
-            extra = {} if seed is None else {"seed": seed}
-            bench = ServeBenchmark(
-                optimizer,
-                load,
-                sessions=sessions,
-                group_commit=group_commit,
-                key_space=key_space,
-                **extra,
-            )
-            result = bench.run(duration=duration)
-            rows.append(
-                ServeRow(
-                    figure=19,
-                    optimizer=optimizer,
-                    offered_load=load,
-                    sessions=sessions,
-                    group_commit=group_commit,
-                    generated=result.generated,
-                    served=result.served,
-                    completed=result.completed,
-                    shed=result.shed,
-                    throughput_mops=result.throughput_mops,
-                    ack_p50=result.ack_p50,
-                    ack_p99=result.ack_p99,
-                    queue_p50=result.queue_p50,
-                    queue_p99=result.queue_p99,
-                    max_depth=result.max_depth,
-                    max_client_queue=result.max_client_queue,
-                    backpressure_engagements=result.backpressure_engagements,
-                    snapshot_reads=result.snapshot_reads,
-                    snapshot_fallbacks=result.snapshot_fallbacks,
-                    fences=result.fences,
-                    commits=result.commits,
-                    checkpoints=result.checkpoints,
-                    wal_records=result.wal_records,
-                    ack_clamped=result.ack_clamped,
-                    metrics=result.metrics,
-                )
-            )
-    return rows
+    return [
+        serve_cell(
+            optimizer, load, sessions, group_commit, duration, key_space, seed
+        )
+        for optimizer in optimizers
+        for load in offered_loads
+    ]

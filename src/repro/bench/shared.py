@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
+from repro.bench.store import run_mix
 from repro.persist.flushopt import OPTIMIZER_NAMES
-from repro.workloads.store import SharedStoreBenchmark
+from repro.workloads.rig import StoreRig
 
 #: epoch trigger per thread (matches figure 17's middle group-commit)
 DEFAULT_GROUP_COMMIT = 8
@@ -92,6 +93,20 @@ SHARED = FigureKind(
 )
 
 
+def shared_row(rig: StoreRig) -> SharedStoreRow:
+    """The figure-18 row of a finished :func:`~repro.bench.store.run_mix`
+    on one shared log."""
+    ack = rig.stores[0].ack_latency_all
+    fences, ops = rig.total("store_fences"), rig.result.total_ops
+    return rig.row(
+        SharedStoreRow,
+        figure=18,
+        fences_per_kop=fences * 1000.0 / ops if ops else 0.0,
+        ack_p50=ack.p50(),
+        ack_p99=ack.p99(),
+    )
+
+
 def run_fig18(
     quick: bool = False,
     optimizers: Optional[Sequence[str]] = None,
@@ -102,41 +117,11 @@ def run_fig18(
 ) -> List[SharedStoreRow]:
     """Figure 18: shared-log store scaling vs thread count."""
     axes = sweep_axes(18, quick)
-    optimizers = (
-        list(optimizers) if optimizers is not None else axes["optimizers"]
-    )
-    threads = list(threads) if threads is not None else axes["threads"]
+    optimizers = list(axes["optimizers"] if optimizers is None else optimizers)
+    threads = list(axes["threads"] if threads is None else threads)
     duration = duration or (30_000 if quick else 150_000)
-    rows: List[SharedStoreRow] = []
-    for optimizer in optimizers:
-        for num_threads in threads:
-            extra = {} if seed is None else {"seed": seed}
-            bench = SharedStoreBenchmark(
-                optimizer, group_commit, threads=num_threads, **extra
-            )
-            result = bench.run(duration=duration)
-            rows.append(
-                SharedStoreRow(
-                    figure=18,
-                    optimizer=optimizer,
-                    group_commit=group_commit,
-                    threads=num_threads,
-                    throughput_mops=result.throughput_mops,
-                    fences=result.fences,
-                    fences_per_kop=result.fences_per_kop,
-                    ack_p50=result.ack_p50,
-                    ack_p99=result.ack_p99,
-                    cbo_issued=result.cbo_issued,
-                    cbo_skipped=result.cbo_skipped,
-                    wal_records=result.wal_records,
-                    wal_bytes=result.wal_bytes,
-                    commits=result.commits,
-                    checkpoints=result.checkpoints,
-                    leader_takeovers=result.leader_takeovers,
-                    mean_batch=result.mean_batch,
-                    flush_requests=result.flush_requests,
-                    ack_clamped=result.ack_clamped,
-                    metrics=result.metrics,
-                )
-            )
-    return rows
+    return [
+        shared_row(run_mix(optimizer, group_commit, t, duration, seed, shared=True))
+        for optimizer in optimizers
+        for t in threads
+    ]

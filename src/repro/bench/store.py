@@ -6,18 +6,29 @@ subsystem: a write-ahead-logged KV store whose hot log-tail lines are
 cleaned once per group-commit epoch.  Plain pays a CBO per requested
 clean; Skip It drops the redundant ones in hardware, and the gap widens
 as batching packs more records per line rewrite.
+
+Every thread runs a mixed put/delete/get step on its own private log
+(:class:`~repro.store.store.DurableStore`), all on one cache hierarchy
+(:class:`~repro.workloads.rig.StoreRig`).  Figures 18 and 21 run the
+same cell, :func:`run_mix`.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
 from repro.persist.flushopt import OPTIMIZER_NAMES
-from repro.workloads.store import StoreBenchmark
+from repro.workloads.rig import SEED, StoreRig
 
 ALL_GROUP_COMMITS = (1, 2, 8, 16, 64)
+#: workload keys are 1..KEY_RANGE; the prefill fills half of them
+KEY_RANGE = 256
+#: slots of a private log, and of one log all threads share
+LOG_CAPACITY = 256
+SHARED_LOG_CAPACITY = 512
 
 
 def sweep_axes(figure: int, quick: bool) -> Dict[str, list]:
@@ -76,6 +87,77 @@ STORE = FigureKind(
 )
 
 
+def prefill(rig: StoreRig, seed: int) -> None:
+    """Fill each log to ~50% occupancy and checkpoint it, so measurement
+    starts from a durable steady state with a warm log tail; one RNG
+    draws across the logs in order."""
+    rng = random.Random(seed)
+    for client in rig.clients[: len(rig.stores)]:
+        for key in rng.sample(range(1, KEY_RANGE + 1), KEY_RANGE // 2):
+            client.put(key, key + KEY_RANGE)
+        client.checkpoint()
+
+
+def mixed_step(client, seed: int, next_value: int):
+    """60% puts of fresh values, 20% deletes, 20% gets over KEY_RANGE."""
+    rng = random.Random(seed)
+
+    def step(ctx) -> None:
+        nonlocal next_value
+        r = rng.random()
+        key = rng.randint(1, KEY_RANGE)
+        if r < 0.6:
+            next_value += 1
+            client.put(key, next_value)
+        elif r < 0.8:
+            client.delete(key)
+        else:
+            client.get(key)
+
+    return step
+
+
+def run_mix(
+    optimizer: str,
+    group_commit: int,
+    threads: int,
+    duration: int,
+    seed: Optional[int] = None,
+    *,
+    shared: bool = False,
+    ranged_seal: bool = False,
+    tracer=None,
+) -> StoreRig:
+    """One cell of figure 17 (a private log per thread) or, with
+    *shared*, figure 18 (one shared log): prefill, settle, then run
+    :func:`mixed_step` on every thread.  A *tracer* attaches after the
+    prefill, so only measured ops are traced, and stays attached."""
+    seed = SEED if seed is None else seed
+    rig = StoreRig(
+        optimizer,
+        threads,
+        group_commit,
+        SHARED_LOG_CAPACITY if shared else LOG_CAPACITY,
+        shared=shared,
+        ranged_seal=ranged_seal,
+    )
+    prefill(rig, seed)
+    rig.settle()
+    if tracer is not None:
+        tracer.attach(rig.stores[0], rig.system)
+    # threads on one shared log get disjoint value spaces, which keeps
+    # the oracle's lost/ghost distinction sharp when they race on a key
+    stride = 10_000_000 if shared else 0
+    rig.run(
+        [
+            mixed_step(client, seed + 7 * tid, 2 * KEY_RANGE + tid * stride)
+            for tid, client in enumerate(rig.clients)
+        ],
+        duration,
+    )
+    return rig
+
+
 def run_fig17(
     quick: bool = False,
     optimizers: Optional[Sequence[str]] = None,
@@ -86,40 +168,15 @@ def run_fig17(
 ) -> List[StoreRow]:
     """Figure 17: durable-store throughput vs group-commit size."""
     axes = sweep_axes(17, quick)
-    optimizers = (
-        list(optimizers) if optimizers is not None else axes["optimizers"]
-    )
-    group_commits = (
-        list(group_commits)
-        if group_commits is not None
-        else axes["group_commits"]
+    optimizers = list(axes["optimizers"] if optimizers is None else optimizers)
+    group_commits = list(
+        axes["group_commits"] if group_commits is None else group_commits
     )
     duration = duration or (40_000 if quick else 200_000)
-    rows: List[StoreRow] = []
-    for optimizer in optimizers:
-        for group_commit in group_commits:
-            extra = {} if seed is None else {"seed": seed}
-            bench = StoreBenchmark(
-                optimizer, group_commit, threads=threads, **extra
-            )
-            result = bench.run(duration=duration)
-            rows.append(
-                StoreRow(
-                    figure=17,
-                    optimizer=optimizer,
-                    group_commit=group_commit,
-                    threads=threads,
-                    throughput_mops=result.throughput_mops,
-                    fences=result.fences,
-                    cbo_issued=result.cbo_issued,
-                    cbo_skipped=result.cbo_skipped,
-                    wal_records=result.wal_records,
-                    wal_bytes=result.wal_bytes,
-                    commits=result.commits,
-                    checkpoints=result.checkpoints,
-                    mean_batch=result.mean_batch,
-                    flush_requests=result.flush_requests,
-                    metrics=result.metrics,
-                )
-            )
-    return rows
+    return [
+        run_mix(optimizer, group_commit, threads, duration, seed).row(
+            StoreRow, figure=17
+        )
+        for optimizer in optimizers
+        for group_commit in group_commits
+    ]

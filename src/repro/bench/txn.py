@@ -1,29 +1,40 @@
 """Transactional store figure (20): txn size x optimizer.
 
 Not a paper figure — the multi-key companion to figures 17–19 for the
-:mod:`repro.store.txn` subsystem.  Each cell runs the transfer-style
-workload of :class:`repro.workloads.txn.TxnBenchmark`: transactions of
-``txn_size`` snapshot-read-then-write keys on a two-thread shared-log
-store, ~10% aborting client-side after the reads.  A transaction is one
-contiguous CAS-reserved WAL run counting as one ticket toward the epoch
-trigger, so the headline column — **fences per committed transaction**
-— stays flat as the write set grows (fences per record fall in
-proportion), while the ack percentiles price the durability wait and
-the abort percentiles price the wasted read-validate traffic.
+:mod:`repro.store.txn` subsystem.  Each cell runs a transfer-style
+workload (:func:`txn_step`) on a two-thread shared-log store: each step
+opens a transaction, snapshot-reads its ``txn_size`` keys through the
+thread's view (charged cache traffic — the read-validate phase a real
+transfer performs), then either aborts client-side (~10% of attempts,
+after the reads are paid for) or writes every key and commits.
+
+A transaction is one contiguous CAS-reserved WAL run counting as one
+ticket toward the epoch trigger, so the headline column — **fences per
+committed transaction** — stays flat as the write set grows (fences per
+record fall in proportion), while the ack percentiles price the
+durability wait.  Aborts never touch the log (the point of client-side
+buffering); the abort percentiles price the wasted read-validate
+traffic.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
+from repro.bench.store import KEY_RANGE, SHARED_LOG_CAPACITY, prefill
 from repro.persist.flushopt import OPTIMIZER_NAMES
-from repro.workloads.txn import TxnBenchmark
+from repro.serve.session import SnapshotReader
+from repro.sim.stats import Histogram
+from repro.workloads.rig import SEED, StoreRig
 
 #: epoch trigger (tickets per epoch; a txn is one ticket)
 DEFAULT_GROUP_COMMIT = 4
 ALL_TXN_SIZES = (1, 2, 4, 8)
+#: share of attempts that abort client-side, after their reads
+ABORT_RATE = 0.1
 
 
 def sweep_axes(figure: int, quick: bool) -> Dict[str, list]:
@@ -102,6 +113,88 @@ TXN = FigureKind(
 )
 
 
+def txn_step(
+    rig: StoreRig,
+    tid: int,
+    txn_size: int,
+    seed: int,
+    snapshots: SnapshotReader,
+    aborts: Histogram,
+):
+    """Thread *tid*'s transaction attempt: read-validate *txn_size* keys
+    through the checkpoint, then abort (its cycles go to *aborts*) or
+    write them all and commit.  One scheduler step is one attempt."""
+    client = rig.clients[tid]
+    view = rig.stores[0].views[tid]
+    rng = random.Random(seed)
+    # disjoint value spaces per thread keep provenance unambiguous
+    next_value = 2 * KEY_RANGE + tid * 10_000_000
+
+    def step(ctx) -> None:
+        nonlocal next_value
+        began = ctx.now
+        txn = client.begin()
+        keys = [rng.randint(1, KEY_RANGE) for _ in range(txn_size)]
+        for key in keys:
+            snapshots.read(view, key)
+            txn.get(key)
+        if rng.random() < ABORT_RATE:
+            txn.abort()
+            aborts.add(ctx.now - began)
+            return
+        for key in keys:
+            next_value += 1
+            txn.put(key, next_value)
+        txn.commit()
+
+    return step
+
+
+def txn_cell(
+    optimizer: str,
+    txn_size: int,
+    group_commit: int,
+    threads: int,
+    duration: int,
+    seed: Optional[int] = None,
+) -> TxnRow:
+    """One figure-20 cell, on figure 17's prefill (its checkpoint is
+    what the read-validate phase walks)."""
+    seed = SEED if seed is None else seed
+    rig = StoreRig(
+        optimizer, threads, group_commit, SHARED_LOG_CAPACITY, shared=True
+    )
+    prefill(rig, seed)
+    rig.settle()
+    store = rig.stores[0]
+    snapshots = SnapshotReader(store)
+    aborts = Histogram()
+    result = rig.run(
+        [
+            txn_step(rig, tid, txn_size, seed + 7 * tid, snapshots, aborts)
+            for tid in range(threads)
+        ],
+        duration,
+    )
+    committed = store.stats.get("store_txns")
+    fences = store.stats.get("store_fences")
+    elapsed = result.elapsed
+    return rig.row(
+        TxnRow,
+        figure=20,
+        txn_size=txn_size,
+        committed=committed,
+        aborted=store.stats.get("store_txn_aborts"),
+        # committed txns/sec at the paper's 50 MHz core clock (§7.1)
+        throughput_mtps=committed * 50e6 / elapsed / 1e6 if elapsed else 0.0,
+        fences_per_txn=fences / committed if committed else 0.0,
+        ack_p50=store.ack_latency_all.p50(),
+        ack_p99=store.ack_latency_all.p99(),
+        abort_p50=aborts.p50(),
+        abort_p99=aborts.p99(),
+    )
+
+
 def run_fig20(
     quick: bool = False,
     optimizers: Optional[Sequence[str]] = None,
@@ -113,50 +206,13 @@ def run_fig20(
 ) -> List[TxnRow]:
     """Figure 20: multi-key transaction cost vs write-set size."""
     axes = sweep_axes(20, quick)
-    optimizers = (
-        list(optimizers) if optimizers is not None else axes["optimizers"]
-    )
-    txn_sizes = (
-        list(txn_sizes) if txn_sizes is not None else axes["txn_sizes"]
-    )
+    optimizers = list(axes["optimizers"] if optimizers is None else optimizers)
+    txn_sizes = list(axes["txn_sizes"] if txn_sizes is None else txn_sizes)
+    if any(txn_size < 1 for txn_size in txn_sizes):
+        raise ValueError("txn_size must be >= 1")
     duration = duration or (30_000 if quick else 150_000)
-    rows: List[TxnRow] = []
-    for optimizer in optimizers:
-        for txn_size in txn_sizes:
-            extra = {} if seed is None else {"seed": seed}
-            bench = TxnBenchmark(
-                optimizer,
-                txn_size,
-                group_commit=group_commit,
-                threads=threads,
-                **extra,
-            )
-            result = bench.run(duration=duration)
-            rows.append(
-                TxnRow(
-                    figure=20,
-                    optimizer=optimizer,
-                    txn_size=txn_size,
-                    group_commit=group_commit,
-                    threads=threads,
-                    committed=result.committed,
-                    aborted=result.aborted,
-                    throughput_mtps=result.throughput_mtps,
-                    fences=result.fences,
-                    fences_per_txn=result.fences_per_txn,
-                    ack_p50=result.ack_p50,
-                    ack_p99=result.ack_p99,
-                    abort_p50=result.abort_p50,
-                    abort_p99=result.abort_p99,
-                    cbo_issued=result.cbo_issued,
-                    cbo_skipped=result.cbo_skipped,
-                    wal_records=result.wal_records,
-                    wal_bytes=result.wal_bytes,
-                    commits=result.commits,
-                    checkpoints=result.checkpoints,
-                    flush_requests=result.flush_requests,
-                    ack_clamped=result.ack_clamped,
-                    metrics=result.metrics,
-                )
-            )
-    return rows
+    return [
+        txn_cell(optimizer, txn_size, group_commit, threads, duration, seed)
+        for optimizer in optimizers
+        for txn_size in txn_sizes
+    ]

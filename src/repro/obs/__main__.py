@@ -14,7 +14,7 @@ Commands
 ``hot``
     List the top-N hottest cache lines of a recorded trace.
 ``record-store``
-    Run a shared-log store benchmark with the causal
+    Run one figure-18 shared-log store cell with the causal
     :class:`~repro.obs.trace.StoreTracer` attached; write the trace and
     print the blame report (which pipeline stage each op's latency went
     to).
@@ -118,20 +118,20 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_record_store(args: argparse.Namespace) -> int:
+    from repro.bench.store import run_mix
     from repro.obs.query import format_blame
     from repro.obs.registry import MetricsRegistry
     from repro.obs.trace import StoreTracer
-    from repro.workloads.store import SharedStoreBenchmark
 
     tracer = StoreTracer()
-    bench = SharedStoreBenchmark(
-        args.optimizer, args.group_commit, threads=args.threads
-    )
-    result = bench.run(duration=args.duration, tracer=tracer)
+    result = run_mix(
+        args.optimizer, args.group_commit, args.threads, args.duration,
+        shared=True, tracer=tracer,
+    ).result
     written = write_jsonl(args.out, tracer.bus)
     print(
-        f"{result.total_ops} ops in {result.elapsed_cycles} cycles "
-        f"({result.throughput_mops:.3f} Mops/s); "
+        f"{result.total_ops} ops in {result.elapsed} cycles "
+        f"({result.throughput() / 1e6:.3f} Mops/s); "
         f"wrote {written} records to {args.out}"
     )
     if args.chrome:

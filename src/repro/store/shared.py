@@ -1,9 +1,9 @@
 """:mod:`repro.store.shared` — one log, N threads, one fence per epoch.
 
-The sharded baseline (:mod:`repro.workloads.store`) gives every thread a
-private :class:`~repro.store.store.DurableStore`, so every thread pays
-its own clean sequence and fence once per batch — N threads, N fences
-per group-commit interval.  That is exactly the redundant-persist
+The sharded baseline (figure 17, :mod:`repro.bench.store`) gives every
+thread a private :class:`~repro.store.store.DurableStore`, so every
+thread pays its own clean sequence and fence once per batch — N
+threads, N fences per group-commit interval.  That is exactly the redundant-persist
 traffic the paper exists to eliminate, just moved up a layer.
 
 :class:`SharedLogStore` shares the log instead.  It is the same engine

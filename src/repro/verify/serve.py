@@ -176,7 +176,7 @@ class SessionOracle(StoreOracle):
         return self.online + self.shed_check(acked_lsn, at="final")
 
 
-def serve_workload(store, tier, rng: random.Random, ops: int) -> None:
+def serve_workload(rig, rng: random.Random, ops: int) -> None:
     """Sessions driving a :class:`~repro.serve.tier.ServeTier`.
 
     One session per store thread mixes puts, memtable reads and snapshot
@@ -186,14 +186,16 @@ def serve_workload(store, tier, rng: random.Random, ops: int) -> None:
     from the memtable and the ``stale_snapshot_read`` mutant answers
     from the stale checkpoint.
     """
+    tier = rig.tier
     # Prefill every key and publish a checkpoint so snapshot reads
     # have a snapshot from the first request on (probed + journaled
     # like everything else; values live in their own space).
+    first = rig.clients[0]
     for key in range(1, KEY_RANGE + 1):
-        store.put(0, key, 2_000_000 + key)
-    store.checkpoint(0)
+        first.put(key, 2_000_000 + key)
+    first.checkpoint()
 
-    handles = [tier.session(sid, sid) for sid in range(len(store.views))]
+    handles = [tier.session(sid, sid) for sid in range(len(rig.clients))]
     next_value = 1
     for i in range(ops):
         session = handles[i % len(handles)]
@@ -219,7 +221,7 @@ def serve_workload(store, tier, rng: random.Random, ops: int) -> None:
             tier.snapshot_get(session, key)
 
     tier.drain()
-    store.checkpoint(0)
+    first.checkpoint()
 
 
 def run_serve_sweep(

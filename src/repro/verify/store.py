@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.store.layout import OP_DELETE, OP_PUT, OP_TXN, OP_TXN_COMMIT
 from repro.store.recovery import RecoveredState, RecoveryError, recover
-from repro.store.shared import SharedLogStore
 from repro.verify.oracle import Violation
 
 #: workload keys are 1..KEY_RANGE, so ops overwrite and delete live keys
@@ -247,15 +246,7 @@ class StoreOracle:
         return []
 
 
-def store_clients(store) -> list:
-    """One put/delete/begin client per thread: the store itself for a
-    private log, a per-thread handle for a shared one."""
-    if isinstance(store, SharedLogStore):
-        return [store.handle(tid) for tid in range(len(store.views))]
-    return [store]
-
-
-def store_workload(store, tier, rng: random.Random, ops: int) -> None:
+def store_workload(rig, rng: random.Random, ops: int) -> None:
     """Seeded puts (70%) and deletes, round-robin over the threads.
 
     On a shared log the epoch trigger and the leader-grace deferrals
@@ -263,7 +254,7 @@ def store_workload(store, tier, rng: random.Random, ops: int) -> None:
     cover records left dirty in every other thread's L1; the CAS-bumped
     tail keeps LSN order the submission order, so the oracle is unchanged.
     """
-    clients = store_clients(store)
+    clients = rig.clients
     next_value = 1
     for i in range(ops):
         client = clients[i % len(clients)]
@@ -273,6 +264,7 @@ def store_workload(store, tier, rng: random.Random, ops: int) -> None:
             next_value += 1
         else:
             client.delete(key)
+    store = rig.stores[0]
     store.sync()
     store.checkpoint()
 

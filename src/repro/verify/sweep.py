@@ -2,7 +2,8 @@
 
 A :class:`Scenario` in :data:`SCENARIOS` supplies only what differs.
 :class:`CrashSweep` owns the rest, so a fix lands once: it builds the
-store on a :class:`~repro.timing.system.TimingSystem`, routes mutants,
+store through the store rig (:class:`~repro.workloads.rig.StoreRig`,
+as the store figures do), routes mutants,
 and at every protocol boundary the store exposes checks the oracle
 against a crash image — at :data:`WINDOWED_BOUNDARIES` also one per
 distinct writeback-completion time.  Most crash points see the same
@@ -19,21 +20,14 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.persist.api import PMemView
-from repro.persist.flushopt import OPTIMIZER_NAMES, make_optimizer
-from repro.persist.heap import SimHeap
-from repro.persist.policies import make_policy
+from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.persist.structures.base import persisted_reader
-from repro.serve.tier import ServeTier
-from repro.store.shared import SharedLogStore
-from repro.store.store import DurableStore
-from repro.timing.params import TimingParams
-from repro.timing.system import TimingSystem
 from repro.verify import mutants as registry
 from repro.verify.injector import MAX_VIOLATIONS, timing_crash_image
 from repro.verify.serve import SessionOracle, serve_workload
 from repro.verify.store import StoreOracle, StoreSweepReport, store_workload
 from repro.verify.txn import TxnOracle, txn_workload
+from repro.workloads.rig import StoreRig
 
 #: boundaries with a just-sealed unit's writebacks still in flight (after
 #: an epoch's cleans, after the superblock flip): crashing at each distinct
@@ -62,8 +56,9 @@ class Scenario:
     (or session) count of a :class:`~repro.store.shared.SharedLogStore`.
     ``log_capacity(group_commit, threads)`` holds a full epoch, yet long
     sweeps wrap (wrap and stale-tail handling are verified too).
-    ``workload(store, tier, rng, ops)`` ends with its closing sync and
-    checkpoint; ``tier`` is a ServeTier for a SessionOracle, else None.
+    ``workload(rig, rng, ops)`` drives the rig's clients (or, for a
+    SessionOracle, its ``tier``) and ends with its closing sync and
+    checkpoint.
     """
 
     label: str
@@ -167,34 +162,25 @@ class CrashSweep:
             threads=self.threads,
         ))
         threads = self.threads or 1
-        params = TimingParams(
-            num_threads=threads, skip_it=(self.optimizer == "skipit")
-        )
-        system = TimingSystem(params)
-        heap = SimHeap(params.line_bytes)
-        policy = make_policy("none")
-        optimizer = make_optimizer(self.optimizer, heap)
-        views = [PMemView(ctx, policy, optimizer) for ctx in system.threads]
-        options = dict(
-            log_capacity=scenario.log_capacity(self.group_commit, threads),
-            batch_size=self.group_commit,
-            checkpoint_every=CHECKPOINT_EVERY,
+        rig = StoreRig(
+            self.optimizer,
+            threads,
+            self.group_commit,
+            scenario.log_capacity(self.group_commit, threads),
+            shared=self.threads is not None,
             num_buckets=NUM_BUCKETS,
+            checkpoint_every=CHECKPOINT_EVERY,
             ranged_seal=self.ranged_seal,
         )
-        if self.threads is None:
-            store = DurableStore(heap, views[0], **options)
-        else:
-            store = SharedLogStore(heap, views, **options)
+        system, store = rig.system, rig.stores[0]
         oracle = scenario.oracle()
         store.wal.on_append = oracle.observe
-        tier = None
         if isinstance(oracle, SessionOracle):
-            tier = ServeTier(store, high_water=HIGH_WATER, low_water=LOW_WATER)
+            tier = rig.serve(high_water=HIGH_WATER, low_water=LOW_WATER)
             tier.on_read = oracle.observe_read
             tier.on_write = oracle.observe_write
             tier.on_shed = oracle.observe_shed
-        recover_args = route_mutants(self.mutants, system, store, tier)
+        recover_args = route_mutants(self.mutants, system, store, rig.tier)
         # the last crash image and its recovery outcome: most crash points
         # see the image of the point before, and recovery is pure, so an
         # equal image (exact content) reuses the outcome; the judging
@@ -229,7 +215,7 @@ class CrashSweep:
                 )
 
         store.probe = probe
-        scenario.workload(store, tier, random.Random(self.seed), self.ops)
+        scenario.workload(rig, random.Random(self.seed), self.ops)
         report.violations.extend(
             oracle.final_check(store.acked_lsn)[
                 : MAX_VIOLATIONS - len(report.violations)

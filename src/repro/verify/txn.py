@@ -35,12 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.store.layout import OP_TXN, OP_TXN_COMMIT
 from repro.verify.oracle import Violation
-from repro.verify.store import (
-    KEY_RANGE,
-    StoreOracle,
-    StoreSweepReport,
-    store_clients,
-)
+from repro.verify.store import KEY_RANGE, StoreOracle, StoreSweepReport
 
 
 class TxnOracle(StoreOracle):
@@ -127,7 +122,7 @@ class TxnOracle(StoreOracle):
         return violations
 
 
-def txn_workload(store, tier, rng: random.Random, ops: int) -> None:
+def txn_workload(rig, rng: random.Random, ops: int) -> None:
     """Mixed plain/transactional traffic, round-robin over the threads.
 
     Roughly half the steps are plain ops; the rest are transactions of
@@ -139,7 +134,7 @@ def txn_workload(store, tier, rng: random.Random, ops: int) -> None:
     that the sealing thread's single fence covers txn records written
     (and left dirty) by every other thread's L1.
     """
-    clients = store_clients(store)
+    clients = rig.clients
     next_value = 1
     for i in range(ops):
         client = clients[i % len(clients)]
@@ -164,6 +159,7 @@ def txn_workload(store, tier, rng: random.Random, ops: int) -> None:
             txn.abort()
         else:
             txn.commit()
+    store = rig.stores[0]
     store.sync()
     store.checkpoint()
 

@@ -283,8 +283,9 @@ class TestStoreMetricsSnapshot:
 
     ``--check`` compares only a kind's value fields, so a registry
     change (a gauge renamed, dropped or double-counted) would pass it;
-    these re-run one fig-17 and one fig-18 point with their canonical
-    seeds and compare the whole ``metrics`` tree.
+    these re-run one point of every store-side row kind (figs 17–20 and
+    both fig-21 store series) with its canonical seed and compare the
+    whole ``metrics`` tree.
     """
 
     @pytest.fixture(scope="class")
@@ -325,6 +326,68 @@ class TestStoreMetricsSnapshot:
             r
             for r in baseline["figures"]["18"]["rows"]
             if r["optimizer"] == "skipit" and r["threads"] == 2
+        )
+        assert_snapshot_matches(rows[0].metrics, want["metrics"])
+
+
+    def test_fig19_serve_metrics_match_committed_row(self, baseline):
+        from repro.bench.runner import point_seed
+        from repro.bench.serve import run_fig19
+
+        rows = run_fig19(
+            quick=True,
+            optimizers=["skipit"],
+            offered_loads=[32.0],
+            seed=point_seed(19, "skipit,load=32"),
+        )
+        assert len(rows) == 1
+        want = next(
+            r
+            for r in baseline["figures"]["19"]["rows"]
+            if r["optimizer"] == "skipit" and r["offered_load"] == 32.0
+        )
+        assert_snapshot_matches(rows[0].metrics, want["metrics"])
+
+    def test_fig20_txn_metrics_match_committed_row(self, baseline):
+        from repro.bench.runner import point_seed
+        from repro.bench.txn import run_fig20
+
+        rows = run_fig20(
+            quick=True,
+            optimizers=["skipit"],
+            txn_sizes=[4],
+            seed=point_seed(20, "skipit,txn=4"),
+        )
+        assert len(rows) == 1
+        want = next(
+            r
+            for r in baseline["figures"]["20"]["rows"]
+            if r["optimizer"] == "skipit" and r["txn_size"] == 4
+        )
+        assert_snapshot_matches(rows[0].metrics, want["metrics"])
+
+    @pytest.mark.parametrize("series", ["store", "shared"])
+    def test_fig21_range_store_metrics_match_committed_row(
+        self, baseline, series
+    ):
+        from repro.bench.range import run_fig21
+        from repro.bench.runner import point_seed
+
+        rows = run_fig21(
+            quick=True,
+            modes=["range"],
+            region_sizes=[],
+            series=[series],
+            optimizers=["skipit"],
+            seed=point_seed(21, f"{series},skipit,range"),
+        )
+        assert len(rows) == 1
+        want = next(
+            r
+            for r in baseline["figures"]["21"]["rows"]
+            if r["series"] == series
+            and r["mode"] == "range"
+            and r["optimizer"] == "skipit"
         )
         assert_snapshot_matches(rows[0].metrics, want["metrics"])
 

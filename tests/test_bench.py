@@ -6,7 +6,9 @@ from repro.bench import FIGURES
 from repro.bench.cli import main
 from repro.bench.format import format_table, human_size
 from repro.bench.micro import MicroRow, rows_by_series, run_fig09, run_fig13
+from repro.bench.serve import run_fig19
 from repro.bench.structures import ThroughputRow, rows_by_structure, run_fig14
+from repro.bench.txn import run_fig20
 
 
 class TestFormat:
@@ -69,6 +71,23 @@ class TestStructureRunners:
             if r.policy == "manual" and r.throughput_mops is not None
         ]
         assert all(baseline.throughput_mops >= t for t in persistent)
+
+
+class TestStoreRunnerGuards:
+    """Inputs the store-side figures reject before simulating anything."""
+
+    def test_fig20_rejects_an_empty_transaction(self):
+        with pytest.raises(ValueError, match="txn_size"):
+            run_fig20(quick=True, optimizers=["skipit"], txn_sizes=[0])
+
+    @pytest.mark.parametrize("load", [0.0, -8.0])
+    def test_fig19_rejects_a_non_positive_offered_load(self, load):
+        with pytest.raises(ValueError, match="offered load"):
+            run_fig19(quick=True, optimizers=["skipit"], offered_loads=[load])
+
+    def test_fig19_needs_an_oltp_session(self):
+        with pytest.raises(ValueError, match="OLTP session"):
+            run_fig19(quick=True, optimizers=["skipit"], sessions=1)
 
 
 class TestCli:

@@ -124,7 +124,7 @@ class TestSeededSlowdown:
         # amortize over group-commit epochs, so a mild bump hides
         # inside the tolerance band — the check flags what matters)
         monkeypatch.setattr(
-            "repro.workloads.store.TimingParams", slow_params
+            "repro.workloads.rig.TimingParams", slow_params
         )
         cur = _doc(_one_point())
         report = regress.compare(cur, base)

@@ -14,9 +14,12 @@ The contract under test is the tentpole's acceptance bar:
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from repro.bench.shared import shared_row
+from repro.bench.store import run_mix
 from repro.obs.events import EventBus
 from repro.obs.export import (
     chrome_trace,
@@ -40,7 +43,6 @@ from repro.store.shared import SharedLogStore
 from repro.store.store import DurableStore
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
-from repro.workloads.store import SharedStoreBenchmark
 
 
 def _shared_store(threads=2, batch_size=4, optimizer="skipit"):
@@ -107,15 +109,14 @@ class TestBlameExactness:
 
     def test_fig18_quick_run_blame_sums_exactly(self):
         tracer = StoreTracer()
-        bench = SharedStoreBenchmark("skipit", 8, threads=2)
-        result = bench.run(duration=20_000, tracer=tracer)
-        assert result.total_ops > 0
+        rig = run_mix("skipit", 8, 2, 20_000, shared=True, tracer=tracer)
+        assert rig.result.total_ops > 0
         assert tracer.records, "quick run acked no ops"
         for record in tracer.records:
             assert sum(record.buckets.values()) == record.latency
             assert record.latency == record.durable_now - record.submit_now
         # the clamp counter agrees with the per-record clamped flags
-        assert result.ack_clamped == sum(
+        assert shared_row(rig).ack_clamped == sum(
             1 for r in tracer.records if r.clamped
         )
 
@@ -154,8 +155,6 @@ class TestBlameExactness:
 
 class TestZeroCostDetached:
     FIELDS = (
-        "total_ops",
-        "elapsed_cycles",
         "throughput_mops",
         "fences",
         "ack_p50",
@@ -170,14 +169,15 @@ class TestZeroCostDetached:
     def test_traced_run_is_bit_identical_to_detached(self):
         # same seed, same duration: attaching the tracer must not move
         # a single cycle anywhere in the run
-        plain = SharedStoreBenchmark("skipit", 8, threads=2, seed=77).run(
-            duration=15_000
+        plain = run_mix("skipit", 8, 2, 15_000, seed=77, shared=True)
+        traced = run_mix(
+            "skipit", 8, 2, 15_000, seed=77, shared=True, tracer=StoreTracer()
         )
-        traced = SharedStoreBenchmark("skipit", 8, threads=2, seed=77).run(
-            duration=15_000, tracer=StoreTracer()
-        )
+        assert plain.result.total_ops == traced.result.total_ops
+        assert plain.result.elapsed == traced.result.elapsed
+        plain_row, traced_row = shared_row(plain), shared_row(traced)
         for name in self.FIELDS:
-            assert getattr(plain, name) == getattr(traced, name), name
+            assert getattr(plain_row, name) == getattr(traced_row, name), name
 
     def test_detach_restores_store_and_system(self):
         store, system = _shared_store()
@@ -190,9 +190,7 @@ class TestZeroCostDetached:
 class TestQuery:
     def _traced_run(self, tmp_path):
         tracer = StoreTracer()
-        SharedStoreBenchmark("skipit", 8, threads=2).run(
-            duration=15_000, tracer=tracer
-        )
+        run_mix("skipit", 8, 2, 15_000, shared=True, tracer=tracer)
         path = tmp_path / "trace.jsonl"
         write_jsonl(str(path), tracer.bus)
         return tracer, path
@@ -228,6 +226,27 @@ class TestQuery:
 
     def test_format_blame_empty(self):
         assert "no acked ops" in format_blame([])
+
+
+class TestStoreCommands:
+    """``python -m repro.obs record-store`` and ``query`` end to end."""
+
+    def test_record_store_writes_all_three_files_and_query_reads_them(
+        self, tmp_path, capsys
+    ):
+        from repro.obs.__main__ import main
+
+        out = tmp_path / "st.jsonl"
+        chrome = tmp_path / "st.json"
+        metrics = tmp_path / "sm.json"
+        argv = ["record-store", "--out", str(out), "--chrome", str(chrome)]
+        argv += ["--metrics", str(metrics), "--duration", "5000"]
+        assert main(argv) == 0
+        assert out.exists() and chrome.exists() and metrics.exists()
+        capsys.readouterr()
+        assert main(["query", str(out)]) == 0
+        acked = re.match(r"(\d+) acked ops", capsys.readouterr().out)
+        assert acked and int(acked.group(1)) > 0
 
 
 class TestPerfettoRoundTrip:
@@ -296,9 +315,7 @@ class TestPerfettoRoundTrip:
 
     def test_store_trace_flow_links_pair_up(self, tmp_path):
         tracer = StoreTracer()
-        SharedStoreBenchmark("skipit", 8, threads=2).run(
-            duration=15_000, tracer=tracer
-        )
+        run_mix("skipit", 8, 2, 15_000, shared=True, tracer=tracer)
         path = tmp_path / "store.jsonl"
         write_jsonl(str(path), tracer.bus)
         events, spans = read_jsonl(str(path))

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.shared import shared_row
+from repro.bench.store import run_mix
 from repro.obs.attach import shared_store_registry
 from repro.persist.api import PMemView
 from repro.persist.flushopt import OPTIMIZER_NAMES, make_optimizer
@@ -15,7 +17,6 @@ from repro.persist.structures.base import persisted_reader
 from repro.store import DurableStore, SharedLogStore, recover
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
-from repro.workloads.store import SharedStoreBenchmark, StoreBenchmark
 
 
 def mk_shared(optimizer="skipit", threads=3, **kwargs):
@@ -524,18 +525,20 @@ class TestAcceptance:
     @pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
     def test_strictly_fewer_fences_per_op_than_sharded(self, optimizer):
         duration = 12_000
-        sharded = StoreBenchmark(optimizer, 8, threads=4).run(duration)
-        shared = SharedStoreBenchmark(optimizer, 8, threads=4).run(duration)
-        assert sharded.total_ops > 0 and shared.total_ops > 0
-        sharded_fpo = sharded.fences / sharded.total_ops
-        shared_fpo = shared.fences / shared.total_ops
+        sharded = run_mix(optimizer, 8, 4, duration)
+        shared = run_mix(optimizer, 8, 4, duration, shared=True)
+        sharded_ops = sharded.result.total_ops
+        shared_ops = shared.result.total_ops
+        assert sharded_ops > 0 and shared_ops > 0
+        sharded_fpo = sharded.total("store_fences") / sharded_ops
+        shared_fpo = shared.total("store_fences") / shared_ops
         assert shared_fpo < sharded_fpo, (
             f"{optimizer}: shared {shared_fpo:.4f} fences/op not below "
             f"sharded {sharded_fpo:.4f}"
         )
 
     def test_benchmark_reports_ack_percentiles(self):
-        result = SharedStoreBenchmark("skipit", 8, threads=2).run(10_000)
+        result = shared_row(run_mix("skipit", 8, 2, 10_000, shared=True))
         assert result.ack_p99 >= result.ack_p50 > 0
         assert result.fences_per_kop > 0
         assert result.metrics["store.shared"]["store"]["ack_latency"][
