@@ -31,7 +31,7 @@ from repro.core.flush_queue import (
 )
 from repro.core.fshr import RELEASE_PARAM, Fshr, FshrState, release_shrink
 from repro.sim.config import SoCParams
-from repro.sim.stats import StatCounter
+from repro.sim.stats import StatCounter, StatKeys, inc_all
 from repro.tilelink.messages import root_release
 from repro.tilelink.permissions import Cap, Perm
 
@@ -64,6 +64,16 @@ class FlushUnit:
         self._fshr_by_line: Dict[int, Fshr] = {}
         self.flush_counter = 0
         self.stats = StatCounter()
+        # one shared stat-key tuple per nack rule (see offer_nack)
+        self._nacks: Dict[str, StatKeys] = {
+            key: ((self.stats, key),)
+            for key in (
+                "nacked_dependent",
+                "nacked_full",
+                "range_nacked_dependent",
+                "range_nacked_full",
+            )
+        }
         self.obs = None  # observability bus; attached via repro.obs.attach
 
     # ------------------------------------------------------- observability
@@ -158,6 +168,116 @@ class FlushUnit:
         fshr = self.fshr_for(address)
         return fshr is not None and not fshr.buffer_filled
 
+    # ------------------------------------------------------ nack decisions
+    def _skips(self, kind: CboKind, hit: "Optional[Tuple[int, MetaEntry]]") -> bool:
+        """Skip It (§6.1): hit + clean + skip set => the line is persisted.
+
+        Never applies to cbo.inval, whose invalidation is architecturally
+        required.
+        """
+        if hit is None or kind is CboKind.INVAL or not self.params.skip_it:
+            return False
+        entry = hit[1]
+        return not entry.dirty and entry.skip
+
+    def _merge_target(self, address: int, kind: CboKind) -> Optional[FlushRequest]:
+        """The queued entry a CBO.X to *address* coalesces into (§5.3), if any.
+
+        A same-kind CBO.X to a line already pending in the queue adds
+        nothing — the queued request will write back every earlier store
+        to the line.  (FSHR-resident requests are not coalesced with: the
+        line state may have changed since dequeue.)  Cross-kind merging
+        is the future-work optimization of §5.3, off by default: a
+        CBO.CLEAN merges into a queued CBO.FLUSH (which does strictly
+        more) and a CBO.FLUSH upgrades a queued CBO.CLEAN in place.
+        cbo.inval never merges across kinds (its discard semantics
+        differ), and neither does a ranged entry (an upgrade in place
+        would upgrade every covered line, not just this one).
+        """
+        fu = self.params.flush_unit
+        if not fu.coalesce:
+            return None
+        for pending in self.queue.entries_for(address):
+            if pending.kind is kind or (
+                fu.coalesce_cross_kind
+                and not pending.is_range
+                and pending.kind is not CboKind.INVAL
+                and kind is not CboKind.INVAL
+            ):
+                return pending
+        return None
+
+    def _first_pending(self, base_line: int, last_line: int) -> Optional[int]:
+        """First line of ``[base_line, last_line]`` with a pending CBO.X."""
+        line_bytes = self.params.line_bytes
+        line = base_line
+        while line <= last_line:
+            if self.pending_for(line):
+                return line
+            line += line_bytes
+        return None
+
+    def offer_nack(
+        self,
+        address: int,
+        kind: CboKind,
+        hit: "Optional[Tuple[int, MetaEntry]]",
+    ) -> Optional[StatKeys]:
+        """The stat keys :meth:`offer` would bump by nacking now, or ``None``.
+
+        Pure: reads the queue and FSHRs, changes nothing.  A CBO.X that
+        Skip It drops or that coalesces is taken whatever the queue
+        holds; any other one must pass :meth:`_enqueue_nack`.
+        """
+        if self._skips(kind, hit) or self._merge_target(address, kind) is not None:
+            return None
+        return self._enqueue_nack(address)
+
+    def _enqueue_nack(self, address: int) -> Optional[StatKeys]:
+        """Why a CBO.X to *address* cannot enter the queue now, if it cannot.
+
+        A CBO.X dependent on a pending same-line request must nack
+        (§5.3): enqueueing it now would sample metadata that the pending
+        request is about to change (e.g. a flush invalidating the line
+        after this request recorded a hit).  So must one that finds the
+        queue full.
+        """
+        if self.pending_for(address):
+            return self._nacks["nacked_dependent"]
+        if self.queue.full:
+            return self._nacks["nacked_full"]
+        return None
+
+    def range_nack(self, base_line: int, last_line: int) -> Optional[StatKeys]:
+        """The stat keys :meth:`offer_range` would bump by nacking now, or ``None``.
+
+        Pure.  The §5.3 dependence rule applies across the whole range:
+        any covered line with its own pending CBO.X nacks the ranged op
+        (enqueueing now would race the pending request's state change).
+        """
+        if self._first_pending(base_line, last_line) is not None:
+            return self._nacks["range_nacked_dependent"]
+        if self.queue.full:
+            return self._nacks["range_nacked_full"]
+        return None
+
+    def note_nack(
+        self, nack: StatKeys, base_line: int, last_line: int, kind: CboKind
+    ) -> None:
+        """Count one nacked fire of a CBO covering ``[base_line, last_line]``.
+
+        *nack* may come from the L1's own rule (``cbo_nack_mshr``) or
+        from this unit's.  With a bus attached, a flush-unit nack is also
+        traced as one ``nacked_*`` instant at the line that nacked it:
+        the first pending covered line, else the base line.
+        """
+        inc_all(nack)
+        if self.obs is not None and nack[0][0] is self.stats:
+            line = self._first_pending(base_line, last_line)
+            self._obs_instant(
+                nack[0][1], base_line if line is None else line, kind
+            )
+
     # -------------------------------------------------------------- enqueue
     def offer(
         self,
@@ -171,44 +291,29 @@ class FlushUnit:
         ``None`` on a miss; the metadata was fetched with the request, so
         no extra metadata-array access is charged (§5.2).
         """
-        if hit is not None and kind is not CboKind.INVAL:
-            way, entry = hit
-            # Skip It (§6.1): hit + clean + skip set => the line is
-            # persisted; drop the request outright.  Never applies to
-            # cbo.inval, whose invalidation is architecturally required.
-            if self.params.skip_it and not entry.dirty and entry.skip:
-                self.stats.inc("skipped")
-                if self.obs is not None:
-                    self._obs_instant("skipped", address, kind)
-                return OfferResult.SKIPPED
-        # Coalescing (§5.3): a same-kind CBO.X to a line already pending in
-        # the queue adds nothing — the queued request will write back every
-        # earlier store to the line.  (FSHR-resident requests are not
-        # coalesced with: the line state may have changed since dequeue.)
-        if self.params.flush_unit.coalesce:
-            for entry_ in self.queue.entries_for(address):
-                if entry_.kind is kind:
-                    self.stats.inc("coalesced")
-                    if self.obs is not None:
-                        self._obs_instant("coalesced", address, kind)
-                    return OfferResult.COALESCED
-                if self._cross_coalesce(entry_, kind):
-                    if self.obs is not None:
-                        self._obs_instant("coalesced", address, kind)
-                    return OfferResult.COALESCED
-        # §5.3: any other CBO.X dependent on a pending same-line request
-        # must nack — enqueueing it now would sample metadata that the
-        # pending request is about to change (e.g. a flush invalidating
-        # the line after this request recorded a hit).
-        if self.pending_for(address):
-            self.stats.inc("nacked_dependent")
+        if self._skips(kind, hit):
+            # drop the request outright: it never enters the queue
+            self.stats.inc("skipped")
             if self.obs is not None:
-                self._obs_instant("nacked_dependent", address, kind)
-            return OfferResult.NACK
-        if self.queue.full:
-            self.stats.inc("nacked_full")
+                self._obs_instant("skipped", address, kind)
+            return OfferResult.SKIPPED
+        pending = self._merge_target(address, kind)
+        if pending is not None:
+            if pending.kind is kind:
+                self.stats.inc("coalesced")
+            elif pending.kind is CboKind.FLUSH:
+                # a clean merges into the queued flush
+                self.stats.inc("coalesced_cross")
+            else:
+                # a flush upgrades the queued clean in place
+                pending.kind = CboKind.FLUSH
+                self.stats.inc("coalesced_cross_upgrade")
             if self.obs is not None:
-                self._obs_instant("nacked_full", address, kind)
+                self._obs_instant("coalesced", address, kind)
+            return OfferResult.COALESCED
+        nack = self._enqueue_nack(address)
+        if nack is not None:
+            self.note_nack(nack, address, address, kind)
             return OfferResult.NACK
         if hit is not None:
             way, meta = hit
@@ -256,23 +361,13 @@ class FlushUnit:
         FSHR samples each line when its cursor arrives, so Skip It is
         consulted per line inside the sweep rather than at enqueue.
         """
+        nack = self.range_nack(base_line, last_line)
+        if nack is not None:
+            self.note_nack(nack, base_line, last_line, kind)
+            return OfferResult.NACK
         line_bytes = self.params.line_bytes
         lines = (last_line - base_line) // line_bytes + 1
         covered = tuple(base_line + i * line_bytes for i in range(lines))
-        # §5.3 dependence rule, applied across the whole range: any
-        # covered line with its own pending CBO.X nacks the ranged op
-        # (enqueueing now would race the pending request's state change).
-        for line in covered:
-            if self.pending_for(line):
-                self.stats.inc("range_nacked_dependent")
-                if self.obs is not None:
-                    self._obs_instant("range_nacked_dependent", line, kind)
-                return OfferResult.NACK
-        if self.queue.full:
-            self.stats.inc("range_nacked_full")
-            if self.obs is not None:
-                self._obs_instant("range_nacked_full", base_line, kind)
-            return OfferResult.NACK
         request = RangedFlushRequest(
             address=base_line,
             kind=kind,
@@ -299,32 +394,6 @@ class FlushUnit:
                 lines=lines,
             )
         return OfferResult.ACCEPTED
-
-    def _cross_coalesce(self, pending: FlushRequest, kind: CboKind) -> bool:
-        """Cross-kind coalescing, the future-work optimization of §5.3.
-
-        Disabled by default (the paper leaves it to future work).  When
-        enabled: a CBO.CLEAN may merge into a queued CBO.FLUSH (the flush
-        already writes back and does strictly more), and a CBO.FLUSH may
-        *upgrade* a queued CBO.CLEAN in place.  cbo.inval never merges
-        across kinds: its discard semantics differ.
-        """
-        if not self.params.flush_unit.coalesce_cross_kind:
-            return False
-        if pending.is_range:
-            # upgrading a ranged entry in place would upgrade every
-            # covered line, not just this one; never merge across kinds
-            return False
-        if CboKind.INVAL in (pending.kind, kind):
-            return False
-        if pending.kind is CboKind.FLUSH and kind is CboKind.CLEAN:
-            self.stats.inc("coalesced_cross")
-            return True
-        if pending.kind is CboKind.CLEAN and kind is CboKind.FLUSH:
-            pending.kind = CboKind.FLUSH
-            self.stats.inc("coalesced_cross_upgrade")
-            return True
-        return False
 
     # ------------------------------------------------- interference (§5.4)
     def probe_invalidate(self, address: int, cap: Cap) -> None:

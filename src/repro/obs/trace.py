@@ -27,7 +27,7 @@ the loop:
   ``batch_wait``        submit and the epoch trigger firing (batching delay)
   ``leader_wait``       trigger firing and the seal starting (leadership
                         deferral / takeover window; 0 when the leader's own
-                        submit sealed)
+                        submit sealed, never negative)
   ``marker_append``     seal start and the COMMIT marker landing in cache
   ``clean_issue``       marker and the last CBO.CLEAN of the epoch issuing
   ``writeback_drain``   the fence waiting out in-flight DRAM writebacks
@@ -35,11 +35,14 @@ the loop:
                         post-fence ack bookkeeping on the sealer's clock)
   ====================  ===================================================
 
-  Buckets are *signed*: cross-thread virtual clocks are only loosely
-  synchronized, so an op submitted on a clock ahead of the sealer's can
-  show a negative ``batch_wait`` — exactly the case the store's
-  ``store_ack_latency_clamped`` counter clamps to zero in its histogram.
-  The blame identity holds on the raw (unclamped) latency.
+  ``batch_wait`` is *signed*: cross-thread virtual clocks are only
+  loosely synchronized, so an op submitted on a clock ahead of the
+  sealer's can show a negative ``batch_wait`` — exactly the case the
+  store's ``store_ack_latency_clamped`` counter clamps to zero in its
+  histogram.  A deferral seen on a follower's clock that is ahead of the
+  leader's seal start counts as triggering at the seal start, so
+  ``leader_wait`` is never negative and ``batch_wait`` absorbs that skew
+  too.  The blame identity holds on the raw (unclamped) latency.
 
 :mod:`repro.obs.query` consumes the per-op records (live or re-parsed
 from a JSONL trace) for top-K / histogram / CLI reporting.
@@ -279,7 +282,10 @@ class StoreTracer:
         submit_now = self._submit_now.pop(trace_id, None)
         if submit_now is None:
             return None
-        trigger = es.defer_now if es.defer_now is not None else es.m0
+        # a deferral seen on a clock ahead of the leader's seal start
+        # counts as triggering at the seal start: leader_wait stays >= 0
+        # and the signed batch_wait absorbs the cross-clock skew
+        trigger = es.m0 if es.defer_now is None else min(es.defer_now, es.m0)
         buckets = {
             "batch_wait": trigger - submit_now,
             "leader_wait": es.m0 - trigger,

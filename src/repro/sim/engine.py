@@ -35,6 +35,15 @@ acts either*.  When every registered component honours the contract,
 reported event instead of stepping idle cycles one by one; cycle counts
 and statistics are identical to the stepped run by construction.  Any
 component without the hook disables fast-forward for its engine.
+
+A nacked LSU request *parked* by its core (:mod:`repro.uarch.cpu`) is
+purely reactive under this contract: its retries change no state, and
+whether the next one would still nack depends only on its own L1, which
+acts only in stepped cycles.  The core reports it only once the L1's
+nack decision passes, and counts the retries of skipped cycles when it
+next ticks.  The hook is asked at the end of every stepped cycle that
+precedes a jump, which is what lets the core cache the decision for the
+stretch the jump skips.
 """
 
 from __future__ import annotations

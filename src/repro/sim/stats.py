@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 def median(values: Sequence[float]) -> float:
@@ -56,6 +56,18 @@ class StatCounter:
     def __repr__(self) -> str:
         body = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
         return f"StatCounter({body})"
+
+
+#: the counters one event bumps, as shared data: ``(counter, key)`` pairs.
+#: The LSU's nack decisions return one such tuple per nack rule
+#: (:meth:`repro.uarch.l1.L1DataCache.nack_keys`), built once per cache.
+StatKeys = Tuple[Tuple[StatCounter, str], ...]
+
+
+def inc_all(keys: StatKeys, amount: int = 1) -> None:
+    """Bump every ``(counter, key)`` pair of *keys* by *amount*."""
+    for counter, key in keys:
+        counter.counts[key] += amount
 
 
 class Histogram:

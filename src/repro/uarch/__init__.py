@@ -8,7 +8,7 @@ the flush unit and Skip It — lives in :mod:`repro.core` and is integrated
 into the L1 here.
 """
 
-from repro.uarch.requests import MemOp, MemRequest, MemResponse
+from repro.uarch.requests import MemOp, MemRequest
 from repro.uarch.soc import Soc
 
-__all__ = ["MemOp", "MemRequest", "MemResponse", "Soc"]
+__all__ = ["MemOp", "MemRequest", "Soc"]

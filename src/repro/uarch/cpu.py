@@ -13,7 +13,19 @@ The model keeps the rules that matter for the paper's mechanisms
 * a fence completes only when every older instruction is done, the L1 has
   no in-flight fills, **and** the flush counter is zero (``flushing`` low,
   §5.3);
-* a nacked request is retried a couple of cycles later, as the LSU does.
+* a nacked request is retried every ``RETRY_DELAY`` cycles, as the LSU
+  does.  A nacked STQ request (store, cbo.zero, CBO.X, CBO.RANGE) is
+  *parked* instead of re-fired: it sits at the ROB head, so nothing
+  older fires in its cycle and its retry cadence (the nack cycle plus
+  k·``RETRY_DELAY``) is fixed.  While the L1's pure nack decision
+  (:meth:`~repro.uarch.l1.L1DataCache.nack_keys`) still says nack, the
+  slot is no fast-forward event; every stepped cycle counts the
+  retries the polling LSU made since the last one (core ``nacks`` plus
+  the decision's keys) and fires for real on the first cadence cycle
+  whose decision passes.  Loads, which fire out of order and so can
+  have their cadence shifted by the fire width, keep polling; so does
+  every request of a core with an observability bus attached, whose
+  flush-unit nacks are traced one instant per retry.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sim.config import SoCParams
 from repro.sim.engine import Engine
-from repro.sim.stats import StatCounter
+from repro.sim.stats import StatCounter, StatKeys, inc_all
 from repro.uarch.l1 import FireStatus, L1DataCache
 from repro.uarch.requests import MemOp, MemRequest
 
@@ -97,7 +109,9 @@ class _Slot:
     line: int = -1  # line address of instr.address (valid for memory ops)
     lines: Optional[Tuple[int, ...]] = None  # covered lines of a CBO.RANGE
     status: _Status = _Status.WAITING
-    retry_at: int = 0
+    retry_at: int = 0  # next retry (cadence) cycle of a nacked request
+    # parked STQ request: the keys its nack decision last returned
+    nack: Optional[StatKeys] = None
     done_at: Optional[int] = None  # for fixed-latency completions
     req_id: Optional[int] = None
     value: Optional[int] = None  # load result
@@ -235,9 +249,12 @@ class Core:
                         status = slot.status
                         fired += 1
                 elif all_older_done:
-                    self._fire(slot, cycle)
+                    if slot.nack is None:
+                        self._fire(slot, cycle)
+                        fired += 1
+                    elif self._retry_parked(slot, cycle):
+                        fired += 1
                     status = slot.status
-                    fired += 1
             if status is not done_st:
                 all_older_done = False
                 op = slot.op
@@ -264,6 +281,15 @@ class Core:
         unblocking cycle, re-evaluates this hook, and the formerly
         blocked slot's retry is picked up then; skipped cycles stay
         strict no-ops.
+
+        A parked request contributes nothing while its nack decision
+        still says nack: its retries change no state, and the decision
+        reads only this core's L1, which acts only in stepped cycles.
+        The hook re-evaluates the decision (the engine calls it at the
+        end of a stepped cycle before any jump) and caches its keys for
+        the retries ``tick`` then counts in bulk.  Once the decision
+        passes, the slot is unparked and reports its next cadence cycle,
+        not ``cycle + 1``: the polling LSU would fire only then.
         """
         slots = self.slots
         head = self.head
@@ -319,11 +345,21 @@ class Core:
                         if best is None or retry < best:
                             best = retry
                 elif all_older_done:
-                    retry = slot.retry_at
-                    if retry <= floor:
-                        return floor
-                    if best is None or retry < best:
-                        best = retry
+                    if slot.nack is not None:
+                        # parked: re-evaluate the decision (an attached
+                        # bus turns parking off)
+                        instr = slot.instr
+                        slot.nack = (
+                            None
+                            if self.obs is not None
+                            else self.l1.nack_keys(op, instr.address, instr.length)
+                        )
+                    if slot.nack is None:
+                        retry = slot.retry_at
+                        if retry <= floor:
+                            return floor
+                        if best is None or retry < best:
+                            best = retry
             if status is not done_st:
                 all_older_done = False
                 op = slot.op
@@ -410,6 +446,37 @@ class Core:
             )
         self.engine.note_progress()
 
+    def _retry_parked(self, slot: _Slot, cycle: int) -> bool:
+        """Catch a parked request up to *cycle*; True if it retried now.
+
+        Cadence cycles before *cycle* were skipped by the engine's
+        fast-forward, so nothing acted in them: each nacked with the keys
+        ``next_event_cycle`` cached at the last stepped cycle.  On a
+        cadence cycle the decision is asked afresh: a nack counts one
+        more retry (it takes a fire slot, as the polled nack did), a pass
+        fires the request for real.
+        """
+        retry_at = slot.retry_at
+        if retry_at < cycle:
+            missed = (cycle - retry_at + RETRY_DELAY - 1) // RETRY_DELAY
+            self.stats.counts["nacks"] += missed
+            inc_all(slot.nack, missed)
+            retry_at += missed * RETRY_DELAY
+            slot.retry_at = retry_at
+            if retry_at > cycle:
+                return False
+        instr = slot.instr
+        nack = self.l1.nack_keys(slot.op, instr.address, instr.length)
+        if nack is None or self.obs is not None:
+            slot.nack = None
+            self._fire(slot, cycle)
+            return True
+        slot.nack = nack
+        slot.retry_at = cycle + RETRY_DELAY
+        self.stats.counts["nacks"] += 1
+        inc_all(nack)
+        return True
+
     def _fire(self, slot: _Slot, cycle: int) -> None:
         instr = slot.instr
         request = MemRequest(
@@ -428,6 +495,9 @@ class Core:
         if outcome.status is FireStatus.NACK:
             slot.retry_at = cycle + RETRY_DELAY
             self.stats.inc("nacks")
+            if self.obs is None:
+                # park an STQ request (a load's nack carries no keys: it polls)
+                slot.nack = outcome.nack
             return
         self.engine.note_progress()
         slot.status = _Status.FIRED

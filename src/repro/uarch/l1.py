@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.flush_queue import CboKind
-from repro.core.flush_unit import FlushUnit, OfferResult
+from repro.core.flush_unit import FlushUnit
 from repro.sim.config import SoCParams
 from repro.sim.engine import Engine
-from repro.sim.stats import StatCounter
+from repro.sim.stats import StatCounter, StatKeys, inc_all
 from repro.tilelink.channel import BeatChannel
 from repro.tilelink.messages import (
     Acquire,
@@ -46,10 +46,32 @@ class FireStatus(enum.Enum):
 class FireOutcome:
     status: FireStatus
     value: Optional[int] = None  # load data for OK_NOW loads
+    #: for a nacked STQ request, the stat keys the nack bumped (the
+    #: decision of :meth:`L1DataCache.nack_keys`)
+    nack: Optional[StatKeys] = None
 
     @property
     def ok(self) -> bool:
         return self.status is not FireStatus.NACK
+
+
+#: the flush-unit kind each CBO op executes, per-line and ranged alike
+CBO_KINDS: Dict[MemOp, CboKind] = {
+    MemOp.CBO_CLEAN: CboKind.CLEAN,
+    MemOp.CBO_FLUSH: CboKind.FLUSH,
+    MemOp.CBO_INVAL: CboKind.INVAL,
+    MemOp.CBO_RANGE_CLEAN: CboKind.CLEAN,
+    MemOp.CBO_RANGE_FLUSH: CboKind.FLUSH,
+    MemOp.CBO_RANGE_INVAL: CboKind.INVAL,
+}
+
+#: the stat keys of the ``_miss`` nack rules, in the order they apply
+MISS_NACKS = (
+    "mshr_secondary_nack",
+    "mshr_full_nack",
+    "no_way_nack",
+    "evict_nack_flush_rdy",
+)
 
 
 class L1DataCache:
@@ -69,6 +91,16 @@ class L1DataCache:
         self.wbu = WritebackUnit(self)
         self.probe_unit = ProbeUnit(self)
         self.stats = StatCounter()
+        # one shared stat-key tuple per nack rule (see nack_keys); a
+        # nacked store miss bumps its access kind, then the rule
+        stats = self.stats
+        self._nack_cbo_mshr: StatKeys = ((stats, "cbo_nack_mshr"),)
+        self._nack_store_flush: StatKeys = ((stats, "store_nack_flush"),)
+        self._nack_store_miss: Dict[Tuple[str, str], StatKeys] = {
+            (access, rule): ((stats, access), (stats, rule))
+            for access in ("store_misses", "store_upgrades")
+            for rule in MISS_NACKS
+        }
         self.resp_sink = None  # set by the owning core
         self.obs = None  # observability bus; attached via repro.obs.attach
         self._obs_mshr_keys: Dict[int, str] = {}  # mshr index -> live span key
@@ -113,66 +145,126 @@ class L1DataCache:
         return any(m.matches(address) and m.replaying for m in self.mshrs)
 
     # ------------------------------------------------------------ LSU port
-    def fire(self, request: MemRequest, cycle: int) -> FireOutcome:
-        """Fire one request from the LSU into the cache."""
-        line = self.geometry.line_address(request.address)
-        if request.op.is_cbo:
-            return self._fire_cbo(request, line)
-        if request.op is MemOp.LOAD:
-            return self._fire_load(request, line)
-        if request.op in (MemOp.STORE, MemOp.CBO_ZERO):
-            return self._fire_store(request, line)
-        raise ValueError(f"L1 cannot serve {request.op}")
+    def nack_keys(
+        self, op: MemOp, address: int, length: int = 0
+    ) -> Optional[StatKeys]:
+        """The nack decision for an STQ request: why a fire would nack now.
 
-    def _fire_cbo(self, request: MemRequest, line: int) -> FireOutcome:
-        if request.op.is_cbo_range:
-            return self._fire_cbo_range(request, line)
-        # A CBO.X racing this core's own in-flight fill of the line would
-        # sample metadata that the grant is about to change (and could
-        # miss stores buffered in the MSHR's RPQ); nack conservatively.
-        if line in self._mshr_by_line:
-            self.stats.inc("cbo_nack_mshr")
-            return FireOutcome(FireStatus.NACK)
-        hit = self.meta.lookup(line)
-        kind = {
-            MemOp.CBO_CLEAN: CboKind.CLEAN,
-            MemOp.CBO_FLUSH: CboKind.FLUSH,
-            MemOp.CBO_INVAL: CboKind.INVAL,
-        }[request.op]
-        result = self.flush_unit.offer(line, kind, hit)
-        if result is OfferResult.NACK:
-            return FireOutcome(FireStatus.NACK)
-        self.stats.inc(f"cbo_{result.value}")
-        return FireOutcome(FireStatus.OK_NOW)
-
-    def _fire_cbo_range(self, request: MemRequest, base_line: int) -> FireOutcome:
-        """Fire a CBO.RANGE.*: one flush-queue entry for the whole sweep.
-
-        The range covers every line of ``[address, address + length)``.
-        The per-line MSHR race rule applies across the range at fire
-        time; once the sweep runs, new fills on unreached lines stall
-        the cursor instead (the flush unit's ``range_scan`` waits).
+        Covers stores, cbo.zero, CBO.X and CBO.RANGE (*length* bytes).
+        Returns the ``(counter, key)`` pairs one nacked fire bumps — a
+        shared tuple per rule — or ``None`` when the cache would take the
+        request.  Pure: it reads only this cache's and its flush unit's
+        state and changes nothing, so the LSU may ask it every cycle
+        while a nacked request waits (:class:`~repro.uarch.cpu.Core`
+        parks it).  :meth:`fire` goes through it; the accept paths
+        behind it hold no nack rule of their own.
         """
-        last_line = self.geometry.line_address(
-            request.address + request.length - 1
+        line = self.geometry.line_address(address)
+        if op.is_cbo:
+            last_line = (
+                self.geometry.line_address(address + length - 1)
+                if op.is_cbo_range
+                else line
+            )
+            # A CBO.X racing this core's own in-flight fill of a covered
+            # line would sample metadata that the grant is about to
+            # change (and could miss stores buffered in the MSHR's RPQ);
+            # nack conservatively.  A ranged op applies the rule across
+            # the range at fire time; once the sweep runs, new fills on
+            # unreached lines stall the cursor instead.
+            if self._mshr_by_line:
+                line_bytes = self.geometry.line_bytes
+                covered = line
+                while covered <= last_line:
+                    if covered in self._mshr_by_line:
+                        return self._nack_cbo_mshr
+                    covered += line_bytes
+            if op.is_cbo_range:
+                return self.flush_unit.range_nack(line, last_line)
+            return self.flush_unit.offer_nack(
+                line, CBO_KINDS[op], self.meta.lookup(line)
+            )
+        flush_unit = self.flush_unit
+        if (
+            flush_unit.flush_counter
+            and flush_unit.pending_for(line)
+            and not flush_unit.store_may_proceed(line)
+        ):
+            return self._nack_store_flush
+        meta = self.meta
+        way = meta.hit_way(line)
+        if way >= 0:
+            slot = (line // meta.line_bytes % meta.num_sets) * meta.ways + way
+            if meta.perms[slot] == Perm.TRUNK:
+                return None
+        rule = self._miss_nack(line, op)
+        if rule is None:
+            return None
+        access = "store_upgrades" if way >= 0 else "store_misses"
+        return self._nack_store_miss[access, rule]
+
+    def _miss_nack(self, line: int, op: MemOp) -> Optional[str]:
+        """The ``_miss`` rule that nacks a miss of *op* on *line* now, if any."""
+        mshr = self._mshr_by_line.get(line)
+        if mshr is not None:
+            if mshr.can_accept_secondary(op):
+                return None
+            return "mshr_secondary_nack"
+        if all(m.busy for m in self.mshrs):
+            return "mshr_full_nack"
+        if self.meta.hit_way(line) >= 0:
+            return None  # a permission upgrade keeps the line's way
+        victim_way = self._victim_way(line)
+        if victim_way is None:
+            return "no_way_nack"
+        if (
+            self.meta.way_entry(line, victim_way).valid
+            and not self.flush_unit.flush_rdy
+        ):
+            # §5.4.2: flush_rdy blocks the MSHRs from picking a victim
+            return "evict_nack_flush_rdy"
+        return None
+
+    def _victim_way(self, line: int) -> Optional[int]:
+        """Victim way for a fill of *line*, skipping ways MSHRs reserved."""
+        set_idx = self.geometry.set_index(line)
+        reserved = {w for (s, w) in self._reserved_ways if s == set_idx}
+        return self.meta.victim_way(line, exclude=reserved)
+
+    def fire(self, request: MemRequest, cycle: int) -> FireOutcome:
+        """Fire one request from the LSU into the cache.
+
+        A load goes to :meth:`_fire_load`; any other request passes the
+        nack decision (:meth:`nack_keys`) first and is then taken.
+        """
+        op = request.op
+        address = request.address
+        line = self.geometry.line_address(address)
+        if op is MemOp.LOAD:
+            return self._fire_load(request, line)
+        if not (op.is_cbo or op is MemOp.STORE or op is MemOp.CBO_ZERO):
+            raise ValueError(f"L1 cannot serve {op}")
+        nack = self.nack_keys(op, address, request.length)
+        if not op.is_cbo:
+            if nack is not None:
+                inc_all(nack)
+                return FireOutcome(FireStatus.NACK, nack=nack)
+            return self._fire_store(request, line)
+        kind = CBO_KINDS[op]
+        last_line = (
+            self.geometry.line_address(address + request.length - 1)
+            if op.is_cbo_range
+            else line
         )
-        if self._mshr_by_line:
-            line_bytes = self.geometry.line_bytes
-            line = base_line
-            while line <= last_line:
-                if line in self._mshr_by_line:
-                    self.stats.inc("cbo_nack_mshr")
-                    return FireOutcome(FireStatus.NACK)
-                line += line_bytes
-        kind = {
-            MemOp.CBO_RANGE_CLEAN: CboKind.CLEAN,
-            MemOp.CBO_RANGE_FLUSH: CboKind.FLUSH,
-            MemOp.CBO_RANGE_INVAL: CboKind.INVAL,
-        }[request.op]
-        result = self.flush_unit.offer_range(base_line, last_line, kind)
-        if result is OfferResult.NACK:
-            return FireOutcome(FireStatus.NACK)
-        self.stats.inc(f"cbo_range_{result.value}")
+        if nack is not None:
+            self.flush_unit.note_nack(nack, line, last_line, kind)
+            return FireOutcome(FireStatus.NACK, nack=nack)
+        if op.is_cbo_range:
+            result = self.flush_unit.offer_range(line, last_line, kind)
+            self.stats.inc(f"cbo_range_{result.value}")
+        else:
+            result = self.flush_unit.offer(line, kind, self.meta.lookup(line))
+            self.stats.inc(f"cbo_{result.value}")
         return FireOutcome(FireStatus.OK_NOW)
 
     def _fire_load(self, request: MemRequest, line: int) -> FireOutcome:
@@ -194,17 +286,14 @@ class L1DataCache:
             self.stats.inc("load_nack_flush")
             return FireOutcome(FireStatus.NACK)
         self.stats.inc("load_misses")
+        rule = self._miss_nack(line, MemOp.LOAD)
+        if rule is not None:
+            self.stats.inc(rule)
+            return FireOutcome(FireStatus.NACK)
         return self._miss(request, line, want=Perm.BRANCH)
 
     def _fire_store(self, request: MemRequest, line: int) -> FireOutcome:
-        flush_unit = self.flush_unit
-        if (
-            flush_unit.flush_counter
-            and flush_unit.pending_for(line)
-            and not flush_unit.store_may_proceed(line)
-        ):
-            self.stats.inc("store_nack_flush")
-            return FireOutcome(FireStatus.NACK)
+        """Accept a store or cbo.zero (:meth:`nack_keys` has passed it)."""
         meta = self.meta
         way = meta.hit_way(line)
         if way >= 0:
@@ -229,19 +318,14 @@ class L1DataCache:
         return self._miss(request, line, want=Perm.TRUNK)
 
     def _miss(self, request: MemRequest, line: int, want: Perm) -> FireOutcome:
+        """Take a miss that :meth:`_miss_nack` has passed."""
         later = FireStatus.OK_LATER if request.op is MemOp.LOAD else FireStatus.OK_NOW
         mshr = self._mshr_by_line.get(line)
         if mshr is not None:
-            if mshr.can_accept_secondary(request):
-                mshr.push_secondary(request)
-                self.stats.inc("mshr_secondary")
-                return FireOutcome(later)
-            self.stats.inc("mshr_secondary_nack")
-            return FireOutcome(FireStatus.NACK)
-        mshr = next((m for m in self.mshrs if not m.busy), None)
-        if mshr is None:
-            self.stats.inc("mshr_full_nack")
-            return FireOutcome(FireStatus.NACK)
+            mshr.push_secondary(request)
+            self.stats.inc("mshr_secondary")
+            return FireOutcome(later)
+        mshr = next(m for m in self.mshrs if not m.busy)
         hit = self.meta.lookup(line)
         if hit is not None:
             # permission upgrade (BRANCH -> TRUNK); the line keeps its way
@@ -249,18 +333,8 @@ class L1DataCache:
             needs_evict = False
             grow = Grow.BtoT
         else:
-            set_idx = self.geometry.set_index(line)
-            reserved = {w for (s, w) in self._reserved_ways if s == set_idx}
-            victim_way = self.meta.victim_way(line, exclude=reserved)
-            if victim_way is None:
-                self.stats.inc("no_way_nack")
-                return FireOutcome(FireStatus.NACK)
-            victim_entry = self.meta.way_entry(line, victim_way)
-            needs_evict = victim_entry.valid
-            if needs_evict and not self.flush_unit.flush_rdy:
-                # §5.4.2: flush_rdy blocks the MSHRs from picking a victim
-                self.stats.inc("evict_nack_flush_rdy")
-                return FireOutcome(FireStatus.NACK)
+            victim_way = self._victim_way(line)
+            needs_evict = self.meta.way_entry(line, victim_way).valid
             grow = Grow.NtoT if want is Perm.TRUNK else Grow.NtoB
         set_idx = self.geometry.set_index(line)
         self._reserved_ways.add((set_idx, victim_way))

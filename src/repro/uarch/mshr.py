@@ -54,16 +54,14 @@ class Mshr:
     def matches(self, address: int) -> bool:
         return self.busy and self.address == address
 
-    def can_accept_secondary(self, request: MemRequest) -> bool:
+    def can_accept_secondary(self, op: MemOp) -> bool:
         """RPQ rule of §3.3: secondary permission <= primary permission."""
         if not self.busy or self.state is MshrState.REPLAY:
             return False
         if len(self.rpq) >= self.rpq_depth:
             return False
         needed = (
-            Perm.TRUNK
-            if request.op in (MemOp.STORE, MemOp.CBO_ZERO)
-            else Perm.BRANCH
+            Perm.TRUNK if op is MemOp.STORE or op is MemOp.CBO_ZERO else Perm.BRANCH
         )
         return needed <= self.want_perm
 
@@ -87,7 +85,7 @@ class Mshr:
         self.state = MshrState.EVICT_WAIT if needs_evict else MshrState.ACQUIRE
 
     def push_secondary(self, request: MemRequest) -> None:
-        if not self.can_accept_secondary(request):
+        if not self.can_accept_secondary(request.op):
             raise RuntimeError("secondary request rejected")
         self.rpq.append(request)
 

@@ -73,21 +73,3 @@ class MemRequest:
             raise ValueError("store requires data")
         if self.op.is_cbo_range and self.length <= 0:
             raise ValueError("ranged CBO requires a positive byte length")
-
-
-class RespKind(enum.Enum):
-    OK = "ok"
-    NACK = "nack"
-
-
-@dataclass
-class MemResponse:
-    """L1 answer to a fired request (same cycle accept/nack; load data later)."""
-
-    kind: RespKind
-    req_id: int
-    data: Optional[int] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.kind is RespKind.OK

@@ -247,6 +247,11 @@ class TestStoreCommands:
         assert main(["query", str(out)]) == 0
         acked = re.match(r"(\d+) acked ops", capsys.readouterr().out)
         assert acked and int(acked.group(1)) > 0
+        records = blame_from_spans(read_jsonl(str(out))[1])
+        assert len(records) == int(acked.group(1))
+        for record in records:
+            assert record.buckets["leader_wait"] >= 0, record
+            assert sum(record.buckets.values()) == record.latency, record
 
 
 class TestPerfettoRoundTrip:

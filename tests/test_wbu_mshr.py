@@ -127,18 +127,16 @@ class TestMshr:
         mshr = Mshr(0, rpq_depth=2)
         mshr.allocate(MemRequest(MemOp.STORE, LINE, data=0), LINE, Perm.TRUNK,
                       victim_way=0, needs_evict=False, grow=Grow.NtoT)
-        assert mshr.can_accept_secondary(MemRequest(MemOp.LOAD, LINE + 8))
+        assert mshr.can_accept_secondary(MemOp.LOAD)
         mshr.push_secondary(MemRequest(MemOp.LOAD, LINE + 8))
-        assert not mshr.can_accept_secondary(MemRequest(MemOp.LOAD, LINE + 16))
+        assert not mshr.can_accept_secondary(MemOp.LOAD)
 
     def test_secondary_permission_rule(self):
         mshr = Mshr(0, rpq_depth=4)
         mshr.allocate(MemRequest(MemOp.LOAD, LINE), LINE, Perm.BRANCH,
                       victim_way=0, needs_evict=False, grow=Grow.NtoB)
-        assert not mshr.can_accept_secondary(
-            MemRequest(MemOp.STORE, LINE + 8, data=1)
-        )
-        assert mshr.can_accept_secondary(MemRequest(MemOp.LOAD, LINE + 8))
+        assert not mshr.can_accept_secondary(MemOp.STORE)
+        assert mshr.can_accept_secondary(MemOp.LOAD)
 
     def test_no_secondary_during_replay(self):
         mshr = Mshr(0, rpq_depth=4)
@@ -146,7 +144,7 @@ class TestMshr:
                       victim_way=0, needs_evict=False, grow=Grow.NtoB)
         mshr.acquire_sent()
         mshr.granted()
-        assert not mshr.can_accept_secondary(MemRequest(MemOp.LOAD, LINE + 8))
+        assert not mshr.can_accept_secondary(MemOp.LOAD)
 
     def test_double_allocate_rejected(self):
         mshr = Mshr(0, rpq_depth=4)
