@@ -6,24 +6,23 @@ client queue without bound until admission control sheds, and Skip It's
 cheaper flush path pushes the knee of the saturation curve to the right
 of the plain optimizer's (more goodput, less shedding, lower tail).
 
-Points run with the runner's own per-point seeds so the rows asserted
-here are the same deterministic rows the committed baselines hold.
+A direct call runs each cell at its own coordinate seed, so the rows
+asserted here are the same deterministic rows the committed baselines
+hold.
 """
 
 import pytest
 
-from repro.bench.runner import point_seed
 from repro.bench.serve import run_fig19
 
 
 def _point(optimizer, load, duration=30_000):
-    """One fig-19 cell, seeded exactly as the parallel runner seeds it."""
+    """One fig-19 cell, seeded as the committed figure seeds it."""
     (row,) = run_fig19(
         quick=True,
         optimizers=[optimizer],
         offered_loads=[load],
         duration=duration,
-        seed=point_seed(19, f"{optimizer},load={load:g}"),
     )
     return row
 

@@ -24,11 +24,21 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.bench.format import human_size
 from repro.bench.micro import FULL_SIZES, QUICK_SIZES
-from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
+from repro.bench.spec import (
+    HIGHER,
+    LOWER,
+    NEUTRAL,
+    Cell,
+    Column,
+    FigureKind,
+    axis,
+    rounded,
+    run_cells,
+)
 from repro.bench.store import run_mix
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.timing.params import TimingParams
@@ -37,6 +47,12 @@ from repro.timing.system import TimingSystem
 MODES = ("loop", "range")
 STORE_SERIES = ("store", "shared")
 QUICK_OPTIMIZERS = ("plain", "skipit")
+#: group commit of both store series, and each series' thread count
+GROUP_COMMIT = 8
+THREADS = {"store": 2, "shared": 3}
+#: simulated cycles of a store cell, and repeats of a micro cell
+QUICK_DURATION, FULL_DURATION = 40_000, 120_000
+QUICK_REPEATS, FULL_REPEATS = 3, 5
 
 
 @dataclass
@@ -101,18 +117,6 @@ RANGE = FigureKind(
 )
 
 
-def sweep_axes(figure: int, quick: bool) -> Dict[str, Sequence]:
-    """Axis values figure 21 sweeps (mirrors ``run_fig21`` defaults)."""
-    if figure != 21:
-        raise ValueError(f"range sweep_axes only covers figure 21, not {figure}")
-    return {
-        "modes": MODES,
-        "region_sizes": tuple(QUICK_SIZES if quick else FULL_SIZES),
-        "series": STORE_SERIES,
-        "optimizers": QUICK_OPTIMIZERS if quick else tuple(OPTIMIZER_NAMES),
-    }
-
-
 # --------------------------------------------------------------- micro cell
 def _micro_cell(size_bytes: int, mode: str, repeats: int) -> RangeRow:
     """Make a dirty region durable: per-line loop+fence vs one range."""
@@ -169,20 +173,14 @@ def _micro_cell(size_bytes: int, mode: str, repeats: int) -> RangeRow:
 
 # --------------------------------------------------------------- store cells
 def _store_cell(
-    kind: str,
-    optimizer: str,
-    mode: str,
-    group_commit: int,
-    threads: int,
-    duration: int,
-    seed: Optional[int],
+    kind: str, optimizer: str, mode: str, duration: int, seed: int
 ) -> RangeRow:
     """A figure-17 (``store``) or figure-18 (``shared``) cell with
     ``ranged_seal`` off (``loop``) or on (``range``)."""
     rig = run_mix(
         optimizer,
-        group_commit,
-        threads,
+        GROUP_COMMIT,
+        THREADS[kind],
         duration,
         seed,
         shared=(kind == "shared"),
@@ -205,52 +203,54 @@ def _store_cell(
 
 
 # ------------------------------------------------------------------- figure
-def run_fig21(
+def fig21_cells(
     quick: bool = False,
     modes: Optional[Iterable[str]] = None,
     region_sizes: Optional[Iterable[int]] = None,
     series: Optional[Iterable[str]] = None,
     optimizers: Optional[Iterable[str]] = None,
-    group_commit: int = 8,
-    threads: int = 2,
-    shared_threads: int = 3,
-    duration: Optional[int] = None,
-    repeats: Optional[int] = None,
     seed: Optional[int] = None,
-) -> List[RangeRow]:
+) -> List[Cell]:
     """Loop-of-CBOs vs CBO.RANGE across regions and store workloads.
 
-    Narrowing kwargs mirror the sweep axes so the runner can decompose
-    the figure into seeded per-cell points: an empty ``region_sizes``
-    skips the micro series, an empty ``series`` skips the stores.
+    The micro cells come first (an empty *region_sizes* skips them),
+    then the seeded store cells (an empty *series* skips them).
     """
-    axes = sweep_axes(21, quick)
-    modes = tuple(modes) if modes is not None else tuple(axes["modes"])
-    region_sizes = (
-        tuple(region_sizes)
-        if region_sizes is not None
-        else tuple(axes["region_sizes"])
-    )
-    series = tuple(series) if series is not None else tuple(axes["series"])
-    optimizers = (
-        tuple(optimizers) if optimizers is not None else tuple(axes["optimizers"])
-    )
-    if duration is None:
-        duration = 40_000 if quick else 120_000
-    if repeats is None:
-        repeats = 3 if quick else 5
+    modes = axis(modes, MODES)
+    region_sizes = axis(region_sizes, QUICK_SIZES if quick else FULL_SIZES)
+    series = axis(series, STORE_SERIES)
+    optimizers = axis(optimizers, QUICK_OPTIMIZERS if quick else OPTIMIZER_NAMES)
+    repeats = QUICK_REPEATS if quick else FULL_REPEATS
+    duration = QUICK_DURATION if quick else FULL_DURATION
+    cells = [
+        Cell.of(
+            f"micro,{mode},size={size}",
+            _micro_cell,
+            size_bytes=size,
+            mode=mode,
+            repeats=repeats,
+        )
+        for mode in modes
+        for size in region_sizes
+    ]
+    cells += [
+        Cell.seeded(
+            21,
+            f"{kind},{optimizer},{mode}",
+            _store_cell,
+            seed,
+            kind=kind,
+            optimizer=optimizer,
+            mode=mode,
+            duration=duration,
+        )
+        for kind in series
+        for optimizer in optimizers
+        for mode in modes
+    ]
+    return cells
 
-    rows: List[RangeRow] = []
-    for mode in modes:
-        for size in region_sizes:
-            rows.append(_micro_cell(size, mode, repeats))
-    for kind in series:
-        nthreads = threads if kind == "store" else shared_threads
-        for optimizer in optimizers:
-            for mode in modes:
-                rows.append(
-                    _store_cell(
-                        kind, optimizer, mode, group_commit, nthreads, duration, seed
-                    )
-                )
-    return rows
+
+def run_fig21(quick: bool = False, **axes) -> List[RangeRow]:
+    """Figure 21's rows; *axes* narrow :func:`fig21_cells`."""
+    return run_cells(fig21_cells(quick, **axes))

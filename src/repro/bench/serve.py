@@ -17,14 +17,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
+from repro.bench.spec import (
+    HIGHER,
+    LOWER,
+    NEUTRAL,
+    Cell,
+    Column,
+    FigureKind,
+    axis,
+    rounded,
+    run_cells,
+)
 from repro.bench.store import SHARED_LOG_CAPACITY
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.workloads.openloop import OpenLoopClient, PoissonArrivals, ZipfianKeys
-from repro.workloads.rig import SEED, StoreRig
+from repro.workloads.rig import StoreRig
 
 #: epoch trigger per session (matches figure 18's group commit)
-DEFAULT_GROUP_COMMIT = 8
+GROUP_COMMIT = 8
 DEFAULT_SESSIONS = 4
 #: total requests per kilocycle across tenants; the knee sits between
 #: the middle loads at the default sessions/group-commit configuration
@@ -45,16 +55,6 @@ UPDATE_FRACTION = 0.6
 SNAPSHOT_FRACTION = 0.15
 #: read-mostly tenants, the last sessions
 ANALYTICS_SESSIONS = 1
-
-
-def sweep_axes(figure: int, quick: bool) -> Dict[str, list]:
-    """Default sweep axes of the serving-tier figure (runner-shared)."""
-    if figure == 19:
-        return {
-            "optimizers": list(OPTIMIZER_NAMES),
-            "offered_loads": list(QUICK_LOADS if quick else ALL_LOADS),
-        }
-    raise KeyError(f"figure {figure} is not a serving-tier figure")
 
 
 @dataclass
@@ -129,18 +129,16 @@ def serve_cell(
     optimizer: str,
     offered_load: float,
     sessions: int,
-    group_commit: int,
     duration: int,
     key_space: int,
-    seed: Optional[int] = None,
+    seed: int,
 ) -> ServeRow:
     """One figure-19 cell: *sessions* open-loop tenants against one
     :class:`~repro.serve.tier.ServeTier` over a shared log."""
-    seed = SEED if seed is None else seed
     rig = StoreRig(
         optimizer,
         sessions,
-        group_commit,
+        GROUP_COMMIT,
         SHARED_LOG_CAPACITY,
         shared=True,
         checkpoint_every=CHECKPOINT_EVERY,
@@ -210,21 +208,17 @@ def serve_cell(
     )
 
 
-def run_fig19(
+def fig19_cells(
     quick: bool = False,
     optimizers: Optional[Sequence[str]] = None,
     offered_loads: Optional[Sequence[float]] = None,
     sessions: int = DEFAULT_SESSIONS,
-    group_commit: int = DEFAULT_GROUP_COMMIT,
     duration: Optional[int] = None,
     seed: Optional[int] = None,
-) -> List[ServeRow]:
+) -> List[Cell]:
     """Figure 19: serving-tier saturation curves vs offered load."""
-    axes = sweep_axes(19, quick)
-    optimizers = list(axes["optimizers"] if optimizers is None else optimizers)
-    offered_loads = list(
-        axes["offered_loads"] if offered_loads is None else offered_loads
-    )
+    optimizers = axis(optimizers, OPTIMIZER_NAMES)
+    offered_loads = axis(offered_loads, QUICK_LOADS if quick else ALL_LOADS)
     if any(load <= 0 for load in offered_loads):
         raise ValueError("offered load must be positive")
     if ANALYTICS_SESSIONS >= sessions:
@@ -232,9 +226,22 @@ def run_fig19(
     duration = duration or (30_000 if quick else 150_000)
     key_space = 65_536 if quick else 1_000_000
     return [
-        serve_cell(
-            optimizer, load, sessions, group_commit, duration, key_space, seed
+        Cell.seeded(
+            19,
+            f"{optimizer},load={load:g}",
+            serve_cell,
+            seed,
+            optimizer=optimizer,
+            offered_load=load,
+            sessions=sessions,
+            duration=duration,
+            key_space=key_space,
         )
         for optimizer in optimizers
         for load in offered_loads
     ]
+
+
+def run_fig19(quick: bool = False, **axes) -> List[ServeRow]:
+    """Figure 19's rows; *axes* narrow :func:`fig19_cells`."""
+    return run_cells(fig19_cells(quick, **axes))

@@ -15,24 +15,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
+from repro.bench.spec import (
+    HIGHER,
+    LOWER,
+    NEUTRAL,
+    Cell,
+    Column,
+    FigureKind,
+    axis,
+    rounded,
+    run_cells,
+)
 from repro.bench.store import run_mix
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.workloads.rig import StoreRig
 
 #: epoch trigger per thread (matches figure 17's middle group-commit)
-DEFAULT_GROUP_COMMIT = 8
+GROUP_COMMIT = 8
 ALL_THREADS = (1, 2, 4, 8)
-
-
-def sweep_axes(figure: int, quick: bool) -> Dict[str, list]:
-    """Default sweep axes of the shared-store figure (runner-shared)."""
-    if figure == 18:
-        return {
-            "optimizers": list(OPTIMIZER_NAMES),
-            "threads": [1, 2, 4] if quick else list(ALL_THREADS),
-        }
-    raise KeyError(f"figure {figure} is not a shared-store figure")
 
 
 @dataclass
@@ -107,21 +107,40 @@ def shared_row(rig: StoreRig) -> SharedStoreRow:
     )
 
 
-def run_fig18(
+def _shared_cell(
+    optimizer: str, threads: int, duration: int, seed: int
+) -> SharedStoreRow:
+    return shared_row(
+        run_mix(optimizer, GROUP_COMMIT, threads, duration, seed, shared=True)
+    )
+
+
+def fig18_cells(
     quick: bool = False,
     optimizers: Optional[Sequence[str]] = None,
     threads: Optional[Sequence[int]] = None,
-    group_commit: int = DEFAULT_GROUP_COMMIT,
     duration: Optional[int] = None,
     seed: Optional[int] = None,
-) -> List[SharedStoreRow]:
+) -> List[Cell]:
     """Figure 18: shared-log store scaling vs thread count."""
-    axes = sweep_axes(18, quick)
-    optimizers = list(axes["optimizers"] if optimizers is None else optimizers)
-    threads = list(axes["threads"] if threads is None else threads)
+    optimizers = axis(optimizers, OPTIMIZER_NAMES)
+    threads = axis(threads, [1, 2, 4] if quick else ALL_THREADS)
     duration = duration or (30_000 if quick else 150_000)
     return [
-        shared_row(run_mix(optimizer, group_commit, t, duration, seed, shared=True))
+        Cell.seeded(
+            18,
+            f"{optimizer},t={t}",
+            _shared_cell,
+            seed,
+            optimizer=optimizer,
+            threads=t,
+            duration=duration,
+        )
         for optimizer in optimizers
         for t in threads
     ]
+
+
+def run_fig18(quick: bool = False, **axes) -> List[SharedStoreRow]:
+    """Figure 18's rows; *axes* narrow :func:`fig18_cells`."""
+    return run_cells(fig18_cells(quick, **axes))

@@ -1,4 +1,4 @@
-"""Figure-kind specs: how one row dataclass is keyed, drawn and compared.
+"""Figure specs: a figure's cells, and how its rows are keyed and compared.
 
 Each row dataclass (``MicroRow``, ``StoreRow``, ...) has one
 :class:`FigureKind` declared beside it.  The spec is the only place that
@@ -6,13 +6,19 @@ knows the row's baseline key, its table columns (the CLI's terminal
 table and the ``--report`` Markdown table draw the same ones) and which
 fields ``--check`` and :mod:`repro.bench.regress` compare, each with the
 direction that counts as better.  :data:`repro.bench.FIGURES` binds a
-figure number to its runner, its kind and its title.
+figure number to its cell list, its kind and its title.
+
+A figure's sweep is declared once, as an ordered list of cells
+(:class:`Cell`): the parallel runner (:mod:`repro.bench.runner`) fans
+the list over processes and :meth:`Figure.run` (the figure's
+``run_figNN``) runs it in this process, so both give the same rows.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 #: directions of a compared field: which way is better, or ``NEUTRAL``
 #: for a count of work done, where a move either way means the runs did
@@ -73,10 +79,70 @@ class FigureKind:
         )
 
 
+def point_seed(figure: int, label: str) -> int:
+    """Deterministic per-cell seed: a pure function of the coordinates."""
+    return (zlib.crc32(f"fig{figure}:{label}".encode()) & 0x7FFFFFFF) or 1
+
+
+def axis(given: Optional[Iterable], default: Iterable) -> list:
+    """A sweep axis: *given* when the caller narrows it, else *default*."""
+    return list(default if given is None else given)
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One independent point of a figure sweep: a label and one call.
+
+    *fn* is a module-level function, so the cell pickles for the process
+    pool; *kwargs* is a sorted tuple of pairs, so the cell stays hashable.
+    """
+
+    label: str
+    fn: Callable[..., object]
+    kwargs: Tuple[Tuple[str, object], ...] = ()
+
+    @classmethod
+    def of(cls, label: str, fn: Callable[..., object], /, **kwargs: object) -> "Cell":
+        return cls(label, fn, tuple(sorted(kwargs.items())))
+
+    @classmethod
+    def seeded(
+        cls,
+        figure: int,
+        label: str,
+        fn: Callable[..., object],
+        seed: Optional[int],
+        /,
+        **kwargs: object,
+    ) -> "Cell":
+        """A cell run at *seed*, or at its coordinate seed when ``None``."""
+        seed = point_seed(figure, label) if seed is None else seed
+        return cls.of(label, fn, seed=seed, **kwargs)
+
+    def rows(self) -> list:
+        """Simulate the cell; a function returning one row gives one row."""
+        rows = self.fn(**dict(self.kwargs))
+        return rows if isinstance(rows, list) else [rows]
+
+
+def run_cells(cells: Iterable[Cell]) -> list:
+    """Every row of *cells*, in order, simulated in this process."""
+    return [row for cell in cells for row in cell.rows()]
+
+
 @dataclass(frozen=True)
 class Figure:
-    """One evaluation figure: its runner, its row kind and its title."""
+    """One evaluation figure: its cell list, its row kind and its title.
 
-    run: Callable[..., list]
+    ``cells(quick=False, **axes)`` returns the figure's ordered cells;
+    the axes narrow the sweep, and every cell of a seeded figure runs at
+    its coordinate seed unless an explicit ``seed`` is given.
+    """
+
+    cells: Callable[..., List[Cell]]
     kind: FigureKind
     title: str
+
+    def run(self, quick: bool = False, **axes: object) -> list:
+        """The figure's rows, its cells simulated in order in this process."""
+        return run_cells(self.cells(quick=quick, **axes))

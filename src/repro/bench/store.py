@@ -19,7 +19,17 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
+from repro.bench.spec import (
+    HIGHER,
+    LOWER,
+    NEUTRAL,
+    Cell,
+    Column,
+    FigureKind,
+    axis,
+    rounded,
+    run_cells,
+)
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.workloads.rig import SEED, StoreRig
 
@@ -29,16 +39,6 @@ KEY_RANGE = 256
 #: slots of a private log, and of one log all threads share
 LOG_CAPACITY = 256
 SHARED_LOG_CAPACITY = 512
-
-
-def sweep_axes(figure: int, quick: bool) -> Dict[str, list]:
-    """Default sweep axes of the store figure (runner-shared)."""
-    if figure == 17:
-        return {
-            "optimizers": list(OPTIMIZER_NAMES),
-            "group_commits": [1, 8, 64] if quick else list(ALL_GROUP_COMMITS),
-        }
-    raise KeyError(f"figure {figure} is not a store figure")
 
 
 @dataclass
@@ -158,25 +158,41 @@ def run_mix(
     return rig
 
 
-def run_fig17(
+def _store_cell(
+    optimizer: str, group_commit: int, threads: int, duration: int, seed: int
+) -> StoreRow:
+    rig = run_mix(optimizer, group_commit, threads, duration, seed)
+    return rig.row(StoreRow, figure=17)
+
+
+def fig17_cells(
     quick: bool = False,
     optimizers: Optional[Sequence[str]] = None,
     group_commits: Optional[Sequence[int]] = None,
     threads: int = 2,
     duration: Optional[int] = None,
     seed: Optional[int] = None,
-) -> List[StoreRow]:
+) -> List[Cell]:
     """Figure 17: durable-store throughput vs group-commit size."""
-    axes = sweep_axes(17, quick)
-    optimizers = list(axes["optimizers"] if optimizers is None else optimizers)
-    group_commits = list(
-        axes["group_commits"] if group_commits is None else group_commits
-    )
+    optimizers = axis(optimizers, OPTIMIZER_NAMES)
+    group_commits = axis(group_commits, [1, 8, 64] if quick else ALL_GROUP_COMMITS)
     duration = duration or (40_000 if quick else 200_000)
     return [
-        run_mix(optimizer, group_commit, threads, duration, seed).row(
-            StoreRow, figure=17
+        Cell.seeded(
+            17,
+            f"{optimizer},gc={group_commit}",
+            _store_cell,
+            seed,
+            optimizer=optimizer,
+            group_commit=group_commit,
+            threads=threads,
+            duration=duration,
         )
         for optimizer in optimizers
         for group_commit in group_commits
     ]
+
+
+def run_fig17(quick: bool = False, **axes) -> List[StoreRow]:
+    """Figure 17's rows; *axes* narrow :func:`fig17_cells`."""
+    return run_cells(fig17_cells(quick, **axes))

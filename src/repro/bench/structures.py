@@ -5,39 +5,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind
+from repro.bench.spec import (
+    HIGHER,
+    LOWER,
+    NEUTRAL,
+    Cell,
+    Column,
+    FigureKind,
+    axis,
+    run_cells,
+)
 from repro.persist.flushopt import OPTIMIZER_NAMES
-from repro.persist.policies import POLICY_NAMES
 from repro.persist.structures import STRUCTURES
-from repro.workloads.datastructs import DataStructureBenchmark, DataStructureResult
+from repro.workloads.datastructs import DataStructureBenchmark
 
 ALL_STRUCTURES = tuple(STRUCTURES)
 ALL_POLICIES = ("automatic", "nvtraverse", "manual")
-
-
-def sweep_axes(figure: int, quick: bool) -> Dict[str, list]:
-    """Default sweep axes of a throughput figure.
-
-    Single source of truth shared by the ``run_figNN`` defaults and the
-    parallel runner's point decomposition (:mod:`repro.bench.runner`).
-    """
-    if figure == 14:
-        return {
-            "structures": ["list", "hashtable"] if quick else list(ALL_STRUCTURES),
-            "policies": ["automatic"] if quick else list(ALL_POLICIES),
-            "optimizers": list(OPTIMIZER_NAMES),
-        }
-    if figure == 15:
-        return {
-            "structures": ["list"] if quick else list(ALL_STRUCTURES),
-            "optimizers": list(OPTIMIZER_NAMES),
-            "update_percents": [0, 50] if quick else [0, 5, 20, 50, 100],
-        }
-    if figure == 16:
-        return {
-            "table_sizes": [256, 4096] if quick else [256, 1024, 4096, 16_384, 65_536],
-        }
-    raise KeyError(f"figure {figure} is not a throughput figure")
+#: threads of every cell
+THREADS = 2
+#: update share of figures 14 and 16
+UPDATE_PERCENT = 5
+#: persistence policy of figures 15 and 16
+POLICY = "automatic"
 
 
 @dataclass
@@ -84,22 +73,20 @@ def _run_cell(
     policy: str,
     optimizer: str,
     update_percent: int,
-    threads: int,
     duration: int,
+    seed: int,
     key_range: Optional[int] = None,
     flit_table_entries: int = 1024,
-    seed: Optional[int] = None,
 ) -> ThroughputRow:
-    extra = {} if seed is None else {"seed": seed}
     bench = DataStructureBenchmark(
         structure=structure,
         policy=policy,
         optimizer=optimizer,
         update_percent=update_percent,
-        threads=threads,
+        threads=THREADS,
         key_range=key_range,
         flit_table_entries=flit_table_entries,
-        **extra,
+        seed=seed,
     )
     if not bench.applicable:
         return ThroughputRow(
@@ -120,142 +107,156 @@ def _run_cell(
     )
 
 
-def run_fig14(
+def fig14_cells(
     quick: bool = False,
     structures: Optional[Sequence[str]] = None,
     policies: Optional[Sequence[str]] = None,
     optimizers: Optional[Sequence[str]] = None,
-    update_percent: int = 5,
-    threads: int = 2,
     duration: Optional[int] = None,
-    include_baseline: bool = True,
     seed: Optional[int] = None,
-) -> List[ThroughputRow]:
+) -> List[Cell]:
     """Figure 14: throughput grid at 5% updates, 2 threads.
 
-    Also emits the non-persistent baseline (policy='none') the paper draws
-    as the dark dotted line (*include_baseline*; pass ``policies=[]`` with
-    it to get the baseline rows alone).
+    Each structure's first cell is the non-persistent baseline
+    (policy='none') the paper draws as the dark dotted line.
     """
-    axes = sweep_axes(14, quick)
-    structures = list(structures) if structures is not None else axes["structures"]
-    policies = list(policies) if policies is not None else axes["policies"]
-    optimizers = list(optimizers) if optimizers is not None else axes["optimizers"]
+    structures = axis(structures, ["list", "hashtable"] if quick else ALL_STRUCTURES)
+    policies = axis(policies, ["automatic"] if quick else ALL_POLICIES)
+    optimizers = axis(optimizers, OPTIMIZER_NAMES)
     duration = duration or (60_000 if quick else 300_000)
-    rows: List[ThroughputRow] = []
-    for structure in structures:
-        if include_baseline:
-            rows.append(
-                _run_cell(
-                    14,
-                    structure,
-                    "none",
-                    "plain",
-                    update_percent,
-                    threads,
-                    duration,
-                    seed=seed,
-                )
-            )
-        for policy in policies:
-            for optimizer in optimizers:
-                rows.append(
-                    _run_cell(
-                        14,
-                        structure,
-                        policy,
-                        optimizer,
-                        update_percent,
-                        threads,
-                        duration,
-                        seed=seed,
-                    )
-                )
-    return rows
+    grid = [("baseline", "none", "plain")] + [
+        (f"{policy},{optimizer}", policy, optimizer)
+        for policy in policies
+        for optimizer in optimizers
+    ]
+    return [
+        Cell.seeded(
+            14,
+            f"{structure},{coordinate}",
+            _run_cell,
+            seed,
+            figure=14,
+            structure=structure,
+            policy=policy,
+            optimizer=optimizer,
+            update_percent=UPDATE_PERCENT,
+            duration=duration,
+        )
+        for structure in structures
+        for coordinate, policy, optimizer in grid
+    ]
 
 
-def run_fig15(
+def run_fig14(quick: bool = False, **axes) -> List[ThroughputRow]:
+    """Figure 14's rows; *axes* narrow :func:`fig14_cells`."""
+    return run_cells(fig14_cells(quick, **axes))
+
+
+def fig15_cells(
     quick: bool = False,
     structures: Optional[Sequence[str]] = None,
     optimizers: Optional[Sequence[str]] = None,
     update_percents: Optional[Sequence[int]] = None,
-    policy: str = "automatic",
-    threads: int = 2,
     duration: Optional[int] = None,
     seed: Optional[int] = None,
-) -> List[ThroughputRow]:
+) -> List[Cell]:
     """Figure 15: throughput vs update percentage (automatic persistence)."""
-    axes = sweep_axes(15, quick)
-    structures = list(structures) if structures is not None else axes["structures"]
-    optimizers = list(optimizers) if optimizers is not None else axes["optimizers"]
-    update_percents = (
-        list(update_percents)
-        if update_percents is not None
-        else axes["update_percents"]
+    structures = axis(structures, ["list"] if quick else ALL_STRUCTURES)
+    optimizers = axis(optimizers, OPTIMIZER_NAMES)
+    update_percents = axis(
+        update_percents, [0, 50] if quick else [0, 5, 20, 50, 100]
     )
     duration = duration or (60_000 if quick else 250_000)
-    rows: List[ThroughputRow] = []
-    for structure in structures:
-        for optimizer in optimizers:
-            for update in update_percents:
-                rows.append(
-                    _run_cell(
-                        15,
-                        structure,
-                        policy,
-                        optimizer,
-                        update,
-                        threads,
-                        duration,
-                        seed=seed,
-                    )
-                )
-    return rows
+    return [
+        Cell.seeded(
+            15,
+            f"{structure},{optimizer},upd={update}",
+            _run_cell,
+            seed,
+            figure=15,
+            structure=structure,
+            policy=POLICY,
+            optimizer=optimizer,
+            update_percent=update,
+            duration=duration,
+        )
+        for structure in structures
+        for optimizer in optimizers
+        for update in update_percents
+    ]
 
 
-def run_fig16(
+def run_fig15(quick: bool = False, **axes) -> List[ThroughputRow]:
+    """Figure 15's rows; *axes* narrow :func:`fig15_cells`."""
+    return run_cells(fig15_cells(quick, **axes))
+
+
+def _flit_cell(entries: int, duration: int, key_range: int, seed: int) -> ThroughputRow:
+    """A figure-16 FliT point, its optimizer named by its table size."""
+    row = _run_cell(
+        16,
+        "bst",
+        POLICY,
+        "flit-hashtable",
+        UPDATE_PERCENT,
+        duration,
+        seed,
+        key_range=key_range,
+        flit_table_entries=entries,
+    )
+    row.optimizer = f"flit-hashtable({entries})"
+    return row
+
+
+def fig16_cells(
     quick: bool = False,
     table_sizes: Optional[Sequence[int]] = None,
-    policy: str = "automatic",
-    update_percent: int = 5,
-    threads: int = 2,
     duration: Optional[int] = None,
     key_range: int = 10_000,
-    include_reference: bool = True,
     seed: Optional[int] = None,
-) -> List[ThroughputRow]:
-    """Figure 16: BST (10k keys) sensitivity to the FliT hash-table size."""
-    table_sizes = (
-        list(table_sizes)
-        if table_sizes is not None
-        else sweep_axes(16, quick)["table_sizes"]
+) -> List[Cell]:
+    """Figure 16: BST (10k keys) sensitivity to the FliT hash-table size.
+
+    The last cell is the Skip It reference line, which no table size
+    affects.
+    """
+    table_sizes = axis(
+        table_sizes, [256, 4096] if quick else [256, 1024, 4096, 16_384, 65_536]
     )
     duration = duration or (60_000 if quick else 250_000)
-    rows: List[ThroughputRow] = []
-    for entries in table_sizes:
-        row = _run_cell(
+    cells = [
+        Cell.seeded(
             16,
-            "bst",
-            policy,
-            "flit-hashtable",
-            update_percent,
-            threads,
-            duration,
+            f"flit-hashtable({entries})",
+            _flit_cell,
+            seed,
+            entries=entries,
+            duration=duration,
             key_range=key_range,
-            flit_table_entries=entries,
-            seed=seed,
         )
-        row.optimizer = f"flit-hashtable({entries})"
-        rows.append(row)
-    if include_reference:
-        # Skip It reference line: unaffected by any table size
-        rows.append(
-            _run_cell(
-                16, "bst", policy, "skipit", update_percent, threads, duration,
-                key_range=key_range, seed=seed,
-            )
+        for entries in table_sizes
+    ]
+    cells.append(
+        Cell.seeded(
+            16,
+            "skipit-reference",
+            _run_cell,
+            seed,
+            figure=16,
+            structure="bst",
+            policy=POLICY,
+            optimizer="skipit",
+            update_percent=UPDATE_PERCENT,
+            duration=duration,
+            key_range=key_range,
         )
-    return rows
+    )
+    return cells
+
+
+def run_fig16(quick: bool = False, **axes) -> List[ThroughputRow]:
+    """Figure 16's rows; *axes* narrow :func:`fig16_cells`."""
+    return run_cells(fig16_cells(quick, **axes))
 
 
 def rows_by_structure(rows: Sequence[ThroughputRow]) -> Dict[str, List[ThroughputRow]]:

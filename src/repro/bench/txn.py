@@ -23,28 +23,30 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.spec import HIGHER, LOWER, NEUTRAL, Column, FigureKind, rounded
+from repro.bench.spec import (
+    HIGHER,
+    LOWER,
+    NEUTRAL,
+    Cell,
+    Column,
+    FigureKind,
+    axis,
+    rounded,
+    run_cells,
+)
 from repro.bench.store import KEY_RANGE, SHARED_LOG_CAPACITY, prefill
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.serve.session import SnapshotReader
 from repro.sim.stats import Histogram
-from repro.workloads.rig import SEED, StoreRig
+from repro.workloads.rig import StoreRig
 
 #: epoch trigger (tickets per epoch; a txn is one ticket)
-DEFAULT_GROUP_COMMIT = 4
+GROUP_COMMIT = 4
+#: threads of every cell
+THREADS = 2
 ALL_TXN_SIZES = (1, 2, 4, 8)
 #: share of attempts that abort client-side, after their reads
 ABORT_RATE = 0.1
-
-
-def sweep_axes(figure: int, quick: bool) -> Dict[str, list]:
-    """Default sweep axes of the transactional figure (runner-shared)."""
-    if figure == 20:
-        return {
-            "optimizers": list(OPTIMIZER_NAMES),
-            "txn_sizes": [1, 4] if quick else list(ALL_TXN_SIZES),
-        }
-    raise KeyError(f"figure {figure} is not a transactional-store figure")
 
 
 @dataclass
@@ -150,19 +152,11 @@ def txn_step(
     return step
 
 
-def txn_cell(
-    optimizer: str,
-    txn_size: int,
-    group_commit: int,
-    threads: int,
-    duration: int,
-    seed: Optional[int] = None,
-) -> TxnRow:
+def txn_cell(optimizer: str, txn_size: int, duration: int, seed: int) -> TxnRow:
     """One figure-20 cell, on figure 17's prefill (its checkpoint is
     what the read-validate phase walks)."""
-    seed = SEED if seed is None else seed
     rig = StoreRig(
-        optimizer, threads, group_commit, SHARED_LOG_CAPACITY, shared=True
+        optimizer, THREADS, GROUP_COMMIT, SHARED_LOG_CAPACITY, shared=True
     )
     prefill(rig, seed)
     rig.settle()
@@ -172,7 +166,7 @@ def txn_cell(
     result = rig.run(
         [
             txn_step(rig, tid, txn_size, seed + 7 * tid, snapshots, aborts)
-            for tid in range(threads)
+            for tid in range(THREADS)
         ],
         duration,
     )
@@ -195,24 +189,34 @@ def txn_cell(
     )
 
 
-def run_fig20(
+def fig20_cells(
     quick: bool = False,
     optimizers: Optional[Sequence[str]] = None,
     txn_sizes: Optional[Sequence[int]] = None,
-    group_commit: int = DEFAULT_GROUP_COMMIT,
-    threads: int = 2,
     duration: Optional[int] = None,
     seed: Optional[int] = None,
-) -> List[TxnRow]:
+) -> List[Cell]:
     """Figure 20: multi-key transaction cost vs write-set size."""
-    axes = sweep_axes(20, quick)
-    optimizers = list(axes["optimizers"] if optimizers is None else optimizers)
-    txn_sizes = list(axes["txn_sizes"] if txn_sizes is None else txn_sizes)
+    optimizers = axis(optimizers, OPTIMIZER_NAMES)
+    txn_sizes = axis(txn_sizes, [1, 4] if quick else ALL_TXN_SIZES)
     if any(txn_size < 1 for txn_size in txn_sizes):
         raise ValueError("txn_size must be >= 1")
     duration = duration or (30_000 if quick else 150_000)
     return [
-        txn_cell(optimizer, txn_size, group_commit, threads, duration, seed)
+        Cell.seeded(
+            20,
+            f"{optimizer},txn={txn_size}",
+            txn_cell,
+            seed,
+            optimizer=optimizer,
+            txn_size=txn_size,
+            duration=duration,
+        )
         for optimizer in optimizers
         for txn_size in txn_sizes
     ]
+
+
+def run_fig20(quick: bool = False, **axes) -> List[TxnRow]:
+    """Figure 20's rows; *axes* narrow :func:`fig20_cells`."""
+    return run_cells(fig20_cells(quick, **axes))

@@ -414,7 +414,11 @@ class InclusiveL2Cache:
             )
 
     def _voluntary_release(self, message: Release, cycle: int) -> None:
-        """Handle an L1 eviction Release (possibly racing one of our probes)."""
+        """Handle an L1 eviction Release.
+
+        A Release that crosses our probe of the line does not answer it:
+        the L1 still sends the probe's ProbeAck (TileLink).
+        """
         line = self._line(message.address)
         if line is None:
             raise RuntimeError("Release for a line absent in inclusive L2")
@@ -425,10 +429,6 @@ class InclusiveL2Cache:
             line.directory.downgrade(
                 message.source, shrink_result(message.shrink)
             )
-        mshr = self._mshr_on(message.address)
-        if mshr is not None and message.source in mshr.awaiting_acks:
-            # the voluntary release crossed our probe; it answers it
-            mshr.awaiting_acks.discard(message.source)
         self.links[message.source].d.send(
             ReleaseAck(source=self.AGENT_ID, address=message.address), cycle
         )

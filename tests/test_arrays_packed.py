@@ -233,15 +233,13 @@ class TestEngineBitIdentity:
         assert row.stdev_cycles == want["stdev_cycles"]
 
     def test_fig18_point_bit_identical(self, baseline):
-        from repro.bench.runner import point_seed
         from repro.bench.shared import run_fig18
 
-        # the baseline snapshot runs each point with its canonical seed
+        # a direct call runs each cell at the committed run's seed
         rows = run_fig18(
             quick=True,
             optimizers=["plain"],
             threads=[1],
-            seed=point_seed(18, "plain,t=1"),
         )
         assert len(rows) == 1
         row = rows[0]
@@ -294,14 +292,12 @@ class TestStoreMetricsSnapshot:
             return json.load(fh)
 
     def test_fig17_store_metrics_match_committed_row(self, baseline):
-        from repro.bench.runner import point_seed
         from repro.bench.store import run_fig17
 
         rows = run_fig17(
             quick=True,
             optimizers=["skipit"],
             group_commits=[8],
-            seed=point_seed(17, "skipit,gc=8"),
         )
         assert len(rows) == 1
         want = next(
@@ -312,14 +308,12 @@ class TestStoreMetricsSnapshot:
         assert_snapshot_matches(rows[0].metrics, want["metrics"])
 
     def test_fig18_shared_metrics_match_committed_row(self, baseline):
-        from repro.bench.runner import point_seed
         from repro.bench.shared import run_fig18
 
         rows = run_fig18(
             quick=True,
             optimizers=["skipit"],
             threads=[2],
-            seed=point_seed(18, "skipit,t=2"),
         )
         assert len(rows) == 1
         want = next(
@@ -331,14 +325,12 @@ class TestStoreMetricsSnapshot:
 
 
     def test_fig19_serve_metrics_match_committed_row(self, baseline):
-        from repro.bench.runner import point_seed
         from repro.bench.serve import run_fig19
 
         rows = run_fig19(
             quick=True,
             optimizers=["skipit"],
             offered_loads=[32.0],
-            seed=point_seed(19, "skipit,load=32"),
         )
         assert len(rows) == 1
         want = next(
@@ -349,14 +341,12 @@ class TestStoreMetricsSnapshot:
         assert_snapshot_matches(rows[0].metrics, want["metrics"])
 
     def test_fig20_txn_metrics_match_committed_row(self, baseline):
-        from repro.bench.runner import point_seed
         from repro.bench.txn import run_fig20
 
         rows = run_fig20(
             quick=True,
             optimizers=["skipit"],
             txn_sizes=[4],
-            seed=point_seed(20, "skipit,txn=4"),
         )
         assert len(rows) == 1
         want = next(
@@ -371,7 +361,6 @@ class TestStoreMetricsSnapshot:
         self, baseline, series
     ):
         from repro.bench.range import run_fig21
-        from repro.bench.runner import point_seed
 
         rows = run_fig21(
             quick=True,
@@ -379,7 +368,6 @@ class TestStoreMetricsSnapshot:
             region_sizes=[],
             series=[series],
             optimizers=["skipit"],
-            seed=point_seed(21, f"{series},skipit,range"),
         )
         assert len(rows) == 1
         want = next(
@@ -422,23 +410,21 @@ class TestThroughputMetricsSnapshot:
         [("list", "skipit"), ("hashtable", "flit-hashtable")],
     )
     def test_fig14_metrics_match_committed_row(self, baseline, structure, optimizer):
-        from repro.bench.runner import point_seed
-        from repro.bench.structures import run_fig14
+        from repro.bench.structures import fig14_cells
 
-        rows = run_fig14(
+        cells = fig14_cells(
             quick=True,
             structures=[structure],
             policies=["automatic"],
             optimizers=[optimizer],
-            include_baseline=False,
-            seed=point_seed(14, f"{structure},automatic,{optimizer}"),
         )
+        label = f"{structure},automatic,{optimizer}"
+        rows = next(cell for cell in cells if cell.label == label).rows()
         assert len(rows) == 1
         want = self.committed(baseline, 14, structure, optimizer, 5)
         assert rows[0].metrics == want["metrics"]
 
     def test_fig15_metrics_match_committed_row(self, baseline):
-        from repro.bench.runner import point_seed
         from repro.bench.structures import run_fig15
 
         rows = run_fig15(
@@ -446,22 +432,17 @@ class TestThroughputMetricsSnapshot:
             structures=["list"],
             optimizers=["link-and-persist"],
             update_percents=[50],
-            seed=point_seed(15, "list,link-and-persist,upd=50"),
         )
         assert len(rows) == 1
         want = self.committed(baseline, 15, "list", "link-and-persist", 50)
         assert rows[0].metrics == want["metrics"]
 
     def test_fig16_metrics_match_committed_row(self, baseline):
-        from repro.bench.runner import point_seed
-        from repro.bench.structures import run_fig16
+        from repro.bench.structures import fig16_cells
 
-        rows = run_fig16(
-            quick=True,
-            table_sizes=[256],
-            include_reference=False,
-            seed=point_seed(16, "flit-hashtable(256)"),
-        )
+        cells = fig16_cells(quick=True, table_sizes=[256])
+        label = "flit-hashtable(256)"
+        rows = next(cell for cell in cells if cell.label == label).rows()
         assert len(rows) == 1
         want = self.committed(baseline, 16, "bst", "flit-hashtable(256)", 5)
         assert rows[0].metrics == want["metrics"]

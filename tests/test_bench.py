@@ -53,12 +53,16 @@ class TestMicroRunners:
 
 class TestStructureRunners:
     def test_fig14_grid_contains_baseline_and_na(self):
+        # one seed for every cell: the baseline must bound persistent
+        # throughput on the same op stream (each cell's own coordinate
+        # seed would compare different streams)
         rows = run_fig14(
             quick=True,
             structures=["bst"],
             policies=["manual"],
             optimizers=["plain", "link-and-persist", "skipit"],
             duration=15_000,
+            seed=12345,
         )
         grouped = rows_by_structure(rows)
         assert set(grouped) == {"bst"}

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from repro.bench import FIGURES, baseline
+from repro.bench import (
+    FIGURES,
+    baseline,
+    run_fig17,
+    run_fig18,
+    run_fig19,
+    run_fig20,
+    run_fig21,
+)
 from repro.bench.micro import MicroRow
 from repro.bench.runner import (
     BenchPoint,
@@ -13,10 +21,11 @@ from repro.bench.runner import (
     FigureRun,
     decompose,
     execute_point,
-    point_seed,
     run_figures,
 )
+from repro.bench.spec import Cell, point_seed
 from repro.bench.structures import THROUGHPUT, ThroughputRow
+from tests.test_arrays_packed import BASELINE, assert_snapshot_matches
 
 
 class TestDecomposition:
@@ -26,7 +35,7 @@ class TestDecomposition:
         second = decompose(figure, quick=True)
         assert first == second, "decomposition must be deterministic"
         assert [p.index for p in first] == list(range(len(first)))
-        labels = [p.label for p in first]
+        labels = [p.cell.label for p in first]
         assert len(labels) == len(set(labels)), "labels must be unique"
 
     @pytest.mark.parametrize(
@@ -34,8 +43,8 @@ class TestDecomposition:
     )
     def test_throughput_points_carry_coordinate_seeds(self, figure):
         for point in decompose(figure, quick=True):
-            kwargs = dict(point.kwargs)
-            assert kwargs["seed"] == point_seed(figure, point.label)
+            kwargs = dict(point.cell.kwargs)
+            assert kwargs["seed"] == point_seed(figure, point.cell.label)
 
     def test_point_seed_is_pure_and_positive(self):
         a = point_seed(14, "list,automatic,plain")
@@ -70,23 +79,43 @@ class TestRunner:
         assert len(messages) == runs[11].points + 1
         assert all("fig 11" in m for m in messages[:-1])
 
+    @pytest.mark.parametrize(
+        "figure, run",
+        [
+            (17, run_fig17),
+            (18, run_fig18),
+            (19, run_fig19),
+            (20, run_fig20),
+            (21, run_fig21),
+        ],
+    )
+    def test_direct_call_reproduces_committed_rows(self, figure, run):
+        """A direct call runs the runner's own cells, seeds included."""
+        rows = json.loads(json.dumps([dataclasses.asdict(r) for r in run(quick=True)]))
+        committed = baseline.load(str(BASELINE))["figures"][str(figure)]["rows"]
+        assert len(rows) == len(committed)
+        for index, (got, want) in enumerate(zip(rows, committed)):
+            assert_snapshot_matches(got, want, path=f"fig{figure}.rows[{index}]")
+
     def test_point_failure_is_reported_with_label(self, monkeypatch):
-        def boom(**kwargs):
+        def boom():
             raise RuntimeError("injected point failure")
 
-        monkeypatch.setitem(FIGURES, 11, dataclasses.replace(FIGURES[11], run=boom))
+        def cells(quick=False):
+            return [Cell.of("boom", boom)]
+
+        monkeypatch.setitem(FIGURES, 11, dataclasses.replace(FIGURES[11], cells=cells))
         with pytest.raises(BenchPointError) as excinfo:
             run_figures([11], quick=True, jobs=1)
         assert "injected point failure" in str(excinfo.value)
         assert "fig 11" in str(excinfo.value)
         assert excinfo.value.failures
 
-    def test_execute_point_captures_traceback(self, monkeypatch):
-        def boom(**kwargs):
+    def test_execute_point_captures_traceback(self):
+        def boom(quick):
             raise ValueError("bad cell")
 
-        monkeypatch.setitem(FIGURES, 9, dataclasses.replace(FIGURES[9], run=boom))
-        result = execute_point(BenchPoint(9, 0, "x", (("quick", True),)))
+        result = execute_point(BenchPoint(9, 0, Cell.of("x", boom, quick=True)))
         assert result.rows is None
         assert "bad cell" in result.error
 

@@ -161,12 +161,6 @@ class TestTwoCoreProperties:
 #: share set 0, 0x1040 and 0x1140 share set 1
 TINY_LINES = [0x1000, 0x1040, 0x1080, 0x1100, 0x1140, 0x1200]
 
-#: 2-core programs use at most two lines per set on a 2-way L1, so no
-#: line is ever evicted: an eviction Release that crosses the L2's probe
-#: of the same line trips a known L2 fault ("unsolicited ProbeAck", see
-#: ``test_eviction_crossing_a_probe``).  Evictions run on one core.
-SHARED_LINES = [0x1000, 0x1040, 0x1080, 0x1100, 0x1140]
-
 #: the stat key of every nack rule in the decision: the L1's, then the
 #: flush unit's
 DECISION_KEYS = {
@@ -300,7 +294,7 @@ class TestParkingMatchesPolling:
             st.tuples(program(TINY_LINES)), st.sampled_from((1, 2))
         )
         two_cores = st.tuples(
-            st.tuples(program(SHARED_LINES), program(SHARED_LINES)), st.just(2)
+            st.tuples(program(TINY_LINES), program(TINY_LINES)), st.just(2)
         )
 
         @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -424,14 +418,17 @@ class TestParkingMatchesPolling:
         assert fired == parked.retry_at == flipped + 1
 
 
-@pytest.mark.xfail(raises=RuntimeError, strict=True)
 def test_eviction_crossing_a_probe():
-    """Known L2 fault, pinned until fixed: core 0 evicts 0x1100 from its
-    direct-mapped L1 while core 1's store makes the L2 probe that line.
-    The L2 lets the crossing eviction Release answer its probe, then
-    rejects the ProbeAck the L1 still sends ("unsolicited ProbeAck")."""
+    """Core 0 evicts 0x1100 from its direct-mapped L1 while core 1's
+    store makes the L2 probe that line.  The crossing eviction Release
+    does not answer the probe: the L2 takes it, then the ProbeAck the L1
+    still sends, as in TileLink."""
     soc = Soc(tiny_params(cores=2, skip_it=False, ways=1))
     soc.run_programs(
         [[Instr.load(0x1100), Instr.load(0x1000)], [Instr.store(0x1100, 1)]]
     )
     soc.drain()
+    stats = soc.l2.stats.as_dict()
+    assert stats["coherence_probes"] == 1
+    assert stats["releases"] == 1
+    assert stats["probe_acks"] == 1
