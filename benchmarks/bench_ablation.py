@@ -7,8 +7,7 @@ the flush unit buys, using the cycle-level model.
 import pytest
 
 from repro.sim.config import FlushUnitParams, SoCParams
-from repro.workloads.redundant import redundant_writeback_latency
-from repro.workloads.sweep import writeback_sweep
+from repro.workloads.sweep import redundant_writeback_latency, writeback_sweep
 
 KIB = 1024
 
@@ -121,21 +120,15 @@ def test_ablation_deeper_hierarchy_grows_skip_savings(benchmark, assert_shape):
     improvements due to the increased latencies.'  Measured on the timing
     model: the skipit-over-plain throughput gain grows when a victim L3
     lengthens every non-filtered writeback's path."""
+    from repro.bench.structures import mixed_step
     from repro.sim.config import CacheGeometry
-    from repro.workloads.datastructs import DataStructureBenchmark
-    import repro.workloads.datastructs as ds_mod
     from repro.timing.params import TimingParams
 
     def gain(with_l3):
         results = {}
         for optimizer in ("plain", "skipit"):
-            bench_obj = DataStructureBenchmark(
-                "hashtable", "automatic", optimizer, key_range=1024
-            )
-            # rebuild the timing params with/without an L3
-            original_run = bench_obj.run
-
-            def patched_run(duration=60_000, warmup_ops=50):
+            # a fig-14 hashtable point, with/without an L3
+            def run_point(duration=60_000, warmup_ops=50):
                 import random
                 from repro.persist.api import PMemView
                 from repro.persist.flushopt import make_optimizer
@@ -147,15 +140,15 @@ def test_ablation_deeper_hierarchy_grows_skip_savings(benchmark, assert_shape):
 
                 params = TimingParams(
                     num_threads=2,
-                    skip_it=bench_obj.skip_it,
+                    skip_it=optimizer == "skipit",
                     l3=CacheGeometry(size_bytes=2 * 1024 * 1024, ways=8)
                     if with_l3
                     else None,
                 )
                 system = TimingSystem(params)
                 heap = SimHeap()
-                opt = make_optimizer(bench_obj.optimizer_name, heap)
-                policy = make_policy(bench_obj.policy_name)
+                opt = make_optimizer(optimizer, heap)
+                policy = make_policy("automatic")
                 structure = STRUCTURES["hashtable"](
                     heap, field_stride=opt.field_stride, num_buckets=256
                 )
@@ -170,7 +163,7 @@ def test_ablation_deeper_hierarchy_grows_skip_savings(benchmark, assert_shape):
                 views[0].ctx.now = 0
                 views[0].ctx.outstanding.clear()
                 steps = [
-                    bench_obj._make_step(structure, view, 0.05, 7 * tid)
+                    mixed_step(structure, view, 1024, 5, 7 * tid)
                     for tid, view in enumerate(views)
                 ]
                 result = VirtualTimeScheduler(system).run(
@@ -178,7 +171,7 @@ def test_ablation_deeper_hierarchy_grows_skip_savings(benchmark, assert_shape):
                 )
                 return result.throughput() / 1e6
 
-            results[optimizer] = patched_run()
+            results[optimizer] = run_point()
         return results["skipit"] / results["plain"]
 
     def run():

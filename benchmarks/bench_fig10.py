@@ -6,7 +6,7 @@ CBO.FLUSH because the clean leaves the line resident.
 
 import pytest
 
-from repro.workloads.reread import clean_vs_flush_reread
+from repro.workloads.sweep import clean_vs_flush_reread
 
 
 @pytest.mark.figure(10)

@@ -7,7 +7,7 @@ gap; see EXPERIMENTS.md), at one and eight threads.
 
 import pytest
 
-from repro.workloads.redundant import redundant_writeback_latency
+from repro.workloads.sweep import redundant_writeback_latency
 
 KIB = 1024
 

@@ -17,7 +17,6 @@ def test_fig16_table_size_sensitivity(benchmark, assert_shape):
             quick=False,
             table_sizes=[256, 4096, 65_536],
             duration=60_000,
-            key_range=10_000,
         ),
         rounds=1,
         iterations=1,

@@ -9,22 +9,23 @@ Run:  python examples/compare_filters.py
 """
 
 from repro.bench.format import format_table
+from repro.bench.structures import run_structure
 from repro.persist.flushopt import OPTIMIZER_NAMES
-from repro.workloads.datastructs import DataStructureBenchmark
 
 
 def main() -> None:
     rows = []
     for optimizer in OPTIMIZER_NAMES:
-        bench = DataStructureBenchmark(
+        result = run_structure(
+            figure=14,
             structure="skiplist",
             policy="automatic",
             optimizer=optimizer,
             update_percent=5,
-            threads=2,
+            duration=120_000,
+            seed=12345,
             key_range=2048,
         )
-        result = bench.run(duration=120_000)
         filtered = result.flush_requests - result.cbo_issued
         rows.append(
             (

@@ -21,9 +21,11 @@ from repro.bench.spec import (
     axis,
     run_cells,
 )
-from repro.workloads.redundant import redundant_writeback_latency
-from repro.workloads.reread import clean_vs_flush_reread
-from repro.workloads.sweep import writeback_sweep
+from repro.workloads.sweep import (
+    clean_vs_flush_reread,
+    redundant_writeback_latency,
+    writeback_sweep,
+)
 from repro.xarch.models import platform_models
 
 KIB = 1024

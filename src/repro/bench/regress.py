@@ -1,4 +1,4 @@
-"""Perf-regression tracking: a fresh run vs the committed baseline.
+"""Perf-regression tracking: a run's snapshot vs the committed baseline.
 
 ``python -m repro.bench --check`` answers "did the numbers move at
 all"; this module answers the sharper question "did they move in the
@@ -16,10 +16,12 @@ band is classified accordingly:
 ``improvement``
     moved in the helpful direction — reported, never red.
 
-``python -m repro.bench.regress --baseline baselines/quick.json``
-re-runs exactly the figures the baseline holds (in the baseline's own
-quick/full mode, with the runner's deterministic per-point seeds) and
-exits non-zero on regressions, which is what CI wires in.
+``python -m repro.bench.regress --baseline baselines/quick.json
+--current BENCH.json`` judges a snapshot that ``python -m repro.bench
+--json BENCH.json`` already wrote (with ``--with-selftest`` when the
+baseline tracks simulator speed), over the figures both documents hold,
+and exits non-zero on regressions, which is what CI wires in.  It
+simulates nothing, so CI simulates each figure once.
 """
 
 from __future__ import annotations
@@ -189,55 +191,11 @@ def _compare_selftest(
         report.deltas.append(_delta(0, "selftest", name, b, c, HIGHER))
 
 
-def run_and_compare(
-    baseline_path: str,
-    figures: Optional[Sequence[int]] = None,
-    jobs: int = 1,
-    rel_tol: float = DEFAULT_REL_TOL,
-    progress=None,
-) -> RegressReport:
-    """Re-run the baseline's figures and compare against it.
-
-    The run inherits the baseline's quick/full mode so the sweeps are
-    shaped identically; *figures* (when given) restricts the comparison
-    to a subset of what the baseline holds.
-    """
-    from repro.bench.runner import run_figures
-
-    document = baseline_mod.load(baseline_path)
-    quick = bool(document.get("quick"))
-    held = sorted(int(f) for f in document.get("figures", {}))
-    wanted = sorted(set(held) & set(figures)) if figures is not None else held
-    if not wanted:
-        report = RegressReport(baseline_path=baseline_path, rel_tol=rel_tol)
-        report.problems.append(
-            f"baseline holds figures {held}, none of which were requested"
-        )
-        return report
-    runs = run_figures(wanted, quick=quick, jobs=jobs, progress=progress)
-    selftest = None
-    if document.get("selftest") is not None:
-        # the baseline tracks sim speed: sample it on this host too
-        from repro.bench.selftest import run_selftest
-
-        if progress is not None:
-            progress("selftest: sampling simulator speed")
-        selftest = baseline_mod.selftest_record(run_selftest())
-    current = baseline_mod.snapshot(runs, quick=quick, jobs=jobs, selftest=selftest)
-    return compare(
-        current,
-        document,
-        rel_tol=rel_tol,
-        figures=wanted,
-        baseline_path=baseline_path,
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.regress",
-        description="Re-run committed benchmark baselines and flag "
-        "direction-aware perf regressions.",
+        description="Compare a benchmark snapshot with a committed "
+        "baseline and flag direction-aware perf regressions.",
     )
     parser.add_argument(
         "--baseline",
@@ -245,13 +203,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="committed baseline document to compare against",
     )
     parser.add_argument(
-        "--fig",
-        type=int,
-        action="append",
-        help="restrict to these figures (repeatable; default: all in "
-        "the baseline)",
+        "--current",
+        required=True,
+        metavar="PATH",
+        help="snapshot to judge, as written by python -m repro.bench --json",
     )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
     parser.add_argument(
         "--tol",
         type=float,
@@ -265,12 +221,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also write the regression report as JSON to PATH",
     )
     args = parser.parse_args(argv)
-    report = run_and_compare(
-        args.baseline,
-        figures=args.fig,
-        jobs=args.jobs,
+    report = compare(
+        baseline_mod.load(args.current),
+        baseline_mod.load(args.baseline),
         rel_tol=args.tol,
-        progress=print,
+        baseline_path=args.baseline,
     )
     print(report.format())
     if args.json:

@@ -1,7 +1,19 @@
-"""Data-structure throughput figures (14-16), on the timing model."""
+"""Data-structure throughput figures (14-16), on the timing model.
+
+A cell (:func:`run_structure`) builds one persistent set on a fresh
+timing model, prefills half its key range, declares that state
+persisted, then runs a mixed workload (``update_percent`` split evenly
+between inserts and deletes, the rest lookups, as in §7.4) on two
+virtual-time threads for a fixed virtual duration, and returns its row.
+
+Key ranges follow the spirit of §7.4: working sets chosen so the
+SonicBOOM's small 544 KiB of total cache is contended — which is exactly
+why FliT's auxiliary metadata hurts there (Figure 16).
+"""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -15,9 +27,15 @@ from repro.bench.spec import (
     axis,
     run_cells,
 )
-from repro.persist.flushopt import OPTIMIZER_NAMES
-from repro.persist.structures import STRUCTURES
-from repro.workloads.datastructs import DataStructureBenchmark
+from repro.obs.attach import timing_registry
+from repro.persist.api import PMemView
+from repro.persist.flushopt import OPTIMIZER_NAMES, make_optimizer
+from repro.persist.heap import SimHeap
+from repro.persist.policies import make_policy
+from repro.persist.structures import STRUCTURES, PersistentSet
+from repro.timing.params import TimingParams
+from repro.timing.scheduler import VirtualTimeScheduler
+from repro.timing.system import TimingSystem
 
 ALL_STRUCTURES = tuple(STRUCTURES)
 ALL_POLICIES = ("automatic", "nvtraverse", "manual")
@@ -27,6 +45,20 @@ THREADS = 2
 UPDATE_PERCENT = 5
 #: persistence policy of figures 15 and 16
 POLICY = "automatic"
+#: key range per structure, sized so resident data pressures the caches
+#: (lists stay short because traversal is O(n))
+KEY_RANGES: Dict[str, int] = {
+    "list": 1024,
+    "hashtable": 8192,
+    "skiplist": 8192,
+    "bst": 20_000,
+}
+#: BST key range of figure 16 (§7.4's 10k-key tree)
+FIG16_KEY_RANGE = 10_000
+#: hash-table bucket count of every cell
+HASH_BUCKETS = 512
+#: operations each thread runs, uncounted, before the measurement
+WARMUP_OPS = 100
 
 
 @dataclass
@@ -67,7 +99,32 @@ THROUGHPUT = FigureKind(
 )
 
 
-def _run_cell(
+def mixed_step(
+    structure: PersistentSet,
+    view: PMemView,
+    key_range: int,
+    update_percent: int,
+    seed: int,
+):
+    """One thread's op stream over keys ``1..key_range``: *update_percent*
+    percent updates, half inserts and half deletes, the rest lookups."""
+    rng = random.Random(seed)
+    update_frac = update_percent / 100.0
+
+    def step(ctx) -> None:
+        r = rng.random()
+        key = rng.randint(1, key_range)
+        if r < update_frac / 2:
+            structure.insert(view, key)
+        elif r < update_frac:
+            structure.delete(view, key)
+        else:
+            structure.contains(view, key)
+
+    return step
+
+
+def run_structure(
     figure: int,
     structure: str,
     policy: str,
@@ -78,32 +135,76 @@ def _run_cell(
     key_range: Optional[int] = None,
     flit_table_entries: int = 1024,
 ) -> ThroughputRow:
-    bench = DataStructureBenchmark(
-        structure=structure,
-        policy=policy,
-        optimizer=optimizer,
-        update_percent=update_percent,
-        threads=THREADS,
-        key_range=key_range,
-        flit_table_entries=flit_table_entries,
-        seed=seed,
+    """One cell of figures 14-16: build, prefill, run, and return its row.
+
+    A structure that tags its own pointers under a filter that cannot
+    share those bits (``supports_pointer_tagging_structures``: BST x
+    link-and-persist, which the paper also excludes) is not run; its row
+    has no throughput.
+    """
+    if structure not in STRUCTURES:
+        raise ValueError(f"unknown structure {structure!r}")
+    structure_cls = STRUCTURES[structure]
+    key_range = key_range or KEY_RANGES[structure]
+    # Skip It hardware is only present when benchmarking the skipit
+    # filter (matching the paper: the baseline SoC lacks the skip bit)
+    params = TimingParams(num_threads=THREADS, skip_it=optimizer == "skipit")
+    system = TimingSystem(params)
+    # heap allocation order fixes every address: the filter's table,
+    # then the structure
+    heap = SimHeap(line_bytes=params.line_bytes)
+    flt = make_optimizer(optimizer, heap, flit_table_entries)
+    if (
+        structure_cls.uses_pointer_tagging
+        and not flt.supports_pointer_tagging_structures
+    ):
+        return ThroughputRow(figure, structure, policy, optimizer, update_percent, None)
+    persistence = make_policy(policy)
+    kwargs = {"num_buckets": HASH_BUCKETS} if structure == "hashtable" else {}
+    target = structure_cls(heap, field_stride=flt.field_stride, **kwargs)
+    views = [PMemView(ctx, persistence, flt) for ctx in system.threads]
+    target.initialize(views[0])
+
+    # Prefill to ~50% occupancy of the key range (the steady state of a
+    # balanced insert/delete mix) through a non-persistent view: no
+    # flushes run during setup, so every configuration starts from the
+    # same warm cache state and only the measured workload's own
+    # writebacks shape the result.
+    prefill = PMemView(views[0].ctx, make_policy("none"), flt)
+    rng = random.Random(seed)
+    for key in rng.sample(range(1, key_range + 1), key_range // 2):
+        target.insert(prefill, key)
+    # start measurement from a fully persisted steady state
+    system.persist_all()
+    flt.declare_persisted(system)
+    views[0].ctx.now = 0
+    views[0].ctx.outstanding.clear()
+
+    steps = [
+        mixed_step(target, view, key_range, update_percent, seed + 7 * tid)
+        for tid, view in enumerate(views)
+    ]
+    result = VirtualTimeScheduler(system).run(
+        steps, duration=duration, warmup=WARMUP_OPS
     )
-    if not bench.applicable:
-        return ThroughputRow(
-            figure, structure, policy, optimizer, update_percent, None
+    stats = system.stats.as_dict()
+    registry = timing_registry(system)
+    for tid, view in enumerate(views):
+        registry.register_gauge(
+            f"timing.threads.t{tid}.flush_requests",
+            lambda v=view: v.flush_requests,
         )
-    result = bench.run(duration=duration)
     return ThroughputRow(
         figure=figure,
         structure=structure,
         policy=policy,
         optimizer=optimizer,
         update_percent=update_percent,
-        throughput_mops=result.throughput_mops,
-        flush_requests=result.flush_requests,
-        cbo_issued=result.cbo_issued,
-        cbo_skipped=result.cbo_skipped,
-        metrics=result.metrics,
+        throughput_mops=result.throughput() / 1e6,
+        flush_requests=sum(v.flush_requests for v in views),
+        cbo_issued=stats.get("cbo_issued", 0),
+        cbo_skipped=stats.get("cbo_skipped", 0),
+        metrics=registry.snapshot(),
     )
 
 
@@ -133,7 +234,7 @@ def fig14_cells(
         Cell.seeded(
             14,
             f"{structure},{coordinate}",
-            _run_cell,
+            run_structure,
             seed,
             figure=14,
             structure=structure,
@@ -171,7 +272,7 @@ def fig15_cells(
         Cell.seeded(
             15,
             f"{structure},{optimizer},upd={update}",
-            _run_cell,
+            run_structure,
             seed,
             figure=15,
             structure=structure,
@@ -191,9 +292,9 @@ def run_fig15(quick: bool = False, **axes) -> List[ThroughputRow]:
     return run_cells(fig15_cells(quick, **axes))
 
 
-def _flit_cell(entries: int, duration: int, key_range: int, seed: int) -> ThroughputRow:
+def _flit_cell(entries: int, duration: int, seed: int) -> ThroughputRow:
     """A figure-16 FliT point, its optimizer named by its table size."""
-    row = _run_cell(
+    row = run_structure(
         16,
         "bst",
         POLICY,
@@ -201,7 +302,7 @@ def _flit_cell(entries: int, duration: int, key_range: int, seed: int) -> Throug
         UPDATE_PERCENT,
         duration,
         seed,
-        key_range=key_range,
+        key_range=FIG16_KEY_RANGE,
         flit_table_entries=entries,
     )
     row.optimizer = f"flit-hashtable({entries})"
@@ -212,7 +313,6 @@ def fig16_cells(
     quick: bool = False,
     table_sizes: Optional[Sequence[int]] = None,
     duration: Optional[int] = None,
-    key_range: int = 10_000,
     seed: Optional[int] = None,
 ) -> List[Cell]:
     """Figure 16: BST (10k keys) sensitivity to the FliT hash-table size.
@@ -232,7 +332,6 @@ def fig16_cells(
             seed,
             entries=entries,
             duration=duration,
-            key_range=key_range,
         )
         for entries in table_sizes
     ]
@@ -240,7 +339,7 @@ def fig16_cells(
         Cell.seeded(
             16,
             "skipit-reference",
-            _run_cell,
+            run_structure,
             seed,
             figure=16,
             structure="bst",
@@ -248,7 +347,7 @@ def fig16_cells(
             optimizer="skipit",
             update_percent=UPDATE_PERCENT,
             duration=duration,
-            key_range=key_range,
+            key_range=FIG16_KEY_RANGE,
         )
     )
     return cells

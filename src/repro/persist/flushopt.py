@@ -119,23 +119,20 @@ class SkipItHardware(FlushOptimizer):
     name = "skipit"
 
 
-class FlitAdjacent(FlushOptimizer):
-    """FliT with the counter placed adjacent to every data word.
+class Flit(FlushOptimizer):
+    """FliT's counter protocol [73], shared by both counter placements.
 
-    The counter of the field at address ``a`` lives at ``a + 8``; objects
-    are laid out with a 16-byte stride so this slot always exists.
+    A store or successful CAS sets the written word's persist counter; a
+    flush or clean reaches the hardware only while the counter is set,
+    and then clears it.  Subclasses place the counter
+    (:meth:`_counter_of`, which also records it) and filter ranged cleans.
     """
-
-    name = "flit-adjacent"
-    field_stride = 16
 
     def __init__(self) -> None:
         self._counters = set()
 
     def _counter_of(self, address: int) -> int:
-        counter = address + 8
-        self._counters.add(counter)
-        return counter
+        raise NotImplementedError
 
     def declare_persisted(self, system) -> None:
         for counter in self._counters:
@@ -165,6 +162,22 @@ class FlitAdjacent(FlushOptimizer):
         if ctx.load(counter):
             ctx.clean(address)
             ctx.store(counter, 0)
+
+
+class FlitAdjacent(Flit):
+    """FliT with the counter placed adjacent to every data word.
+
+    The counter of the field at address ``a`` lives at ``a + 8``; objects
+    are laid out with a 16-byte stride so this slot always exists.
+    """
+
+    name = "flit-adjacent"
+    field_stride = 16
+
+    def _counter_of(self, address: int) -> int:
+        counter = address + 8
+        self._counters.add(counter)
+        return counter
 
     def clean_range(self, ctx: ThreadCtx, address: int, length: int) -> None:
         # Per-field counters: a line needs the sweep iff any of its data
@@ -183,7 +196,7 @@ class FlitAdjacent(FlushOptimizer):
             ctx.store(counter, 0)
 
 
-class FlitHashTable(FlushOptimizer):
+class FlitHashTable(Flit):
     """FliT with counters in a shared fixed-size table.
 
     ``table_entries`` is the Figure 16 sensitivity knob: a small table
@@ -195,10 +208,10 @@ class FlitHashTable(FlushOptimizer):
     def __init__(self, heap: SimHeap, table_entries: int = 1024) -> None:
         if table_entries < 1:
             raise ValueError("table must have at least one entry")
+        super().__init__()
         self.table_entries = table_entries
         self.table_base = heap.alloc_region(table_entries * 8)
         self.line_bytes = heap.line_bytes
-        self._counters = set()
 
     def _counter_of(self, address: int) -> int:
         line = address // self.line_bytes
@@ -206,35 +219,6 @@ class FlitHashTable(FlushOptimizer):
         counter = self.table_base + slot * 8
         self._counters.add(counter)
         return counter
-
-    def declare_persisted(self, system) -> None:
-        for counter in self._counters:
-            if system.arch.get(counter):
-                system.arch[counter] = 0
-            if system.persisted.get(counter):
-                system.persisted[counter] = 0
-
-    def write(self, ctx: ThreadCtx, address: int, value: int) -> None:
-        ctx.store(address, value)
-        ctx.store(self._counter_of(address), 1)
-
-    def cas(self, ctx: ThreadCtx, address: int, expected: int, new: int) -> bool:
-        ok = ctx.cas(address, expected, new)
-        if ok:
-            ctx.store(self._counter_of(address), 1)
-        return ok
-
-    def flush(self, ctx: ThreadCtx, address: int) -> None:
-        counter = self._counter_of(address)
-        if ctx.load(counter):
-            ctx.flush(address)
-            ctx.store(counter, 0)
-
-    def clean(self, ctx: ThreadCtx, address: int) -> None:
-        counter = self._counter_of(address)
-        if ctx.load(counter):
-            ctx.clean(address)
-            ctx.store(counter, 0)
 
     def clean_range(self, ctx: ThreadCtx, address: int, length: int) -> None:
         # The table hashes per line, so the ranged filter is one counter

@@ -1,11 +1,10 @@
-"""Microbenchmark workload generators for the evaluation figures."""
+"""Workload generators for the evaluation figures."""
 
-from repro.workloads.sweep import writeback_sweep, WritebackSweepResult
-from repro.workloads.reread import clean_vs_flush_reread
-from repro.workloads.redundant import redundant_writeback_latency
-from repro.workloads.datastructs import (
-    DataStructureBenchmark,
-    DataStructureResult,
+from repro.workloads.sweep import (
+    WritebackSweepResult,
+    clean_vs_flush_reread,
+    redundant_writeback_latency,
+    writeback_sweep,
 )
 from repro.workloads.openloop import (
     OpenLoopClient,
@@ -18,8 +17,6 @@ __all__ = [
     "WritebackSweepResult",
     "clean_vs_flush_reread",
     "redundant_writeback_latency",
-    "DataStructureBenchmark",
-    "DataStructureResult",
     "OpenLoopClient",
     "PoissonArrivals",
     "ZipfianKeys",

@@ -1,17 +1,33 @@
-"""Writeback-size sweep (Figure 9; SonicBOOM series of Figures 11-12).
+"""Cycle-level SoC microbenchmarks (Figures 9-13): one measuring loop.
 
-Per repetition: each thread dirties its own disjoint region, then flushes
-(or cleans) it line by line and fences once at the end; the measured
-interval covers the writebacks and the fence, matching §7.2's
-"we dirty the cache, then each thread flushes sequentially and fences
-once at the end".
+Each thread works on its own disjoint region, one program per thread.
+Every workload runs 1 + ``repeats`` repetitions on one SoC and discards
+the first (first-touch effects); a repetition runs each phase's programs
+and drains, and the last phase's cycles are the sample.
+
+* :func:`writeback_sweep` (Figure 9, the SonicBOOM series of Figures
+  11-12, the selftest): dirty the region, then flush (or clean) it line
+  by line and fence once at the end, matching §7.2's "we dirty the
+  cache, then each thread flushes sequentially and fences once at the
+  end".  Only the writebacks and the fence are measured.
+* :func:`clean_vs_flush_reread` (Figure 10): per line, write, issue the
+  writeback ten times, fence, then re-read ("Write - Clean/Flush x 10 -
+  Fence - Read").  A CBO.CLEAN leaves the line resident so the re-read
+  hits; a CBO.FLUSH invalidates it, so the re-read refetches from memory.
+* :func:`redundant_writeback_latency` (Figure 13): per line, a store,
+  one necessary CBO.X and *redundant* more to the same (now persisted)
+  line, with one fence per region; naive vs Skip It.  The paper runs
+  CBO.FLUSH and notes CBO.CLEAN gives identical results (§7.4).  This
+  reproduction runs CBO.CLEAN: a flushed line is no longer resident,
+  and §6.1's filter applies only to resident lines, so the clean is the
+  variant that reaches the L1-level drop (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.sim.config import SoCParams
 from repro.sim.stats import median, stdev
@@ -22,15 +38,17 @@ from repro.uarch.soc import Soc
 #: "non-contended lines, i.e. each thread flushes a different cache region").
 REGION_STRIDE = 1 << 20
 REGION_BASE = 1 << 24
+#: CBO.X issued per line by figure 10's re-read loop
+REREAD_CBOS = 10
+
+#: one thread's lines: (address, the value its store writes)
+Lines = Sequence[Tuple[int, int]]
 
 
 @dataclass
 class WritebackSweepResult:
-    """Latency samples for one (size, threads, op) point."""
+    """Latency samples of one point."""
 
-    size_bytes: int
-    threads: int
-    op: str
     samples: List[int] = field(default_factory=list)
     #: wall seconds spent inside run_programs/drain only (no SoC
     #: construction, no program building) and the total cycles the engine
@@ -47,28 +65,42 @@ class WritebackSweepResult:
         return stdev(self.samples)
 
 
-def _thread_region(thread: int) -> int:
-    return REGION_BASE + thread * REGION_STRIDE
+def _measure(
+    params: Optional[SoCParams],
+    size_bytes: int,
+    threads: int,
+    repeats: int,
+    *phases: Callable[[Lines], List[Instr]],
+) -> WritebackSweepResult:
+    """Run *phases* per repetition on one SoC; sample the last phase.
 
-
-def _dirty_program(thread: int, size_bytes: int, line_bytes: int) -> List[Instr]:
-    base = _thread_region(thread)
-    return [
-        Instr.store(base + offset, offset + 1)
-        for offset in range(0, size_bytes, line_bytes)
+    *size_bytes* is split evenly across *threads*, whole lines each; a
+    phase builds one thread's program from that thread's lines.
+    """
+    params = (params or SoCParams()).with_cores(threads)
+    soc = Soc(params)
+    line = params.line_bytes
+    per_thread = max(line, (size_bytes // threads) // line * line)
+    regions = [
+        [
+            (REGION_BASE + t * REGION_STRIDE + offset, offset + 1)
+            for offset in range(0, per_thread, line)
+        ]
+        for t in range(threads)
     ]
-
-
-def _writeback_program(
-    thread: int, size_bytes: int, line_bytes: int, clean: bool
-) -> List[Instr]:
-    base = _thread_region(thread)
-    make = Instr.clean if clean else Instr.flush
-    program = [
-        make(base + offset) for offset in range(0, size_bytes, line_bytes)
-    ]
-    program.append(Instr.fence())
-    return program
+    result = WritebackSweepResult()
+    # one discarded warmup repetition removes first-touch effects
+    for rep in range(repeats + 1):
+        programs = [[phase(lines) for lines in regions] for phase in phases]
+        begin = time.perf_counter()
+        for phase_programs in programs:
+            cycles = soc.run_programs(phase_programs)
+            soc.drain()
+        result.engine_seconds += time.perf_counter() - begin
+        if rep > 0:
+            result.samples.append(cycles)
+    result.engine_cycles = soc.engine.cycle
+    return result
 
 
 def writeback_sweep(
@@ -79,43 +111,56 @@ def writeback_sweep(
     params: SoCParams = None,
 ) -> WritebackSweepResult:
     """Measure flushing *size_bytes* split evenly across *threads* threads."""
-    params = (params or SoCParams()).with_cores(threads)
-    soc = Soc(params)
-    line = params.line_bytes
-    per_thread = max(line, (size_bytes // threads) // line * line)
-    result = WritebackSweepResult(
-        size_bytes=size_bytes,
-        threads=threads,
-        op="clean" if clean else "flush",
-    )
-    # one discarded warmup repetition removes first-touch effects
-    for rep in range(repeats + 1):
-        dirty = [_dirty_program(t, per_thread, line) for t in range(threads)]
-        wb = [
-            _writeback_program(t, per_thread, line, clean)
-            for t in range(threads)
-        ]
-        begin = time.perf_counter()
-        soc.run_programs(dirty)
-        soc.drain()
-        cycles = soc.run_programs(wb)
-        soc.drain()
-        result.engine_seconds += time.perf_counter() - begin
-        if rep > 0:
-            result.samples.append(cycles)
-    result.engine_cycles = soc.engine.cycle
-    return result
+    make = Instr.clean if clean else Instr.flush
+
+    def dirty(lines: Lines) -> List[Instr]:
+        return [Instr.store(address, value) for address, value in lines]
+
+    def writeback(lines: Lines) -> List[Instr]:
+        return [make(address) for address, _ in lines] + [Instr.fence()]
+
+    return _measure(params, size_bytes, threads, repeats, dirty, writeback)
 
 
-def sweep_series(
-    sizes: List[int],
-    threads: int,
+def clean_vs_flush_reread(
+    size_bytes: int,
+    threads: int = 1,
     clean: bool = False,
     repeats: int = 3,
     params: SoCParams = None,
-) -> Dict[int, WritebackSweepResult]:
-    """One Figure 9 series: size -> sweep result."""
-    return {
-        size: writeback_sweep(size, threads, clean, repeats, params)
-        for size in sizes
-    }
+) -> WritebackSweepResult:
+    """Measure the write/CBO.X^10/fence/read loop over *size_bytes*."""
+    make = Instr.clean if clean else Instr.flush
+
+    def reread(lines: Lines) -> List[Instr]:
+        program: List[Instr] = []
+        for address, value in lines:
+            program.append(Instr.store(address, value))
+            program.extend(make(address) for _ in range(REREAD_CBOS))
+            program.append(Instr.fence())
+            program.append(Instr.load(address))
+        return program
+
+    return _measure(params, size_bytes, threads, repeats, reread)
+
+
+def redundant_writeback_latency(
+    size_bytes: int,
+    threads: int = 1,
+    skip_it: bool = True,
+    redundant: int = 10,
+    repeats: int = 3,
+    params: SoCParams = None,
+) -> WritebackSweepResult:
+    """Latency of store + CBO.CLEAN + *redundant* extra CBO.CLEAN per line."""
+
+    def program(lines: Lines) -> List[Instr]:
+        program: List[Instr] = []
+        for address, value in lines:
+            program.append(Instr.store(address, value))
+            program.extend(Instr.clean(address) for _ in range(1 + redundant))
+        program.append(Instr.fence())
+        return program
+
+    params = (params or SoCParams()).with_skip_it(skip_it)
+    return _measure(params, size_bytes, threads, repeats, program)

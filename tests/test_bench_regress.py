@@ -19,6 +19,8 @@ from repro.bench import regress
 from repro.bench.shared import run_fig18
 from repro.timing.params import TimingParams
 
+COMMITTED = "baselines/quick.json"
+
 
 def _doc(rows, quick=True):
     from dataclasses import asdict
@@ -145,20 +147,35 @@ class TestAgainstCommittedBaseline:
         # acceptance: regress is green on the committed baselines (and
         # this doubles as the tracing-detached bit-identity check at
         # figure granularity — no tracer is attached anywhere here)
-        report = regress.run_and_compare(
-            "baselines/quick.json", figures=[18], jobs=1
+        from repro.bench.runner import run_figures
+        from repro.bench.selftest import run_selftest
+
+        current = baseline_mod.snapshot(
+            run_figures([18], quick=True),
+            quick=True,
+            jobs=1,
+            selftest=baseline_mod.selftest_record(run_selftest()),
         )
+        report = regress.compare(current, baseline_mod.load(COMMITTED))
         assert report.passed, report.format()
         # 15 figure rows + the baseline's sim-speed selftest sample
         assert report.rows_compared == 16
         assert report.figures == [18]
 
     def test_requesting_figure_not_in_baseline(self):
-        report = regress.run_and_compare(
-            "baselines/quick.json", figures=[99]
-        )
+        document = baseline_mod.load(COMMITTED)
+        report = regress.compare(document, copy.deepcopy(document), figures=[99])
         assert not report.passed
-        assert any("none of which" in p for p in report.problems)
+        assert any("no common figures" in p for p in report.problems)
+
+    def test_cli_judges_a_written_snapshot(self, tmp_path, capsys):
+        document = baseline_mod.load(COMMITTED)
+        current = tmp_path / "current.json"
+        document["figures"]["18"]["rows"][0]["throughput_mops"] *= 0.5
+        baseline_mod.write(str(current), document)
+        argv = ["--baseline", COMMITTED, "--current", str(current)]
+        assert regress.main(argv) == 1
+        assert "REGRESSION: fig 18" in capsys.readouterr().out
 
 
 class TestSelftestComparison:

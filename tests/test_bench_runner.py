@@ -8,6 +8,12 @@ import pytest
 from repro.bench import (
     FIGURES,
     baseline,
+    run_fig09,
+    run_fig10,
+    run_fig11,
+    run_fig12,
+    run_fig13,
+    run_fig16,
     run_fig17,
     run_fig18,
     run_fig19,
@@ -82,6 +88,12 @@ class TestRunner:
     @pytest.mark.parametrize(
         "figure, run",
         [
+            (9, run_fig09),
+            (10, run_fig10),
+            (11, run_fig11),
+            (12, run_fig12),
+            (13, run_fig13),
+            (16, run_fig16),
             (17, run_fig17),
             (18, run_fig18),
             (19, run_fig19),

@@ -4,7 +4,6 @@ from repro.bench.micro import rows_by_series, MicroRow
 from repro.bench.structures import rows_by_structure, ThroughputRow
 from repro.uarch.cpu import Instr
 from repro.uarch.soc import Soc
-from repro.workloads.sweep import sweep_series
 
 
 class TestCoreBookkeeping:
@@ -37,14 +36,6 @@ class TestCoreBookkeeping:
         summary = soc.stats_summary()
         assert "l2" in summary
         assert "l1_0" in summary and "flush_unit_0" in summary
-
-
-class TestSweepSeries:
-    def test_series_keyed_by_size(self):
-        series = sweep_series([64, 128], threads=1, repeats=1)
-        assert sorted(series) == [64, 128]
-        assert series[64].op == "flush"
-        assert series[128].median >= series[64].median * 0.5
 
 
 class TestRowGrouping:

@@ -2,8 +2,9 @@
 
 Figure rows carry only cycle medians, so ``--check`` cannot see a
 miscounted nack, replay or skip.  These cases run the programs the
-figure workloads build — ``workloads/redundant.py`` (figure 13, naive
-and Skip It), ``workloads/reread.py`` (figure 10) and the selftest's
+figure workloads of ``workloads/sweep.py`` build —
+``redundant_writeback_latency`` (figure 13, naive and Skip It),
+``clean_vs_flush_reread`` (figure 10) and the selftest's
 ``writeback_sweep`` point (figure 9) — and compare every counter of the
 SoC they ran on (``Soc.stats_summary()``, each core's stats) plus the
 engine cycle and the measured samples against ``baselines/soc_stats.json``.
@@ -18,8 +19,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.workloads.redundant as redundant
-import repro.workloads.reread as reread
 import repro.workloads.sweep as sweep
 from repro.bench.selftest import (
     SELFTEST_REPEATS,
@@ -30,26 +29,22 @@ from repro.uarch.soc import Soc
 
 PINS = Path(__file__).resolve().parent.parent / "baselines" / "soc_stats.json"
 
-#: name -> (workload module, entry point name, keyword arguments)
+#: name -> (entry point of workloads/sweep.py, keyword arguments)
 CASES = {
     "fig13-naive": (
-        redundant,
-        "redundant_writeback_latency",
+        sweep.redundant_writeback_latency,
         dict(size_bytes=4096, threads=2, skip_it=False, repeats=1),
     ),
     "fig13-skipit": (
-        redundant,
-        "redundant_writeback_latency",
+        sweep.redundant_writeback_latency,
         dict(size_bytes=4096, threads=2, skip_it=True, repeats=1),
     ),
     "fig10-flush": (
-        reread,
-        "clean_vs_flush_reread",
+        sweep.clean_vs_flush_reread,
         dict(size_bytes=4096, threads=2, clean=False, repeats=1),
     ),
     "fig9-selftest": (
-        sweep,
-        "writeback_sweep",
+        sweep.writeback_sweep,
         dict(
             size_bytes=SELFTEST_SIZE_BYTES,
             threads=SELFTEST_THREADS,
@@ -62,7 +57,7 @@ CASES = {
 
 def snapshot(name):
     """Run one case and return its full stats tree."""
-    module, entry, kwargs = CASES[name]
+    entry, kwargs = CASES[name]
     built = []
 
     class RecordingSoc(Soc):
@@ -70,12 +65,12 @@ def snapshot(name):
             super().__init__(*args, **kw)
             built.append(self)
 
-    original = module.Soc
-    module.Soc = RecordingSoc
+    original = sweep.Soc
+    sweep.Soc = RecordingSoc
     try:
-        result = getattr(module, entry)(**kwargs)
+        result = entry(**kwargs)
     finally:
-        module.Soc = original
+        sweep.Soc = original
     (soc,) = built
     return {
         "cycle": soc.engine.cycle,

@@ -6,10 +6,12 @@ the figures report, which is the real contract of the harness.
 
 import pytest
 
-from repro.workloads.datastructs import DataStructureBenchmark
-from repro.workloads.redundant import redundant_writeback_latency
-from repro.workloads.reread import clean_vs_flush_reread
-from repro.workloads.sweep import writeback_sweep
+from repro.bench.structures import run_structure
+from repro.workloads.sweep import (
+    clean_vs_flush_reread,
+    redundant_writeback_latency,
+    writeback_sweep,
+)
 
 KIB = 1024
 
@@ -49,9 +51,6 @@ class TestCleanVsFlushReread:
         flush = clean_vs_flush_reread(512, clean=False, repeats=2).median
         assert flush > clean * 1.5
 
-    def test_op_label(self):
-        assert clean_vs_flush_reread(64, clean=True, repeats=1).op == "clean"
-
 
 class TestRedundantWriteback:
     def test_skip_it_beats_naive(self):
@@ -74,41 +73,40 @@ class TestRedundantWriteback:
         assert skip_10 < naive_10
 
 
-class TestDataStructureBenchmark:
-    def test_applicability_matrix(self):
-        assert not DataStructureBenchmark("bst", "manual", "link-and-persist").applicable
-        assert DataStructureBenchmark("bst", "manual", "skipit").applicable
-        assert DataStructureBenchmark("list", "manual", "link-and-persist").applicable
+def _structure(structure, policy, optimizer, duration, key_range=256):
+    """A small figure-14 cell at the fixed seed 12345."""
+    return run_structure(
+        14, structure, policy, optimizer, 5, duration, 12345, key_range=key_range
+    )
 
-    def test_inapplicable_run_raises(self):
-        bench = DataStructureBenchmark("bst", "manual", "link-and-persist")
-        with pytest.raises(ValueError):
-            bench.run(duration=1000)
+
+class TestStructureCell:
+    def test_applicability_matrix(self):
+        """BST x link-and-persist is not run (its row has no throughput);
+        other pairings run."""
+        row = _structure("bst", "manual", "link-and-persist", 1000)
+        assert row.throughput_mops is None and row.metrics is None
+        assert _structure("bst", "manual", "skipit", 1000, 64).throughput_mops
+        row = _structure("list", "manual", "link-and-persist", 1000, 64)
+        assert row.throughput_mops
 
     def test_unknown_structure_rejected(self):
         with pytest.raises(ValueError):
-            DataStructureBenchmark("btree", "manual", "plain")
+            _structure("btree", "manual", "plain", 1000)
 
     def test_result_fields(self):
-        bench = DataStructureBenchmark(
-            "hashtable", "manual", "skipit", key_range=256
+        row = _structure("hashtable", "manual", "skipit", 20_000)
+        assert row.throughput_mops > 0
+        assert row.flush_requests == sum(
+            row.metrics["timing"]["threads"][f"t{tid}"]["flush_requests"]
+            for tid in range(2)
         )
-        result = bench.run(duration=20_000, warmup_ops=20)
-        assert result.total_ops > 0
-        assert result.elapsed_cycles >= 20_000
-        assert result.throughput_mops > 0
 
     def test_skip_it_filters_redundant_flushes(self):
-        bench = DataStructureBenchmark(
-            "hashtable", "automatic", "skipit", key_range=256
-        )
-        result = bench.run(duration=30_000, warmup_ops=50)
-        assert result.cbo_skipped > result.cbo_issued
+        row = _structure("hashtable", "automatic", "skipit", 30_000)
+        assert row.cbo_skipped > row.cbo_issued
 
     def test_plain_issues_every_request(self):
-        bench = DataStructureBenchmark(
-            "hashtable", "automatic", "plain", key_range=256
-        )
-        result = bench.run(duration=20_000, warmup_ops=20)
-        assert result.cbo_skipped == 0
-        assert result.cbo_issued > 0
+        row = _structure("hashtable", "automatic", "plain", 20_000)
+        assert row.cbo_skipped == 0
+        assert row.cbo_issued > 0
