@@ -12,6 +12,11 @@ from typing import Optional, Set
 
 from repro.tilelink.permissions import Perm
 
+# enum members bound once at import (see tests/test_hot_paths.py)
+_NONE = Perm.NONE
+_BRANCH = Perm.BRANCH
+_TRUNK = Perm.TRUNK
+
 
 @dataclass
 class DirectoryEntry:
@@ -22,9 +27,9 @@ class DirectoryEntry:
 
     def grant(self, client: int, perm: Perm) -> None:
         """Record a Grant of *perm* to *client*."""
-        if perm is Perm.NONE:
+        if perm is _NONE:
             raise ValueError("cannot grant NONE")
-        if perm is Perm.TRUNK:
+        if perm is _TRUNK:
             # a sharer other than *client*, counted without a set difference
             if len(self.sharers) > (client in self.sharers):
                 raise ValueError(
@@ -36,11 +41,11 @@ class DirectoryEntry:
 
     def downgrade(self, client: int, to: Perm) -> None:
         """Record that *client* now holds at most *to*."""
-        if to is Perm.NONE:
+        if to is _NONE:
             self.sharers.discard(client)
             if self.owner == client:
                 self.owner = None
-        elif to is Perm.BRANCH:
+        elif to is _BRANCH:
             if self.owner == client:
                 self.owner = None
         else:  # TRUNK: no-op report
@@ -51,10 +56,10 @@ class DirectoryEntry:
 
     def perm_of(self, client: int) -> Perm:
         if client == self.owner:
-            return Perm.TRUNK
+            return _TRUNK
         if client in self.sharers:
-            return Perm.BRANCH
-        return Perm.NONE
+            return _BRANCH
+        return _NONE
 
     @property
     def idle(self) -> bool:

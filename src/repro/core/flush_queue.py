@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Tuple
 
+from repro.tilelink.messages import ProbeAckParam
 from repro.tilelink.permissions import Cap, Perm
 
 _flush_ids = itertools.count()
@@ -32,6 +33,21 @@ class CboKind(enum.Enum):
     CLEAN = "clean"
     FLUSH = "flush"
     INVAL = "inval"
+
+
+# the RootRelease param each kind sends (§5.1), a member attribute (see
+# ``MemOp.is_cbo``): the flush unit reads it on every release
+CboKind.CLEAN.release_param = ProbeAckParam.CLEAN
+CboKind.FLUSH.release_param = ProbeAckParam.FLUSH
+CboKind.INVAL.release_param = ProbeAckParam.INVAL
+
+# enum members bound once at import (see tests/test_hot_paths.py)
+_CLEAN = CboKind.CLEAN
+_NONE = Perm.NONE
+_BRANCH = Perm.BRANCH
+_TRUNK = Perm.TRUNK
+_TO_N = Cap.toN
+_TO_B = Cap.toB
 
 
 @dataclass
@@ -56,7 +72,7 @@ class FlushRequest:
 
     @property
     def is_clean(self) -> bool:
-        return self.kind is CboKind.CLEAN
+        return self.kind is _CLEAN
 
     def apply_downgrade(self, cap: Cap) -> None:
         """Reflect a permission downgrade (probe) on the sampled metadata.
@@ -65,19 +81,19 @@ class FlushRequest:
         entry; one that downgrades to BRANCH clears the dirty bit (the
         probe response carried the dirty data to L2).
         """
-        if cap is Cap.toN:
+        if cap is _TO_N:
             self.is_hit = False
             self.is_dirty = False
-            self.perm = Perm.NONE
+            self.perm = _NONE
             self.way = -1
-        elif cap is Cap.toB:
+        elif cap is _TO_B:
             self.is_dirty = False
-            if self.perm is Perm.TRUNK:
-                self.perm = Perm.BRANCH
+            if self.perm is _TRUNK:
+                self.perm = _BRANCH
 
     def apply_eviction(self) -> None:
         """Reflect the line's eviction from L1 (writeback unit, §5.4.2)."""
-        self.apply_downgrade(Cap.toN)
+        self.apply_downgrade(_TO_N)
 
 
 @dataclass

@@ -29,7 +29,7 @@ from repro.core.flush_queue import (
     FlushRequest,
     RangedFlushRequest,
 )
-from repro.core.fshr import RELEASE_PARAM, Fshr, FshrState, release_shrink
+from repro.core.fshr import Fshr, FshrState, release_shrink
 from repro.sim.config import SoCParams
 from repro.sim.stats import StatCounter, StatKeys, inc_all
 from repro.tilelink.messages import root_release
@@ -46,6 +46,36 @@ class OfferResult(enum.Enum):
     SKIPPED = "skipped"  # dropped by Skip It (persisted line)
     COALESCED = "coalesced"  # merged with a pending same-line same-kind entry
     NACK = "nack"  # flush queue full; LSU must retry
+
+
+# the L1 stat each outcome bumps, per-line and ranged, as member
+# attributes (see ``MemOp.is_cbo``): the L1 counts one on every CBO fire
+for _result in OfferResult:
+    _result.stat_key = f"cbo_{_result.value}"
+    _result.range_stat_key = f"cbo_range_{_result.value}"
+del _result
+
+# enum members bound once at import (see tests/test_hot_paths.py)
+_ACCEPTED = OfferResult.ACCEPTED
+_SKIPPED = OfferResult.SKIPPED
+_COALESCED = OfferResult.COALESCED
+_NACK = OfferResult.NACK
+_INVALID = FshrState.INVALID
+_META_WRITE = FshrState.META_WRITE
+_FILL_BUFFER = FshrState.FILL_BUFFER
+_ROOT_RELEASE_DATA = FshrState.ROOT_RELEASE_DATA
+_ROOT_RELEASE = FshrState.ROOT_RELEASE
+_ROOT_RELEASE_ACK = FshrState.ROOT_RELEASE_ACK
+_RANGE_SCAN = FshrState.RANGE_SCAN
+_RANGE_META_WRITE = FshrState.RANGE_META_WRITE
+_RANGE_FILL_BUFFER = FshrState.RANGE_FILL_BUFFER
+_RANGE_RELEASE_DATA = FshrState.RANGE_RELEASE_DATA
+_RANGE_RELEASE = FshrState.RANGE_RELEASE
+_RANGE_RELEASE_ACK = FshrState.RANGE_RELEASE_ACK
+_CLEAN = CboKind.CLEAN
+_FLUSH = CboKind.FLUSH
+_INVAL = CboKind.INVAL
+_NONE = Perm.NONE
 
 
 class FlushUnit:
@@ -107,17 +137,13 @@ class FlushUnit:
         probes, evictions and demand-miss evictions proceed against any
         line the sweep has not reached — the in-flight range yields.
         """
-        invalid = FshrState.INVALID
-        ack = FshrState.ROOT_RELEASE_ACK
-        scan = FshrState.RANGE_SCAN
-        range_ack = FshrState.RANGE_RELEASE_ACK
         for fshr in self.fshrs:
             state = fshr.state
             if (
-                state is not invalid
-                and state is not ack
-                and state is not scan
-                and state is not range_ack
+                state is not _INVALID
+                and state is not _ROOT_RELEASE_ACK
+                and state is not _RANGE_SCAN
+                and state is not _RANGE_RELEASE_ACK
             ):
                 return False
         return True
@@ -175,7 +201,7 @@ class FlushUnit:
         Never applies to cbo.inval, whose invalidation is architecturally
         required.
         """
-        if hit is None or kind is CboKind.INVAL or not self.params.skip_it:
+        if hit is None or kind is _INVAL or not self.params.skip_it:
             return False
         entry = hit[1]
         return not entry.dirty and entry.skip
@@ -201,8 +227,8 @@ class FlushUnit:
             if pending.kind is kind or (
                 fu.coalesce_cross_kind
                 and not pending.is_range
-                and pending.kind is not CboKind.INVAL
-                and kind is not CboKind.INVAL
+                and pending.kind is not _INVAL
+                and kind is not _INVAL
             ):
                 return pending
         return None
@@ -296,25 +322,25 @@ class FlushUnit:
             self.stats.inc("skipped")
             if self.obs is not None:
                 self._obs_instant("skipped", address, kind)
-            return OfferResult.SKIPPED
+            return _SKIPPED
         pending = self._merge_target(address, kind)
         if pending is not None:
             if pending.kind is kind:
                 self.stats.inc("coalesced")
-            elif pending.kind is CboKind.FLUSH:
+            elif pending.kind is _FLUSH:
                 # a clean merges into the queued flush
                 self.stats.inc("coalesced_cross")
             else:
                 # a flush upgrades the queued clean in place
-                pending.kind = CboKind.FLUSH
+                pending.kind = _FLUSH
                 self.stats.inc("coalesced_cross_upgrade")
             if self.obs is not None:
                 self._obs_instant("coalesced", address, kind)
-            return OfferResult.COALESCED
+            return _COALESCED
         nack = self._enqueue_nack(address)
         if nack is not None:
             self.note_nack(nack, address, address, kind)
-            return OfferResult.NACK
+            return _NACK
         if hit is not None:
             way, meta = hit
             request = FlushRequest(
@@ -347,7 +373,7 @@ class FlushUnit:
                 hit=request.is_hit,
                 dirty=request.is_dirty,
             )
-        return OfferResult.ACCEPTED
+        return _ACCEPTED
 
     def offer_range(
         self, base_line: int, last_line: int, kind: CboKind
@@ -364,7 +390,7 @@ class FlushUnit:
         nack = self.range_nack(base_line, last_line)
         if nack is not None:
             self.note_nack(nack, base_line, last_line, kind)
-            return OfferResult.NACK
+            return _NACK
         line_bytes = self.params.line_bytes
         lines = (last_line - base_line) // line_bytes + 1
         covered = tuple(base_line + i * line_bytes for i in range(lines))
@@ -393,7 +419,7 @@ class FlushUnit:
                 kind=kind.value,
                 lines=lines,
             )
-        return OfferResult.ACCEPTED
+        return _ACCEPTED
 
     # ------------------------------------------------- interference (§5.4)
     def probe_invalidate(self, address: int, cap: Cap) -> None:
@@ -451,15 +477,12 @@ class FlushUnit:
         queued request dequeues as soon as the §5.4 gates are open.  An
         ack-awaiting FSHR wakes only via channel D, which the L1 reports.
         """
-        invalid = FshrState.INVALID
-        ack = FshrState.ROOT_RELEASE_ACK
-        range_ack = FshrState.RANGE_RELEASE_ACK
         has_free = False
         for fshr in self.fshrs:
             state = fshr.state
-            if state is invalid:
+            if state is _INVALID:
                 has_free = True
-            elif state is not ack and state is not range_ack:
+            elif state is not _ROOT_RELEASE_ACK and state is not _RANGE_RELEASE_ACK:
                 return cycle + 1
         if (
             has_free
@@ -513,35 +536,36 @@ class FlushUnit:
         return None
 
     def _step_fshrs(self, cycle: int) -> None:
-        invalid = FshrState.INVALID
-        ack = FshrState.ROOT_RELEASE_ACK
-        range_ack = FshrState.RANGE_RELEASE_ACK
         for fshr in self.fshrs:
             state = fshr.state
-            if state is invalid or state is ack or state is range_ack:
+            if (
+                state is _INVALID
+                or state is _ROOT_RELEASE_ACK
+                or state is _RANGE_RELEASE_ACK
+            ):
                 continue
             request = fshr.request
             assert request is not None
             prev_state = fshr.state
-            if state is FshrState.RANGE_SCAN:
+            if state is _RANGE_SCAN:
                 if not self._range_scan(fshr, request, cycle):
                     continue  # stalled this cycle: no action, no progress
-            elif state is FshrState.META_WRITE or state is FshrState.RANGE_META_WRITE:
+            elif state is _META_WRITE or state is _RANGE_META_WRITE:
                 self._apply_meta_write(request)
                 fshr.after_meta_write()
-            elif state is FshrState.FILL_BUFFER or state is FshrState.RANGE_FILL_BUFFER:
+            elif state is _FILL_BUFFER or state is _RANGE_FILL_BUFFER:
                 line = self.l1.data.read_line(
                     self.l1.geometry.set_index(request.address), request.way
                 )
                 fshr.fill_step(line)
-            elif state is FshrState.ROOT_RELEASE_DATA or state is FshrState.RANGE_RELEASE_DATA:
+            elif state is _ROOT_RELEASE_DATA or state is _RANGE_RELEASE_DATA:
                 self._send_release(fshr, request, with_data=True, cycle=cycle)
-            elif state is FshrState.ROOT_RELEASE or state is FshrState.RANGE_RELEASE:
+            elif state is _ROOT_RELEASE or state is _RANGE_RELEASE:
                 self._send_release(fshr, request, with_data=False, cycle=cycle)
             if (
                 self.obs is not None
                 and fshr.state is not prev_state
-                and fshr.state is not invalid
+                and fshr.state is not _INVALID
             ):
                 self.obs.transition(
                     cycle, f"cbo:{request.flush_id}", fshr.state.value
@@ -571,7 +595,7 @@ class FlushUnit:
             request.is_hit = False
             request.is_dirty = False
             request.way = -1
-            request.perm = Perm.NONE
+            request.perm = _NONE
             self.stats.inc("range_line_deferred")
             if self.obs is not None:
                 self._obs_instant("range_line_deferred", line, request.kind)
@@ -585,7 +609,7 @@ class FlushUnit:
             request.way = way
             request.perm = entry.perm
             if (
-                request.kind is not CboKind.INVAL
+                request.kind is not _INVAL
                 and self.params.skip_it
                 and not entry.dirty
                 and entry.skip
@@ -600,7 +624,7 @@ class FlushUnit:
             request.is_hit = False
             request.is_dirty = False
             request.way = -1
-            request.perm = Perm.NONE
+            request.perm = _NONE
         fshr.plan_range_line()
         self._fshr_by_line[line] = fshr
         self.stats.inc("range_line_planned")
@@ -618,7 +642,7 @@ class FlushUnit:
     def _apply_meta_write(self, request: FlushRequest) -> None:
         """Invalidate (flush/inval) or clean (clear dirty) the metadata."""
         entry = self.l1.meta.way_entry(request.address, request.way)
-        if request.kind is CboKind.CLEAN:
+        if request.kind is _CLEAN:
             entry.dirty = False
         else:
             entry.invalidate()
@@ -631,7 +655,7 @@ class FlushUnit:
         message = root_release(
             source=self.l1.agent_id,
             address=request.address,
-            param=RELEASE_PARAM[request.kind],
+            param=request.kind.release_param,
             shrink=release_shrink(request),
             data=data,
         )
@@ -654,14 +678,14 @@ class FlushUnit:
             )
         del self._fshr_by_line[address]
         cycle = self.l1.engine.cycle
-        if fshr.state is FshrState.RANGE_RELEASE_ACK:
+        if fshr.state is _RANGE_RELEASE_ACK:
             # one swept line is durable; the range itself completes (and
             # releases its single flush-counter token) only with the
             # final line — lines behind the cursor are done
             request = fshr.request
             assert request is not None
             self.stats.inc("range_line_acks")
-            if request.kind is CboKind.CLEAN:
+            if request.kind is _CLEAN:
                 self._maybe_set_skip(request)
             self._range_advance(fshr, request, cycle)
             if self.obs is not None and fshr.busy:
@@ -673,7 +697,7 @@ class FlushUnit:
         request = fshr.complete()
         self.flush_counter -= 1
         self.stats.inc("acks")
-        if request.kind is CboKind.CLEAN:
+        if request.kind is _CLEAN:
             self._maybe_set_skip(request)
         if self.obs is not None:
             self.obs.close_span(cycle, f"cbo:{request.flush_id}")

@@ -27,7 +27,6 @@ import enum
 from typing import Optional
 
 from repro.core.flush_queue import CboKind, FlushRequest
-from repro.tilelink.messages import ProbeAckParam
 from repro.tilelink.permissions import Perm, Shrink
 
 
@@ -51,24 +50,42 @@ class FshrState(enum.Enum):
     RANGE_RELEASE_ACK = "range_release_ack"
 
 
+# enum members bound once at import (see tests/test_hot_paths.py)
+_INVALID = FshrState.INVALID
+_META_WRITE = FshrState.META_WRITE
+_FILL_BUFFER = FshrState.FILL_BUFFER
+_ROOT_RELEASE_DATA = FshrState.ROOT_RELEASE_DATA
+_ROOT_RELEASE = FshrState.ROOT_RELEASE
+_ROOT_RELEASE_ACK = FshrState.ROOT_RELEASE_ACK
+_RANGE_SCAN = FshrState.RANGE_SCAN
+_RANGE_META_WRITE = FshrState.RANGE_META_WRITE
+_RANGE_FILL_BUFFER = FshrState.RANGE_FILL_BUFFER
+_RANGE_RELEASE_DATA = FshrState.RANGE_RELEASE_DATA
+_RANGE_RELEASE = FshrState.RANGE_RELEASE
+_RANGE_RELEASE_ACK = FshrState.RANGE_RELEASE_ACK
+_CLEAN = CboKind.CLEAN
+_FLUSH = CboKind.FLUSH
+_INVAL = CboKind.INVAL
+_NONE = Perm.NONE
+_TRUNK = Perm.TRUNK
+_T_TO_T = Shrink.TtoT
+_T_TO_N = Shrink.TtoN
+_B_TO_B = Shrink.BtoB
+_B_TO_N = Shrink.BtoN
+_N_TO_N = Shrink.NtoN
+
+
 def release_shrink(request: FlushRequest) -> Shrink:
     """Shrink/report param the RootRelease carries, from the sampled state.
 
     A flush/inval relinquishes the line (TtoN/BtoN); a clean reports its
     retained permission (TtoT/BtoB); a miss reports NtoN.
     """
-    if not request.is_hit or request.perm is Perm.NONE:
-        return Shrink.NtoN
-    if request.kind is CboKind.CLEAN:
-        return Shrink.TtoT if request.perm is Perm.TRUNK else Shrink.BtoB
-    return Shrink.TtoN if request.perm is Perm.TRUNK else Shrink.BtoN
-
-
-RELEASE_PARAM = {
-    CboKind.CLEAN: ProbeAckParam.CLEAN,
-    CboKind.FLUSH: ProbeAckParam.FLUSH,
-    CboKind.INVAL: ProbeAckParam.INVAL,
-}
+    if not request.is_hit or request.perm is _NONE:
+        return _N_TO_N
+    if request.kind is _CLEAN:
+        return _T_TO_T if request.perm is _TRUNK else _B_TO_B
+    return _T_TO_N if request.perm is _TRUNK else _B_TO_N
 
 
 class Fshr:
@@ -76,7 +93,7 @@ class Fshr:
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.state = FshrState.INVALID
+        self.state = _INVALID
         self.request: Optional[FlushRequest] = None
         self.buffer: Optional[bytes] = None
         self._fill_cycles_left = 0
@@ -85,7 +102,7 @@ class Fshr:
     # ------------------------------------------------------------- queries
     @property
     def busy(self) -> bool:
-        return self.state is not FshrState.INVALID
+        return self.state is not _INVALID
 
     @property
     def address(self) -> Optional[int]:
@@ -101,10 +118,7 @@ class Fshr:
 
     @property
     def awaiting_ack(self) -> bool:
-        return (
-            self.state is FshrState.ROOT_RELEASE_ACK
-            or self.state is FshrState.RANGE_RELEASE_ACK
-        )
+        return self.state is _ROOT_RELEASE_ACK or self.state is _RANGE_RELEASE_ACK
 
     @property
     def holds_line_exclusive(self) -> bool:
@@ -119,64 +133,55 @@ class Fshr:
         self.request = request
         self.buffer = None
         self._fill_cycles_left = fill_cycles
-        if request.kind is CboKind.INVAL:
+        if request.kind is _INVAL:
             # cbo.inval discards data: invalidate metadata on a hit, never
             # fill a buffer, always a dataless release
-            self.state = (
-                FshrState.META_WRITE if request.is_hit else FshrState.ROOT_RELEASE
-            )
+            self.state = _META_WRITE if request.is_hit else _ROOT_RELEASE
         elif request.is_hit and request.is_dirty:
-            self.state = FshrState.META_WRITE
-        elif request.is_hit and request.kind is CboKind.FLUSH:
+            self.state = _META_WRITE
+        elif request.is_hit and request.kind is _FLUSH:
             # clean line, CBO.FLUSH: still must invalidate metadata
-            self.state = FshrState.META_WRITE
+            self.state = _META_WRITE
         else:
             # clean line with CBO.CLEAN, or miss: no metadata change
-            self.state = FshrState.ROOT_RELEASE
+            self.state = _ROOT_RELEASE
 
     def after_meta_write(self) -> None:
         if self.request is None:  # pragma: no cover - defensive
             raise RuntimeError("FSHR has no request")
-        ranged = self.state is FshrState.RANGE_META_WRITE
-        if self.request.kind is CboKind.INVAL:
+        ranged = self.state is _RANGE_META_WRITE
+        if self.request.kind is _INVAL:
             # dirty data is discarded
-            self.state = FshrState.RANGE_RELEASE if ranged else FshrState.ROOT_RELEASE
+            self.state = _RANGE_RELEASE if ranged else _ROOT_RELEASE
         elif self.request.is_dirty:
-            self.state = (
-                FshrState.RANGE_FILL_BUFFER if ranged else FshrState.FILL_BUFFER
-            )
+            self.state = _RANGE_FILL_BUFFER if ranged else _FILL_BUFFER
         else:
-            self.state = FshrState.RANGE_RELEASE if ranged else FshrState.ROOT_RELEASE
+            self.state = _RANGE_RELEASE if ranged else _ROOT_RELEASE
 
     def fill_step(self, line_data: bytes) -> bool:
         """Advance the buffer fill by one cycle; True when complete."""
-        ranged = self.state is FshrState.RANGE_FILL_BUFFER
+        ranged = self.state is _RANGE_FILL_BUFFER
         self._fill_cycles_left -= 1
         if self._fill_cycles_left <= 0:
             self.buffer = bytes(line_data)
-            self.state = (
-                FshrState.RANGE_RELEASE_DATA
-                if ranged
-                else FshrState.ROOT_RELEASE_DATA
-            )
+            self.state = _RANGE_RELEASE_DATA if ranged else _ROOT_RELEASE_DATA
             return True
         return False
 
     def sent_release(self) -> None:
         self.state = (
-            FshrState.RANGE_RELEASE_ACK
-            if self.state
-            in (FshrState.RANGE_RELEASE, FshrState.RANGE_RELEASE_DATA)
-            else FshrState.ROOT_RELEASE_ACK
+            _RANGE_RELEASE_ACK
+            if self.state in (_RANGE_RELEASE, _RANGE_RELEASE_DATA)
+            else _ROOT_RELEASE_ACK
         )
 
     def complete(self) -> FlushRequest:
         """Consume the RootReleaseAck; free the FSHR and return its request."""
-        if self.state is not FshrState.ROOT_RELEASE_ACK:
+        if self.state is not _ROOT_RELEASE_ACK:
             raise RuntimeError(f"ack in state {self.state}")
         request = self.request
         assert request is not None
-        self.state = FshrState.INVALID
+        self.state = _INVALID
         self.request = None
         self.buffer = None
         return request
@@ -191,7 +196,7 @@ class Fshr:
         self.request = request
         self.buffer = None
         self._fill_cycles = fill_cycles
-        self.state = FshrState.RANGE_SCAN
+        self.state = _RANGE_SCAN
 
     def plan_range_line(self) -> None:
         """Choose the per-line plan for the line under the cursor.
@@ -204,18 +209,14 @@ class Fshr:
         assert request is not None
         self.buffer = None
         self._fill_cycles_left = self._fill_cycles
-        if request.kind is CboKind.INVAL:
-            self.state = (
-                FshrState.RANGE_META_WRITE
-                if request.is_hit
-                else FshrState.RANGE_RELEASE
-            )
+        if request.kind is _INVAL:
+            self.state = _RANGE_META_WRITE if request.is_hit else _RANGE_RELEASE
         elif request.is_hit and request.is_dirty:
-            self.state = FshrState.RANGE_META_WRITE
-        elif request.is_hit and request.kind is CboKind.FLUSH:
-            self.state = FshrState.RANGE_META_WRITE
+            self.state = _RANGE_META_WRITE
+        elif request.is_hit and request.kind is _FLUSH:
+            self.state = _RANGE_META_WRITE
         else:
-            self.state = FshrState.RANGE_RELEASE
+            self.state = _RANGE_RELEASE
 
     def advance_cursor(self) -> bool:
         """One covered line is done; True when the whole range is swept."""
@@ -224,14 +225,14 @@ class Fshr:
         request.cursor += 1
         if request.cursor >= request.lines:
             return True
-        self.state = FshrState.RANGE_SCAN
+        self.state = _RANGE_SCAN
         return False
 
     def complete_range(self) -> FlushRequest:
         """Free the FSHR after the final covered line; return its request."""
         request = self.request
         assert request is not None
-        self.state = FshrState.INVALID
+        self.state = _INVALID
         self.request = None
         self.buffer = None
         return request

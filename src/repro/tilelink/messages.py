@@ -44,6 +44,11 @@ class ReleaseAckParam(enum.Enum):
     ROOT = "ROOT"  # RootReleaseAck
 
 
+# enum members bound once at import (see tests/test_hot_paths.py)
+_NORMAL = ProbeAckParam.NORMAL
+_ROOT = ReleaseAckParam.ROOT
+
+
 @dataclass
 class _Message:
     source: int
@@ -85,7 +90,7 @@ class ProbeAck(_Message):
 
     @property
     def is_root_release(self) -> bool:
-        return self.param is not ProbeAckParam.NORMAL
+        return self.param is not _NORMAL
 
 
 @dataclass
@@ -139,11 +144,11 @@ def root_release(
     data: Optional[bytes] = None,
 ) -> ProbeAck:
     """Build a RootReleaseClean/Flush/Inval message (§5.1, plus CBO.INVAL)."""
-    if param is ProbeAckParam.NORMAL:
+    if param is _NORMAL:
         raise ValueError("a RootRelease needs a non-NORMAL param")
     return ProbeAck(source=source, address=address, shrink=shrink, param=param, data=data)
 
 
 def root_release_ack(source: int, address: int) -> ReleaseAck:
     """Build a RootReleaseAck message (§5.1)."""
-    return ReleaseAck(source=source, address=address, param=ReleaseAckParam.ROOT)
+    return ReleaseAck(source=source, address=address, param=_ROOT)

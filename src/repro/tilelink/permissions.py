@@ -15,6 +15,7 @@ messages (the maximum permission the client may retain).
 from __future__ import annotations
 
 import enum
+from typing import Tuple
 
 
 class Perm(enum.IntEnum):
@@ -26,11 +27,11 @@ class Perm(enum.IntEnum):
 
     @property
     def readable(self) -> bool:
-        return self is not Perm.NONE
+        return self is not _NONE
 
     @property
     def writable(self) -> bool:
-        return self is Perm.TRUNK
+        return self is _TRUNK
 
 
 class Grow(enum.Enum):
@@ -60,35 +61,56 @@ class Cap(enum.Enum):
     toB = "toB"
     toN = "toN"
 
-    @property
-    def perm(self) -> Perm:
-        return {Cap.toT: Perm.TRUNK, Cap.toB: Perm.BRANCH, Cap.toN: Perm.NONE}[self]
 
+# The tables below are member attributes (like ``MemOp.is_cbo``): the
+# caches consult them on every grant, release, probe and probe answer,
+# and on Python 3.11 reading a member off its class, or hashing one into
+# a dict, costs a slow Python-level call.
 
-_GROW_TARGET = {
-    Grow.NtoB: Perm.BRANCH,
-    Grow.NtoT: Perm.TRUNK,
-    Grow.BtoT: Perm.TRUNK,
-}
+#: permission a successful Acquire with this param confers
+Grow.NtoB.target = Perm.BRANCH
+Grow.NtoT.target = Perm.TRUNK
+Grow.BtoT.target = Perm.TRUNK
 
-_SHRINK_RESULT = {
-    Shrink.TtoB: Perm.BRANCH,
-    Shrink.TtoN: Perm.NONE,
-    Shrink.BtoN: Perm.NONE,
-    Shrink.TtoT: Perm.TRUNK,
-    Shrink.BtoB: Perm.BRANCH,
-    Shrink.NtoN: Perm.NONE,
-}
+#: permission the client retains after a Release/ProbeAck with this param
+Shrink.TtoB.result = Perm.BRANCH
+Shrink.TtoN.result = Perm.NONE
+Shrink.BtoN.result = Perm.NONE
+Shrink.TtoT.result = Perm.TRUNK
+Shrink.BtoB.result = Perm.BRANCH
+Shrink.NtoN.result = Perm.NONE
+for _shrink in Shrink:
+    _shrink.is_report = _shrink in (Shrink.TtoT, Shrink.BtoB, Shrink.NtoN)
+del _shrink
+
+#: the highest permission a probed client may keep
+Cap.toT.perm = Perm.TRUNK
+Cap.toB.perm = Perm.BRANCH
+Cap.toN.perm = Perm.NONE
+
+# enum members bound once at import (see tests/test_hot_paths.py)
+_NONE = Perm.NONE
+_TRUNK = Perm.TRUNK
+
+#: each Perm member, indexed by its value (``Perm(value)`` without the call)
+PERM_OF: Tuple[Perm, ...] = (Perm.NONE, Perm.BRANCH, Perm.TRUNK)
+
+#: probe_shrink's answer, indexed ``[current][target]`` by permission value
+_PROBE_SHRINK = (
+    (Shrink.NtoN,),
+    (Shrink.BtoN, Shrink.BtoB),
+    (Shrink.TtoN, Shrink.TtoB, Shrink.TtoT),
+)
 
 
 def grow_target(grow: Grow) -> Perm:
     """Permission a successful Acquire with param *grow* confers."""
-    return _GROW_TARGET[grow]
+    return grow.target
 
 
 def shrink_result(shrink: Shrink) -> Perm:
     """Permission the client retains after a Release/ProbeAck with *shrink*."""
-    return _SHRINK_RESULT[shrink]
+    return shrink.result
 
 
 def is_report(shrink: Shrink) -> bool:
@@ -99,7 +121,7 @@ def is_report(shrink: Shrink) -> bool:
     even if the issuing core re-acquired TRUNK before the L2 processes
     the message; acting on the report would orphan the ownership record.
     """
-    return shrink in (Shrink.TtoT, Shrink.BtoB, Shrink.NtoN)
+    return shrink.is_report
 
 
 def probe_shrink(current: Perm, cap: Cap) -> Shrink:
@@ -108,13 +130,4 @@ def probe_shrink(current: Perm, cap: Cap) -> Shrink:
     A probe capping at or above the current permission elicits a report
     param (``XtoX``); otherwise the genuine shrink param.
     """
-    target = min(current, cap.perm)
-    table = {
-        (Perm.TRUNK, Perm.TRUNK): Shrink.TtoT,
-        (Perm.TRUNK, Perm.BRANCH): Shrink.TtoB,
-        (Perm.TRUNK, Perm.NONE): Shrink.TtoN,
-        (Perm.BRANCH, Perm.BRANCH): Shrink.BtoB,
-        (Perm.BRANCH, Perm.NONE): Shrink.BtoN,
-        (Perm.NONE, Perm.NONE): Shrink.NtoN,
-    }
-    return table[(current, Perm(target))]
+    return _PROBE_SHRINK[current][min(current, cap.perm)]

@@ -42,6 +42,11 @@ from repro.timing.cache import LineCache
 from repro.timing.params import TimingParams
 from repro.tilelink.permissions import Perm
 
+# enum members bound once at import (see tests/test_hot_paths.py)
+_NONE = Perm.NONE
+_BRANCH = Perm.BRANCH
+_TRUNK = Perm.TRUNK
+
 
 @dataclass(slots=True)
 class L1Rec:
@@ -316,10 +321,10 @@ class TimingSystem:
                 l1rec.skip = False  # dirty above us: not persisted (§6.2)
                 transferred = True
             if keep_owner:
-                l1rec.perm = Perm.BRANCH
+                l1rec.perm = _BRANCH
             else:
                 self.l1s[owner].remove(line)
-        rec.directory.downgrade(owner, Perm.BRANCH if keep_owner else Perm.NONE)
+        rec.directory.downgrade(owner, _BRANCH if keep_owner else _NONE)
         return transferred
 
     def _revoke_sharers(self, line: int, rec: L2Rec, keep: Optional[int]) -> None:
@@ -332,7 +337,7 @@ class TimingSystem:
                     rec.values.update(self._arch_line(line))
                     rec.dirty = True
                 self.l1s[tid].remove(line)
-            rec.directory.downgrade(tid, Perm.NONE)
+            rec.directory.downgrade(tid, _NONE)
 
     # ------------------------------------------------------------ accesses
     # The per-access paths below (load, store, cbo, _fill, _l1_evict) index
@@ -359,13 +364,13 @@ class TimingSystem:
                 cost += self.params.probe_extra
             if directory.sharers:
                 self._revoke_sharers(line, rec, keep=ctx.tid)
-            perm = Perm.TRUNK
+            perm = _TRUNK
         else:
             if directory.owner is not None and self._merge_owner_dirty(
                 line, rec, keep_owner=True
             ):
                 cost += self.params.probe_extra
-            perm = Perm.BRANCH if directory.sharers else Perm.TRUNK
+            perm = _BRANCH if directory.sharers else _TRUNK
         # GrantData vs GrantDataDirty decides the skip bit (§6.1)
         skip = self.params.skip_it and (
             not rec.dirty or "skip_dirty_grant" in self.mutants
@@ -389,7 +394,7 @@ class TimingSystem:
             rec.values.update(self._arch_line(line))
             rec.dirty = True
             self._counts["l1_evict_writebacks"] += 1
-        rec.directory.downgrade(tid, Perm.NONE)
+        rec.directory.downgrade(tid, _NONE)
 
     def load(self, ctx: ThreadCtx, address: int) -> int:
         line = address - address % self._line_bytes
@@ -413,7 +418,7 @@ class TimingSystem:
         l1 = self.l1s[ctx.tid]
         bucket = l1.sets[(line // l1.line_bytes) % l1.num_sets]
         l1rec = bucket.get(line)
-        if l1rec is not None and l1rec.perm is Perm.TRUNK:
+        if l1rec is not None and l1rec.perm is _TRUNK:
             bucket.move_to_end(line)
             ctx.now += self.params.l1_hit
             counts["l1_hits"] += 1
@@ -421,9 +426,9 @@ class TimingSystem:
             rec = self.l2.get(line)
             assert rec is not None
             self._revoke_sharers(line, rec, keep=ctx.tid)
-            rec.directory.downgrade(ctx.tid, Perm.NONE)
-            rec.directory.grant(ctx.tid, Perm.TRUNK)
-            l1rec.perm = Perm.TRUNK
+            rec.directory.downgrade(ctx.tid, _NONE)
+            rec.directory.grant(ctx.tid, _TRUNK)
+            l1rec.perm = _TRUNK
             ctx.now += self.params.upgrade
             counts["upgrades"] += 1
         else:

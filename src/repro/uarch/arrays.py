@@ -32,7 +32,7 @@ from array import array
 from typing import Iterator, List, Optional, Tuple
 
 from repro.sim.config import CacheGeometry
-from repro.tilelink.permissions import Perm
+from repro.tilelink.permissions import PERM_OF, Perm
 
 _PERM_NONE = int(Perm.NONE)
 
@@ -56,7 +56,7 @@ class MetaView:
 
     @property
     def perm(self) -> Perm:
-        return Perm(self._meta.perms[self._slot])
+        return PERM_OF[self._meta.perms[self._slot]]
 
     @perm.setter
     def perm(self, value: Perm) -> None:

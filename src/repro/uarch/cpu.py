@@ -42,8 +42,19 @@ from repro.uarch.requests import MemOp, MemRequest
 
 RETRY_DELAY = 2
 
-#: per-op stat key, precomputed once ("cbo.clean" -> "cbo_clean")
-_STAT_KEY = {op: op.value.replace(".", "_") for op in MemOp}
+# enum members bound once at import (see tests/test_hot_paths.py)
+_LOAD = MemOp.LOAD
+_STORE = MemOp.STORE
+_CBO_CLEAN = MemOp.CBO_CLEAN
+_CBO_FLUSH = MemOp.CBO_FLUSH
+_CBO_INVAL = MemOp.CBO_INVAL
+_CBO_ZERO = MemOp.CBO_ZERO
+_CBO_RANGE_CLEAN = MemOp.CBO_RANGE_CLEAN
+_CBO_RANGE_FLUSH = MemOp.CBO_RANGE_FLUSH
+_CBO_RANGE_INVAL = MemOp.CBO_RANGE_INVAL
+_FENCE = MemOp.FENCE
+_OK_NOW = FireStatus.OK_NOW
+_NACK = FireStatus.NACK
 
 
 @dataclass
@@ -57,49 +68,54 @@ class Instr:
 
     @staticmethod
     def load(address: int) -> "Instr":
-        return Instr(MemOp.LOAD, address)
+        return Instr(_LOAD, address)
 
     @staticmethod
     def store(address: int, data: int) -> "Instr":
-        return Instr(MemOp.STORE, address, data)
+        return Instr(_STORE, address, data)
 
     @staticmethod
     def clean(address: int) -> "Instr":
-        return Instr(MemOp.CBO_CLEAN, address)
+        return Instr(_CBO_CLEAN, address)
 
     @staticmethod
     def flush(address: int) -> "Instr":
-        return Instr(MemOp.CBO_FLUSH, address)
+        return Instr(_CBO_FLUSH, address)
 
     @staticmethod
     def inval(address: int) -> "Instr":
-        return Instr(MemOp.CBO_INVAL, address)
+        return Instr(_CBO_INVAL, address)
 
     @staticmethod
     def zero(address: int) -> "Instr":
-        return Instr(MemOp.CBO_ZERO, address)
+        return Instr(_CBO_ZERO, address)
 
     @staticmethod
     def clean_range(address: int, length: int) -> "Instr":
-        return Instr(MemOp.CBO_RANGE_CLEAN, address, length=length)
+        return Instr(_CBO_RANGE_CLEAN, address, length=length)
 
     @staticmethod
     def flush_range(address: int, length: int) -> "Instr":
-        return Instr(MemOp.CBO_RANGE_FLUSH, address, length=length)
+        return Instr(_CBO_RANGE_FLUSH, address, length=length)
 
     @staticmethod
     def inval_range(address: int, length: int) -> "Instr":
-        return Instr(MemOp.CBO_RANGE_INVAL, address, length=length)
+        return Instr(_CBO_RANGE_INVAL, address, length=length)
 
     @staticmethod
     def fence() -> "Instr":
-        return Instr(MemOp.FENCE)
+        return Instr(_FENCE)
 
 
 class _Status(enum.Enum):
     WAITING = "waiting"
     FIRED = "fired"
     DONE = "done"
+
+
+_WAITING = _Status.WAITING
+_FIRED = _Status.FIRED
+_DONE = _Status.DONE
 
 
 @dataclass(slots=True)
@@ -171,7 +187,7 @@ class Core:
         self._timed_inflight = 0
         self._max_load_index = -1
         for index, instr in enumerate(program):
-            if instr.op is MemOp.LOAD:
+            if instr.op is _LOAD:
                 self._max_load_index = index
 
     @property
@@ -199,11 +215,6 @@ class Core:
         head = self.head
         if head >= len(slots):
             return
-        waiting = _Status.WAITING
-        fired_st = _Status.FIRED
-        done_st = _Status.DONE
-        fence_op = MemOp.FENCE
-        load_op = MemOp.LOAD
         width = self.params.lsu_fire_width
         max_load = self._max_load_index
         note_progress = self.engine.note_progress
@@ -226,21 +237,21 @@ class Core:
                 break
             slot = slots[index]
             status = slot.status
-            if status is fired_st:
+            if status is _FIRED:
                 done_at = slot.done_at
                 if done_at is not None:
                     timed_ahead -= 1
                     if cycle >= done_at:
-                        slot.status = status = done_st
+                        slot.status = status = _DONE
                         self._timed_inflight -= 1
                         note_progress()
-            elif status is waiting and fired < width and cycle >= slot.retry_at:
+            elif status is _WAITING and fired < width and cycle >= slot.retry_at:
                 op = slot.op
-                if op is fence_op:
+                if op is _FENCE:
                     if all_older_done:
                         self._try_fence(index, slot, cycle)
                         status = slot.status
-                elif op is load_op:
+                elif op is _LOAD:
                     if not older_fence and (
                         older_stq_lines is None
                         or slot.line not in older_stq_lines
@@ -255,12 +266,14 @@ class Core:
                     elif self._retry_parked(slot, cycle):
                         fired += 1
                     status = slot.status
-            if status is not done_st:
+            if status is not _DONE:
                 all_older_done = False
                 op = slot.op
-                if op is fence_op:
+                if op is _FENCE:
                     older_fence = True
-                elif op.is_stq:
+                elif op.is_stq and index < max_load:
+                    # the line set only gates younger *loads*; past the
+                    # program's last load nothing ever consults it
                     if older_stq_lines is None:
                         older_stq_lines = set()
                     if slot.lines is not None:
@@ -295,11 +308,6 @@ class Core:
         head = self.head
         if head >= len(slots):
             return None
-        waiting = _Status.WAITING
-        fired_st = _Status.FIRED
-        done_st = _Status.DONE
-        fence_op = MemOp.FENCE
-        load_op = MemOp.LOAD
         max_load = self._max_load_index
         floor = cycle + 1
         best: Optional[int] = None
@@ -322,19 +330,19 @@ class Core:
                 break
             slot = slots[index]
             status = slot.status
-            if status is fired_st:
+            if status is _FIRED:
                 done_at = slot.done_at
                 if done_at is not None:
                     timed_ahead -= 1
                     when = done_at if done_at > floor else floor
                     if best is None or when < best:
                         best = when
-            elif status is waiting:
+            elif status is _WAITING:
                 op = slot.op
-                if op is fence_op:
+                if op is _FENCE:
                     if all_older_done and self._fence_blocker() is None:
                         return floor
-                elif op is load_op:
+                elif op is _LOAD:
                     if not older_fence and (
                         older_stq_lines is None
                         or slot.line not in older_stq_lines
@@ -360,10 +368,10 @@ class Core:
                             return floor
                         if best is None or retry < best:
                             best = retry
-            if status is not done_st:
+            if status is not _DONE:
                 all_older_done = False
                 op = slot.op
-                if op is fence_op:
+                if op is _FENCE:
                     older_fence = True
                 elif op.is_stq and index < max_load:
                     # the line set only gates younger *loads*; past the
@@ -385,13 +393,13 @@ class Core:
         unit tests.
         """
         instr = slot.instr
-        if instr.op is MemOp.LOAD:
+        if instr.op is _LOAD:
             line = self.params.l1.line_address(instr.address)
             for older in self.slots[self.head : index]:
-                if older.status is _Status.DONE:
+                if older.status is _DONE:
                     continue
                 o = older.instr
-                if o.op is MemOp.FENCE:
+                if o.op is _FENCE:
                     return False
                 if o.op.is_stq:
                     if o.op.is_cbo_range:
@@ -406,7 +414,7 @@ class Core:
             return True
         # STQ requests (stores, CBO.X) fire at the ROB head, in order
         return all(
-            older.status is _Status.DONE for older in self.slots[self.head : index]
+            older.status is _DONE for older in self.slots[self.head : index]
         )
 
     def _fence_blocker(self) -> Optional[str]:
@@ -434,7 +442,7 @@ class Core:
                 slot.wait_noted = True
                 self.stats.inc(f"fence_wait_{blocker}")
             return
-        slot.status = _Status.DONE
+        slot.status = _DONE
         self.stats.inc("fences")
         if self.obs is not None:
             self.obs.emit(
@@ -492,7 +500,7 @@ class Core:
                 outcome = self.l1.fire(request, cycle)
         else:
             outcome = self.l1.fire(request, cycle)
-        if outcome.status is FireStatus.NACK:
+        if outcome.status is _NACK:
             slot.retry_at = cycle + RETRY_DELAY
             self.stats.inc("nacks")
             if self.obs is None:
@@ -500,10 +508,10 @@ class Core:
                 slot.nack = outcome.nack
             return
         self.engine.note_progress()
-        slot.status = _Status.FIRED
+        slot.status = _FIRED
         slot.req_id = request.req_id
-        if outcome.status is FireStatus.OK_NOW:
-            if instr.op is MemOp.LOAD:
+        if outcome.status is _OK_NOW:
+            if instr.op is _LOAD:
                 slot.value = outcome.value
                 slot.done_at = cycle + self.params.latencies.l1_hit
             else:
@@ -512,15 +520,17 @@ class Core:
             self._timed_inflight += 1
         else:  # OK_LATER: load data arrives via mem_response
             self._by_req[request.req_id] = slot
-        self.stats.inc(_STAT_KEY[instr.op])
+        self.stats.inc(instr.op.stat_key)
 
     def _commit(self, cycle: int) -> None:
-        while self.head < len(self.slots) and (
-            self.slots[self.head].status is _Status.DONE
-        ):
-            self.head += 1
+        slots = self.slots
+        head = self.head
+        while head < len(slots) and slots[head].status is _DONE:
+            head += 1
+        if head != self.head:
+            self.head = head
             self.engine.note_progress()
-        if self.done and self.finish_cycle is None:
+        if head >= len(slots) and self.finish_cycle is None:
             self.finish_cycle = cycle
             if self.obs is not None:
                 self.obs.emit(
@@ -537,5 +547,5 @@ class Core:
         if slot is None:
             return
         slot.value = value
-        slot.status = _Status.DONE
+        slot.status = _DONE
         self.engine.note_progress()

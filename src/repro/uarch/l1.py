@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.flush_queue import CboKind
 from repro.core.flush_unit import FlushUnit
 from repro.sim.config import SoCParams
 from repro.sim.engine import Engine
@@ -42,6 +41,25 @@ class FireStatus(enum.Enum):
     NACK = "nack"  # LSU must retry later
 
 
+# enum members bound once at import (see tests/test_hot_paths.py)
+_OK_NOW = FireStatus.OK_NOW
+_OK_LATER = FireStatus.OK_LATER
+_NACK = FireStatus.NACK
+_LOAD = MemOp.LOAD
+_STORE = MemOp.STORE
+_CBO_ZERO = MemOp.CBO_ZERO
+_BRANCH = Perm.BRANCH
+_TRUNK = Perm.TRUNK
+_N_TO_B = Grow.NtoB
+_N_TO_T = Grow.NtoT
+_B_TO_T = Grow.BtoT
+_EVICT_WAIT = MshrState.EVICT_WAIT
+_ACQUIRE = MshrState.ACQUIRE
+_WAIT_GRANT = MshrState.WAIT_GRANT
+_REPLAY = MshrState.REPLAY
+_ROOT = ReleaseAckParam.ROOT
+
+
 @dataclass
 class FireOutcome:
     status: FireStatus
@@ -52,18 +70,8 @@ class FireOutcome:
 
     @property
     def ok(self) -> bool:
-        return self.status is not FireStatus.NACK
+        return self.status is not _NACK
 
-
-#: the flush-unit kind each CBO op executes, per-line and ranged alike
-CBO_KINDS: Dict[MemOp, CboKind] = {
-    MemOp.CBO_CLEAN: CboKind.CLEAN,
-    MemOp.CBO_FLUSH: CboKind.FLUSH,
-    MemOp.CBO_INVAL: CboKind.INVAL,
-    MemOp.CBO_RANGE_CLEAN: CboKind.CLEAN,
-    MemOp.CBO_RANGE_FLUSH: CboKind.FLUSH,
-    MemOp.CBO_RANGE_INVAL: CboKind.INVAL,
-}
 
 #: the stat keys of the ``_miss`` nack rules, in the order they apply
 MISS_NACKS = (
@@ -182,7 +190,7 @@ class L1DataCache:
             if op.is_cbo_range:
                 return self.flush_unit.range_nack(line, last_line)
             return self.flush_unit.offer_nack(
-                line, CBO_KINDS[op], self.meta.lookup(line)
+                line, op.cbo_kind, self.meta.lookup(line)
             )
         flush_unit = self.flush_unit
         if (
@@ -195,7 +203,7 @@ class L1DataCache:
         way = meta.hit_way(line)
         if way >= 0:
             slot = (line // meta.line_bytes % meta.num_sets) * meta.ways + way
-            if meta.perms[slot] == Perm.TRUNK:
+            if meta.perms[slot] == _TRUNK:
                 return None
         rule = self._miss_nack(line, op)
         if rule is None:
@@ -240,17 +248,17 @@ class L1DataCache:
         op = request.op
         address = request.address
         line = self.geometry.line_address(address)
-        if op is MemOp.LOAD:
+        if op is _LOAD:
             return self._fire_load(request, line)
-        if not (op.is_cbo or op is MemOp.STORE or op is MemOp.CBO_ZERO):
+        if not (op.is_cbo or op is _STORE or op is _CBO_ZERO):
             raise ValueError(f"L1 cannot serve {op}")
         nack = self.nack_keys(op, address, request.length)
         if not op.is_cbo:
             if nack is not None:
                 inc_all(nack)
-                return FireOutcome(FireStatus.NACK, nack=nack)
+                return FireOutcome(_NACK, nack=nack)
             return self._fire_store(request, line)
-        kind = CBO_KINDS[op]
+        kind = op.cbo_kind
         last_line = (
             self.geometry.line_address(address + request.length - 1)
             if op.is_cbo_range
@@ -258,14 +266,14 @@ class L1DataCache:
         )
         if nack is not None:
             self.flush_unit.note_nack(nack, line, last_line, kind)
-            return FireOutcome(FireStatus.NACK, nack=nack)
+            return FireOutcome(_NACK, nack=nack)
         if op.is_cbo_range:
             result = self.flush_unit.offer_range(line, last_line, kind)
-            self.stats.inc(f"cbo_range_{result.value}")
+            self.stats.inc(result.range_stat_key)
         else:
             result = self.flush_unit.offer(line, kind, self.meta.lookup(line))
-            self.stats.inc(f"cbo_{result.value}")
-        return FireOutcome(FireStatus.OK_NOW)
+            self.stats.inc(result.stat_key)
+        return FireOutcome(_OK_NOW)
 
     def _fire_load(self, request: MemRequest, line: int) -> FireOutcome:
         meta = self.meta
@@ -275,22 +283,22 @@ class L1DataCache:
             value = self.data.read_word(set_idx, way, request.address - line)
             meta.touch_slot(set_idx * meta.ways + way)
             self.stats.inc("load_hits")
-            return FireOutcome(FireStatus.OK_NOW, value=value)
+            return FireOutcome(_OK_NOW, value=value)
         forwarded = self.flush_unit.load_forward(line)
         if forwarded is not None:
             offset = request.address - line
             value = int.from_bytes(forwarded[offset : offset + 8], "little")
             self.stats.inc("load_fshr_forwards")
-            return FireOutcome(FireStatus.OK_NOW, value=value)
+            return FireOutcome(_OK_NOW, value=value)
         if self.flush_unit.load_must_wait(line):
             self.stats.inc("load_nack_flush")
-            return FireOutcome(FireStatus.NACK)
+            return FireOutcome(_NACK)
         self.stats.inc("load_misses")
-        rule = self._miss_nack(line, MemOp.LOAD)
+        rule = self._miss_nack(line, _LOAD)
         if rule is not None:
             self.stats.inc(rule)
-            return FireOutcome(FireStatus.NACK)
-        return self._miss(request, line, want=Perm.BRANCH)
+            return FireOutcome(_NACK)
+        return self._miss(request, line, want=_BRANCH)
 
     def _fire_store(self, request: MemRequest, line: int) -> FireOutcome:
         """Accept a store or cbo.zero (:meth:`nack_keys` has passed it)."""
@@ -299,8 +307,8 @@ class L1DataCache:
         if way >= 0:
             set_idx = line // meta.line_bytes % meta.num_sets
             slot = set_idx * meta.ways + way
-            if meta.perms[slot] == Perm.TRUNK:
-                if request.op is MemOp.CBO_ZERO:
+            if meta.perms[slot] == _TRUNK:
+                if request.op is _CBO_ZERO:
                     # cbo.zero: write a whole line of zeros (CMO extension)
                     self.data.write_line(
                         set_idx, way, bytes(self.geometry.line_bytes)
@@ -313,13 +321,13 @@ class L1DataCache:
                 meta.skips[slot] = 0  # a dirty line is never persisted (§6.2)
                 meta.touch_slot(slot)
                 self.stats.inc("store_hits")
-                return FireOutcome(FireStatus.OK_NOW)
+                return FireOutcome(_OK_NOW)
         self.stats.inc("store_upgrades" if way >= 0 else "store_misses")
-        return self._miss(request, line, want=Perm.TRUNK)
+        return self._miss(request, line, want=_TRUNK)
 
     def _miss(self, request: MemRequest, line: int, want: Perm) -> FireOutcome:
         """Take a miss that :meth:`_miss_nack` has passed."""
-        later = FireStatus.OK_LATER if request.op is MemOp.LOAD else FireStatus.OK_NOW
+        later = _OK_LATER if request.op is _LOAD else _OK_NOW
         mshr = self._mshr_by_line.get(line)
         if mshr is not None:
             mshr.push_secondary(request)
@@ -331,11 +339,11 @@ class L1DataCache:
             # permission upgrade (BRANCH -> TRUNK); the line keeps its way
             victim_way = hit[0]
             needs_evict = False
-            grow = Grow.BtoT
+            grow = _B_TO_T
         else:
             victim_way = self._victim_way(line)
             needs_evict = self.meta.way_entry(line, victim_way).valid
-            grow = Grow.NtoT if want is Perm.TRUNK else Grow.NtoB
+            grow = _N_TO_T if want is _TRUNK else _N_TO_B
         set_idx = self.geometry.set_index(line)
         self._reserved_ways.add((set_idx, victim_way))
         if needs_evict:
@@ -386,10 +394,10 @@ class L1DataCache:
         if self._mshr_active:
             for mshr in self.mshrs:
                 state = mshr.state
-                if state is MshrState.ACQUIRE or state is MshrState.REPLAY:
+                if state is _ACQUIRE or state is _REPLAY:
                     return cycle + 1
                 if (
-                    state is MshrState.EVICT_WAIT
+                    state is _EVICT_WAIT
                     and self.wbu.wb_rdy
                     and self.flush_unit.flush_rdy
                 ):
@@ -413,7 +421,7 @@ class L1DataCache:
             if isinstance(message, GrantData):
                 self._handle_grant(message, cycle)
             elif isinstance(message, ReleaseAck):
-                if message.param is ReleaseAckParam.ROOT:
+                if message.param is _ROOT:
                     self.flush_unit.deliver_ack(message.address)
                 else:
                     self.wbu.complete(message.address)
@@ -423,7 +431,7 @@ class L1DataCache:
 
     def _handle_grant(self, grant: GrantData, cycle: int) -> None:
         mshr = self._mshr_by_line.get(grant.address)
-        if mshr is not None and mshr.state is not MshrState.WAIT_GRANT:
+        if mshr is not None and mshr.state is not _WAIT_GRANT:
             mshr = None
         if mshr is None:
             raise RuntimeError(f"GrantData for {grant.address:#x} with no MSHR")
@@ -451,7 +459,7 @@ class L1DataCache:
 
     def _step_mshrs(self, cycle: int) -> None:
         for mshr in self.mshrs:
-            if mshr.state is MshrState.EVICT_WAIT:
+            if mshr.state is _EVICT_WAIT:
                 if self.wbu.wb_rdy and self.flush_unit.flush_rdy:
                     victim_addr = self._mshr_victim_addr.pop(mshr.index)
                     self.wbu.start_eviction(victim_addr, mshr.victim_way, cycle)
@@ -461,7 +469,7 @@ class L1DataCache:
                             cycle, self._obs_mshr_keys[mshr.index], mshr.state.value
                         )
                     self.engine.note_progress()
-            elif mshr.state is MshrState.ACQUIRE:
+            elif mshr.state is _ACQUIRE:
                 self.chan_a.send(
                     Acquire(
                         source=self.agent_id, address=mshr.address, grow=mshr.grow
@@ -474,7 +482,7 @@ class L1DataCache:
                         cycle, self._obs_mshr_keys[mshr.index], mshr.state.value
                     )
                 self.engine.note_progress()
-            elif mshr.state is MshrState.REPLAY:
+            elif mshr.state is _REPLAY:
                 self._replay_one(mshr)
 
     def _replay_one(self, mshr: Mshr) -> None:
@@ -493,12 +501,12 @@ class L1DataCache:
         line = mshr.address
         set_idx = self.geometry.set_index(line)
         offset = request.address - line
-        if request.op is MemOp.LOAD:
+        if request.op is _LOAD:
             value = self.data.read_word(set_idx, mshr.victim_way, offset)
             if self.resp_sink is not None:
                 self.resp_sink.mem_response(request.req_id, value)
         else:  # STORE / CBO_ZERO
-            if request.op is MemOp.CBO_ZERO:
+            if request.op is _CBO_ZERO:
                 self.data.write_line(
                     set_idx, mshr.victim_way, bytes(self.geometry.line_bytes)
                 )

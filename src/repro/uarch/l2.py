@@ -87,6 +87,27 @@ class _MshrState(enum.Enum):
     DONE = "done"
 
 
+# enum members bound once at import (see tests/test_hot_paths.py)
+_ACQUIRE = _MshrKind.ACQUIRE
+_ROOT_RELEASE = _MshrKind.ROOT_RELEASE
+_START = _MshrState.START
+_EVICT_PROBE = _MshrState.EVICT_PROBE
+_EVICT_WB = _MshrState.EVICT_WB
+_FETCH = _MshrState.FETCH
+_PROBE = _MshrState.PROBE
+_ROOT_WB = _MshrState.ROOT_WB
+_GRANT_WAIT = _MshrState.GRANT_WAIT
+_DONE = _MshrState.DONE
+_CLEAN = ProbeAckParam.CLEAN
+_INVAL = ProbeAckParam.INVAL
+_BRANCH = Perm.BRANCH
+_TRUNK = Perm.TRUNK
+_N_TO_B = Grow.NtoB
+_N_TO_T = Grow.NtoT
+_TO_B = Cap.toB
+_TO_N = Cap.toN
+
+
 @dataclass
 class _L2Mshr:
     kind: _MshrKind
@@ -102,11 +123,11 @@ class _L2Mshr:
 
     @property
     def clean(self) -> bool:
-        return self.cbo is ProbeAckParam.CLEAN
+        return self.cbo is _CLEAN
 
     @property
     def inval(self) -> bool:
-        return self.cbo is ProbeAckParam.INVAL
+        return self.cbo is _INVAL
 
 
 class InclusiveL2Cache:
@@ -196,10 +217,10 @@ class InclusiveL2Cache:
             for slot in self._active_slots:
                 mshr = self.mshrs[slot]
                 state = mshr.state
-                if state is _MshrState.START or state is _MshrState.DONE:
+                if state is _START or state is _DONE:
                     return cycle + 1
                 if (
-                    (state is _MshrState.EVICT_PROBE or state is _MshrState.PROBE)
+                    (state is _EVICT_PROBE or state is _PROBE)
                     and not mshr.awaiting_acks
                 ):
                     return cycle + 1
@@ -288,23 +309,23 @@ class InclusiveL2Cache:
     def _drain_dram(self, cycle: int) -> None:
         for message in self.dram.chan_d.drain_ready(cycle):
             if isinstance(message, GrantData):
-                mshr = self._find_mshr(message.address, _MshrState.FETCH)
+                mshr = self._find_mshr(message.address, _FETCH)
                 self._install_line(
                     message.address, L2Line(data=message.data, dirty=False)
                 )
-                mshr.state = _MshrState.START  # re-dispatch, line now present
+                mshr.state = _START  # re-dispatch, line now present
             elif isinstance(message, ReleaseAck):
                 mshr = self._mshr_victim(message.address)
-                if mshr is not None and mshr.state is _MshrState.EVICT_WB:
+                if mshr is not None and mshr.state is _EVICT_WB:
                     del self._victim_by_addr[message.address]
                     mshr.victim_address = None
-                    mshr.state = _MshrState.START
+                    mshr.state = _START
                 else:
-                    mshr = self._find_mshr(message.address, _MshrState.ROOT_WB)
+                    mshr = self._find_mshr(message.address, _ROOT_WB)
                     line = self._line(mshr.address)
                     if line is not None:
                         line.dirty = False
-                    mshr.state = _MshrState.DONE
+                    mshr.state = _DONE
             self.engine.note_progress()
 
     def _find_mshr(self, address: int, state: "_MshrState") -> "_L2Mshr":
@@ -359,7 +380,7 @@ class InclusiveL2Cache:
             return False
         if kind == "acquire":
             mshr = _L2Mshr(
-                kind=_MshrKind.ACQUIRE,
+                kind=_ACQUIRE,
                 client=message.source,
                 address=message.address,
                 grow=message.grow,
@@ -367,7 +388,7 @@ class InclusiveL2Cache:
             self.stats.inc("acquires")
         else:  # RootRelease
             mshr = _L2Mshr(
-                kind=_MshrKind.ROOT_RELEASE,
+                kind=_ROOT_RELEASE,
                 client=message.source,
                 address=message.address,
                 cbo=message.param,
@@ -444,7 +465,7 @@ class InclusiveL2Cache:
         line = self._line(message.address)
         assert line is not None
         discard = (
-            mshr.kind is _MshrKind.ROOT_RELEASE and mshr.inval
+            mshr.kind is _ROOT_RELEASE and mshr.inval
         )  # cbo.inval discards dirty data instead of merging it
         if message.data is not None and not discard:
             line.data = message.data
@@ -456,22 +477,18 @@ class InclusiveL2Cache:
         assert mshr.probe_cap is not None
         current = line.directory.perm_of(message.source)
         target = min(current, mshr.probe_cap.perm)
-        line.directory.downgrade(message.source, Perm(target))
+        line.directory.downgrade(message.source, target)
         mshr.awaiting_acks.discard(message.source)
         self.stats.inc("probe_acks")
 
     def _grant_ack(self, message: GrantAck) -> None:
         mshr = self._mshr_on(message.address)
-        if mshr is None or mshr.state is not _MshrState.GRANT_WAIT:
+        if mshr is None or mshr.state is not _GRANT_WAIT:
             raise RuntimeError("GrantAck with no granting MSHR")
         self._free(mshr)
 
     # ------------------------------------------------------------ MSHR FSM
     def _step_mshrs(self, cycle: int) -> None:
-        start = _MshrState.START
-        evict_probe = _MshrState.EVICT_PROBE
-        probe = _MshrState.PROBE
-        done = _MshrState.DONE
         mshrs = self.mshrs
         # Snapshot the active slots: handlers may _free (which edits the
         # list); the copy is tiny — only busy slots appear in it.
@@ -480,20 +497,20 @@ class InclusiveL2Cache:
             if mshr is None:  # pragma: no cover - freed earlier this walk
                 continue
             state = mshr.state
-            if state is start:
+            if state is _START:
                 self._dispatch(mshr, cycle)
-            elif state is evict_probe or state is probe:
+            elif state is _EVICT_PROBE or state is _PROBE:
                 if not mshr.awaiting_acks:
-                    if state is evict_probe:
+                    if state is _EVICT_PROBE:
                         self._finish_victim_probe(mshr, cycle)
                     else:
                         self._after_target_probe(mshr, cycle)
-            elif state is done:
+            elif state is _DONE:
                 self._complete(mshr, cycle)
 
     def _dispatch(self, mshr: _L2Mshr, cycle: int) -> None:
         line = self._line(mshr.address)
-        if mshr.kind is _MshrKind.ACQUIRE:
+        if mshr.kind is _ACQUIRE:
             if line is None:
                 if self._need_eviction(mshr.address):
                     self._start_victim_eviction(mshr, cycle)
@@ -515,7 +532,7 @@ class InclusiveL2Cache:
             for s in self._active_slots
             for m in (self.mshrs[s],)
             if m.address != address
-            and m.state is _MshrState.FETCH
+            and m.state is _FETCH
             and self.geometry.set_index(m.address) == set_idx
             and m.address not in self.lines
         )
@@ -532,12 +549,12 @@ class InclusiveL2Cache:
         line = self.lines[victim]
         if line.directory.sharers:
             mshr.awaiting_acks = set(line.directory.sharers)
-            mshr.probe_cap = Cap.toN
+            mshr.probe_cap = _TO_N
             for client in mshr.awaiting_acks:
                 self.links[client].b.send(
-                    Probe(source=self.AGENT_ID, address=victim, cap=Cap.toN), cycle
+                    Probe(source=self.AGENT_ID, address=victim, cap=_TO_N), cycle
                 )
-            mshr.state = _MshrState.EVICT_PROBE
+            mshr.state = _EVICT_PROBE
             self.stats.inc("inclusive_probes", len(mshr.awaiting_acks))
         else:
             self._writeback_victim(mshr, cycle)
@@ -554,36 +571,36 @@ class InclusiveL2Cache:
                 Release(source=self.AGENT_ID, address=victim, data=line.data), cycle
             )
             self._remove_line(victim)
-            mshr.state = _MshrState.EVICT_WB
+            mshr.state = _EVICT_WB
             self.stats.inc("victim_writebacks")
         else:
             self._remove_line(victim)
             del self._victim_by_addr[victim]
             mshr.victim_address = None
-            mshr.state = _MshrState.START
+            mshr.state = _START
             self.stats.inc("victim_drops")
 
     def _fetch_from_dram(self, mshr: _L2Mshr, cycle: int) -> None:
         self.dram.chan_a.send(
-            Acquire(source=self.AGENT_ID, address=mshr.address, grow=Grow.NtoT),
+            Acquire(source=self.AGENT_ID, address=mshr.address, grow=_N_TO_T),
             cycle,
         )
-        mshr.state = _MshrState.FETCH
+        mshr.state = _FETCH
         self.stats.inc("dram_fetches")
 
     def _probe_for_acquire(self, mshr: _L2Mshr, line: L2Line, cycle: int) -> None:
-        want_trunk = mshr.grow in (Grow.NtoT, Grow.BtoT)
+        want_trunk = mshr.grow.target is _TRUNK
         directory = line.directory
         if want_trunk:
             targets = directory.sharers - {mshr.client}
-            cap = Cap.toN
+            cap = _TO_N
         else:
             targets = (
                 {directory.owner}
                 if directory.owner is not None and directory.owner != mshr.client
                 else set()
             )
-            cap = Cap.toB
+            cap = _TO_B
         if targets:
             mshr.awaiting_acks = set(targets)
             mshr.probe_cap = cap
@@ -592,7 +609,7 @@ class InclusiveL2Cache:
                     Probe(source=self.AGENT_ID, address=mshr.address, cap=cap),
                     cycle,
                 )
-            mshr.state = _MshrState.PROBE
+            mshr.state = _PROBE
             self.stats.inc("coherence_probes", len(targets))
         else:
             self._grant(mshr, line, cycle)
@@ -600,21 +617,21 @@ class InclusiveL2Cache:
     def _after_target_probe(self, mshr: _L2Mshr, cycle: int) -> None:
         line = self._line(mshr.address)
         assert line is not None
-        if mshr.kind is _MshrKind.ACQUIRE:
+        if mshr.kind is _ACQUIRE:
             self._grant(mshr, line, cycle)
         else:
             self._root_release_writeback(mshr, line, cycle)
 
     def _grant(self, mshr: _L2Mshr, line: L2Line, cycle: int) -> None:
-        want_trunk = mshr.grow in (Grow.NtoT, Grow.BtoT)
+        want_trunk = mshr.grow.target is _TRUNK
         others = line.directory.sharers - {mshr.client}
         # Exclusive-state optimisation: a lone reader gets TRUNK clean.
         if want_trunk or not others:
-            granted = Grow.NtoT
-            perm = Perm.TRUNK
+            granted = _N_TO_T
+            perm = _TRUNK
         else:
-            granted = Grow.NtoB
-            perm = Perm.BRANCH
+            granted = _N_TO_B
+            perm = _BRANCH
         line.directory.grant(mshr.client, perm)
         self.links[mshr.client].d.send(
             GrantData(
@@ -627,7 +644,7 @@ class InclusiveL2Cache:
             ),
             cycle,
         )
-        mshr.state = _MshrState.GRANT_WAIT
+        mshr.state = _GRANT_WAIT
         self.stats.inc("grants")
         if line.dirty:
             self.stats.inc("grants_dirty")
@@ -639,7 +656,7 @@ class InclusiveL2Cache:
         if line is None:
             # Absent in the inclusive L2: no cache anywhere holds it, and
             # DRAM already has the authoritative copy; just acknowledge.
-            mshr.state = _MshrState.DONE
+            mshr.state = _DONE
             self.stats.inc("root_release_absent")
             return
         directory = line.directory
@@ -649,10 +666,10 @@ class InclusiveL2Cache:
                 if directory.owner is not None and directory.owner != mshr.client
                 else set()
             )
-            cap = Cap.toB
+            cap = _TO_B
         else:
             targets = directory.sharers - {mshr.client}
-            cap = Cap.toN
+            cap = _TO_N
         if targets:
             mshr.awaiting_acks = set(targets)
             mshr.probe_cap = cap
@@ -661,7 +678,7 @@ class InclusiveL2Cache:
                     Probe(source=self.AGENT_ID, address=mshr.address, cap=cap),
                     cycle,
                 )
-            mshr.state = _MshrState.PROBE
+            mshr.state = _PROBE
             self.stats.inc("root_probes", len(targets))
         else:
             self._root_release_writeback(mshr, line, cycle)
@@ -672,7 +689,7 @@ class InclusiveL2Cache:
         if mshr.inval:
             # discard semantics: no DRAM writeback, ever
             line.dirty = False
-            mshr.state = _MshrState.DONE
+            mshr.state = _DONE
             self.stats.inc("root_inval_discards")
             return
         if line.dirty:
@@ -680,15 +697,15 @@ class InclusiveL2Cache:
                 Release(source=self.AGENT_ID, address=mshr.address, data=line.data),
                 cycle,
             )
-            mshr.state = _MshrState.ROOT_WB
+            mshr.state = _ROOT_WB
             self.stats.inc("root_writebacks")
         else:
             # The LLC's trivial filter: clean line, skip the DRAM writeback.
-            mshr.state = _MshrState.DONE
+            mshr.state = _DONE
             self.stats.inc("root_writebacks_skipped")
 
     def _complete(self, mshr: _L2Mshr, cycle: int) -> None:
-        if mshr.kind is _MshrKind.ROOT_RELEASE:
+        if mshr.kind is _ROOT_RELEASE:
             line = self._line(mshr.address)
             if not mshr.clean and line is not None and line.directory.idle:
                 # CBO.FLUSH/CBO.INVAL invalidate the whole hierarchy (§2.6)

@@ -29,15 +29,28 @@ class MshrState(enum.Enum):
     REPLAY = "replay"
 
 
+# enum members bound once at import (see tests/test_hot_paths.py)
+_IDLE = MshrState.IDLE
+_EVICT_WAIT = MshrState.EVICT_WAIT
+_ACQUIRE = MshrState.ACQUIRE
+_WAIT_GRANT = MshrState.WAIT_GRANT
+_REPLAY = MshrState.REPLAY
+_NONE = Perm.NONE
+_BRANCH = Perm.BRANCH
+_TRUNK = Perm.TRUNK
+_STORE = MemOp.STORE
+_CBO_ZERO = MemOp.CBO_ZERO
+
+
 class Mshr:
     """One miss status holding register."""
 
     def __init__(self, index: int, rpq_depth: int) -> None:
         self.index = index
         self.rpq_depth = rpq_depth
-        self.state = MshrState.IDLE
+        self.state = _IDLE
         self.address: Optional[int] = None  # line address
-        self.want_perm = Perm.NONE
+        self.want_perm = _NONE
         self.victim_way = -1
         self.needs_evict = False
         self.grow: Optional[Grow] = None
@@ -45,23 +58,23 @@ class Mshr:
 
     @property
     def busy(self) -> bool:
-        return self.state is not MshrState.IDLE
+        return self.state is not _IDLE
 
     @property
     def replaying(self) -> bool:
-        return self.state is MshrState.REPLAY
+        return self.state is _REPLAY
 
     def matches(self, address: int) -> bool:
         return self.busy and self.address == address
 
     def can_accept_secondary(self, op: MemOp) -> bool:
         """RPQ rule of §3.3: secondary permission <= primary permission."""
-        if not self.busy or self.state is MshrState.REPLAY:
+        if not self.busy or self.state is _REPLAY:
             return False
         if len(self.rpq) >= self.rpq_depth:
             return False
         needed = (
-            Perm.TRUNK if op is MemOp.STORE or op is MemOp.CBO_ZERO else Perm.BRANCH
+            _TRUNK if op is _STORE or op is _CBO_ZERO else _BRANCH
         )
         return needed <= self.want_perm
 
@@ -82,7 +95,7 @@ class Mshr:
         self.needs_evict = needs_evict
         self.grow = grow
         self.rpq = deque((request,))
-        self.state = MshrState.EVICT_WAIT if needs_evict else MshrState.ACQUIRE
+        self.state = _EVICT_WAIT if needs_evict else _ACQUIRE
 
     def push_secondary(self, request: MemRequest) -> None:
         if not self.can_accept_secondary(request.op):
@@ -90,15 +103,15 @@ class Mshr:
         self.rpq.append(request)
 
     def eviction_done(self) -> None:
-        if self.state is not MshrState.EVICT_WAIT:
+        if self.state is not _EVICT_WAIT:
             raise RuntimeError("eviction_done in wrong state")
-        self.state = MshrState.ACQUIRE
+        self.state = _ACQUIRE
 
     def acquire_sent(self) -> None:
-        self.state = MshrState.WAIT_GRANT
+        self.state = _WAIT_GRANT
 
     def granted(self) -> None:
-        self.state = MshrState.REPLAY
+        self.state = _REPLAY
 
     def pop_replay(self) -> Optional[MemRequest]:
         if self.rpq:
@@ -106,9 +119,9 @@ class Mshr:
         return None
 
     def free(self) -> None:
-        self.state = MshrState.IDLE
+        self.state = _IDLE
         self.address = None
-        self.want_perm = Perm.NONE
+        self.want_perm = _NONE
         self.victim_way = -1
         self.needs_evict = False
         self.grow = None

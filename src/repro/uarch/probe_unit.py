@@ -21,6 +21,9 @@ from typing import Optional
 from repro.tilelink.messages import Probe, ProbeAck
 from repro.tilelink.permissions import Cap, Perm, probe_shrink
 
+# enum members bound once at import (see tests/test_hot_paths.py)
+_NONE = Perm.NONE
+
 
 class ProbeUnit:
     """Handles one coherence probe at a time."""
@@ -86,7 +89,7 @@ class ProbeUnit:
         address, cap = probe.address, probe.cap
         hit = self.l1.meta.lookup(address)
         if hit is None:
-            current = Perm.NONE
+            current = _NONE
             data = None
         else:
             way, entry = hit
@@ -94,10 +97,10 @@ class ProbeUnit:
             set_idx = self.l1.geometry.set_index(address)
             data = self.l1.data.read_line(set_idx, way) if entry.dirty else None
             target = min(current, cap.perm)
-            if target == Perm.NONE:
+            if target == _NONE:
                 entry.invalidate()
             else:
-                entry.perm = Perm(target)
+                entry.perm = target
                 if entry.dirty:
                     # Dirty data leaves for L2: the line is clean here but
                     # dirty above us, hence not persisted (§6.2) — the skip

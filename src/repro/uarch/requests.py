@@ -7,6 +7,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.flush_queue import CboKind
+
 _req_ids = itertools.count()
 
 WORD_BYTES = 8
@@ -35,10 +37,10 @@ class MemOp(enum.Enum):
     FENCE = "fence"
 
 
-# Precomputed member attributes instead of properties: these predicates
-# run hundreds of thousands of times per bench point in the LSU hot loops,
-# and a plain attribute load is several times cheaper than a descriptor
-# call.
+# Precomputed member attributes instead of properties or member-keyed
+# tables: these run hundreds of thousands of times per bench point in the
+# LSU hot loops, and a plain attribute load is several times cheaper than
+# a descriptor call or a dict lookup (which hashes the member in Python).
 for _op in MemOp:
     #: ranged CBOs: one queue entry, many lines (routed like CBOs)
     _op.is_cbo_range = _op in (
@@ -53,7 +55,18 @@ for _op in MemOp:
     )
     #: STQ-resident ops: stores, CBO.X and fences (§3.2, §5.1)
     _op.is_stq = _op is not MemOp.LOAD
+    #: the LSU's per-op stat key ("cbo.clean" -> "cbo_clean")
+    _op.stat_key = _op.value.replace(".", "_")
+    #: the flush-unit kind a CBO op executes, per-line and ranged alike
+    _op.cbo_kind = None
 del _op
+MemOp.CBO_CLEAN.cbo_kind = MemOp.CBO_RANGE_CLEAN.cbo_kind = CboKind.CLEAN
+MemOp.CBO_FLUSH.cbo_kind = MemOp.CBO_RANGE_FLUSH.cbo_kind = CboKind.FLUSH
+MemOp.CBO_INVAL.cbo_kind = MemOp.CBO_RANGE_INVAL.cbo_kind = CboKind.INVAL
+
+# enum members bound once at import (see tests/test_hot_paths.py)
+_LOAD = MemOp.LOAD
+_STORE = MemOp.STORE
 
 
 @dataclass
@@ -67,9 +80,10 @@ class MemRequest:
     req_id: int = field(default_factory=lambda: next(_req_ids), compare=False)
 
     def __post_init__(self) -> None:
-        if self.op in (MemOp.LOAD, MemOp.STORE) and self.address % WORD_BYTES:
+        op = self.op
+        if (op is _LOAD or op is _STORE) and self.address % WORD_BYTES:
             raise ValueError(f"unaligned word access at {self.address:#x}")
-        if self.op is MemOp.STORE and self.data is None:
+        if op is _STORE and self.data is None:
             raise ValueError("store requires data")
-        if self.op.is_cbo_range and self.length <= 0:
+        if op.is_cbo_range and self.length <= 0:
             raise ValueError("ranged CBO requires a positive byte length")

@@ -148,14 +148,16 @@ class Soc:
             core.run_program(program)
         start = self.engine.cycle
         cores = self.cores
-        if len(cores) == 1:
-            # single-core fast path: the predicate runs every stepped
-            # cycle, so skip the genexpr and the `done` property call
-            only = cores[0]
-            predicate = lambda: only.head >= len(only.slots)  # noqa: E731
-        else:
-            predicate = lambda: all(c.done for c in cores)  # noqa: E731
-        self.engine.run_until(predicate, max_cycles=max_cycles)
+
+        def all_done() -> bool:
+            # runs every stepped cycle: a plain loop, no generator and no
+            # `Core.done` property call per core
+            for core in cores:
+                if core.head < len(core.slots):
+                    return False
+            return True
+
+        self.engine.run_until(all_done, max_cycles=max_cycles)
         return self.engine.cycle - start
 
     def drain(self, max_cycles: int = 200_000) -> None:

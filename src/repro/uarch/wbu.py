@@ -14,6 +14,11 @@ from typing import Optional
 from repro.tilelink.messages import Release
 from repro.tilelink.permissions import Perm, Shrink
 
+# enum members bound once at import (see tests/test_hot_paths.py)
+_TRUNK = Perm.TRUNK
+_T_TO_N = Shrink.TtoN
+_B_TO_N = Shrink.BtoN
+
 
 class WritebackUnit:
     """Evicts one line at a time over channel C."""
@@ -45,7 +50,7 @@ class WritebackUnit:
         entry = self.l1.meta.way_entry(address, way)
         if not entry.valid or self.l1.meta.address_of(set_idx, entry) != address:
             raise RuntimeError("eviction of a non-resident line")
-        shrink = Shrink.TtoN if entry.perm is Perm.TRUNK else Shrink.BtoN
+        shrink = _T_TO_N if entry.perm is _TRUNK else _B_TO_N
         data = (
             self.l1.data.read_line(set_idx, way) if entry.dirty else None
         )
