@@ -18,7 +18,7 @@ _BRANCH = Perm.BRANCH
 _TRUNK = Perm.TRUNK
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Tracks which clients hold a line and at what maximum permission."""
 

@@ -29,15 +29,24 @@ class PMemView:
         self.optimizer = optimizer
         self._did_update = False
         self.flush_requests = 0
-        # Reads dominate every operation, so their dispatch is decided here:
-        # a policy is a pure decision table, and an optimizer that inherits
-        # FlushOptimizer's pass-through read or flush is skipped.  The
-        # timing system's load/cbo are still looked up at each call, since
-        # tracers and tests replace them after construction.
+        # Every access's dispatch is decided here: a policy is a pure
+        # decision table, and an optimizer that inherits one of
+        # FlushOptimizer's pass-through hooks is skipped for that access.
+        # The timing system's load/store/cas/cbo are still looked up at
+        # each call, since tracers and tests replace them after
+        # construction.
         self._system = ctx.system
         self._flush_read = (policy.flush_on_read(False), policy.flush_on_read(True))
-        self._direct_read = type(optimizer).read is FlushOptimizer.read
-        self._direct_flush = type(optimizer).flush is FlushOptimizer.flush
+        self._flush_write = (
+            policy.flush_on_write(False),
+            policy.flush_on_write(True),
+        )
+        kind = type(optimizer)
+        self._direct_read = kind.read is FlushOptimizer.read
+        self._direct_write = kind.write is FlushOptimizer.write
+        self._direct_cas = kind.cas is FlushOptimizer.cas
+        self._direct_flush = kind.flush is FlushOptimizer.flush
+        self._direct_clean = kind.clean is FlushOptimizer.clean
 
     # ------------------------------------------------------------ accesses
     def read(self, address: int, critical: bool = False) -> int:
@@ -50,18 +59,24 @@ class PMemView:
         return value
 
     def write(self, address: int, value: int, critical: bool = False) -> None:
-        self.optimizer.write(self.ctx, address, value)
+        if self._direct_write:
+            self._system.store(self.ctx, address, value)
+        else:
+            self.optimizer.write(self.ctx, address, value)
         self._did_update = True
-        if self.policy.flush_on_write(critical):
+        if self._flush_write[critical]:
             self.flush(address)
 
     def cas(
         self, address: int, expected: int, new: int, critical: bool = True
     ) -> bool:
-        ok = self.optimizer.cas(self.ctx, address, expected, new)
+        if self._direct_cas:
+            ok = self._system.cas(self.ctx, address, expected, new)
+        else:
+            ok = self.optimizer.cas(self.ctx, address, expected, new)
         if ok:
             self._did_update = True
-            if self.policy.flush_on_write(critical):
+            if self._flush_write[critical]:
                 self.flush(address)
         return ok
 
@@ -83,7 +98,10 @@ class PMemView:
         L1.  Goes through the same optimizer filter as :meth:`flush`.
         """
         self.flush_requests += 1
-        self.optimizer.clean(self.ctx, address)
+        if self._direct_clean:
+            self._system.cbo(self.ctx, address, False)
+        else:
+            self.optimizer.clean(self.ctx, address)
 
     def clean_range(self, address: int, length: int) -> None:
         """Request one ranged writeback (CBO.RANGE.CLEAN) over a byte span.

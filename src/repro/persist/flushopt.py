@@ -36,8 +36,9 @@ class FlushOptimizer:
     """Base class: direct pass-through behaviour, no bookkeeping.
 
     :class:`~repro.persist.api.PMemView` calls the timing system directly
-    for an optimizer that inherits :meth:`read` or :meth:`flush` from
-    here, so both must stay pure pass-throughs.
+    for an optimizer that inherits :meth:`read`, :meth:`write`,
+    :meth:`cas`, :meth:`flush` or :meth:`clean` from here, so all five
+    must stay pure pass-throughs.
     """
 
     name = "base"
@@ -141,27 +142,33 @@ class Flit(FlushOptimizer):
             if system.persisted.get(counter):
                 system.persisted[counter] = 0
 
+    # The four hooks below call the timing system themselves rather than
+    # the ThreadCtx wrappers: one frame fewer on every FliT access.
     def write(self, ctx: ThreadCtx, address: int, value: int) -> None:
-        ctx.store(address, value)
-        ctx.store(self._counter_of(address), 1)
+        system = ctx.system
+        system.store(ctx, address, value)
+        system.store(ctx, self._counter_of(address), 1)
 
     def cas(self, ctx: ThreadCtx, address: int, expected: int, new: int) -> bool:
-        ok = ctx.cas(address, expected, new)
+        system = ctx.system
+        ok = system.cas(ctx, address, expected, new)
         if ok:
-            ctx.store(self._counter_of(address), 1)
+            system.store(ctx, self._counter_of(address), 1)
         return ok
 
     def flush(self, ctx: ThreadCtx, address: int) -> None:
         counter = self._counter_of(address)
-        if ctx.load(counter):
-            ctx.flush(address)
-            ctx.store(counter, 0)
+        system = ctx.system
+        if system.load(ctx, counter):
+            system.cbo(ctx, address, True)
+            system.store(ctx, counter, 0)
 
     def clean(self, ctx: ThreadCtx, address: int) -> None:
         counter = self._counter_of(address)
-        if ctx.load(counter):
-            ctx.clean(address)
-            ctx.store(counter, 0)
+        system = ctx.system
+        if system.load(ctx, counter):
+            system.cbo(ctx, address, False)
+            system.store(ctx, counter, 0)
 
 
 class FlitAdjacent(Flit):

@@ -65,28 +65,34 @@ class CheckpointMap:
             layout.num_buckets * layout.line_bytes
         )
 
-    def head_addr(self, bucket: int) -> int:
-        return self.heads_base + bucket * self.layout.line_bytes
-
     def write_items(
         self, view: PMemView, items: Dict[int, int]
     ) -> List[int]:
         """Write the snapshot (no flushes); returns every touched address."""
         written: List[int] = []
-        stride = self.layout.field_stride
-        for bucket in range(self.layout.num_buckets):
-            view.write(self.head_addr(bucket), 0)
-            written.append(self.head_addr(bucket))
+        layout = self.layout
+        stride = layout.field_stride
+        line_bytes = layout.line_bytes
+        num_buckets = layout.num_buckets
+        heads = self.heads_base
+        write, read = view.write, view.read
+        for bucket in range(num_buckets):
+            head = heads + bucket * line_bytes
+            write(head, 0)
+            written.append(head)
+        # each node's field addresses from its base (no NodeRef.field calls)
+        key_at = N_KEY * stride
+        value_at = N_VALUE * stride
+        next_at = N_NEXT * stride
+        alloc = self.heap.alloc
         for key, value in sorted(items.items()):
-            node = self.heap.alloc(NODE_FIELDS, stride)
-            head = self.head_addr(bucket_of(key, self.layout.num_buckets))
-            view.write(node.field(N_KEY), key)
-            view.write(node.field(N_VALUE), value)
-            view.write(node.field(N_NEXT), view.read(head))
-            view.write(head, node.base)
-            written.extend(
-                (node.field(N_KEY), node.field(N_VALUE), node.field(N_NEXT))
-            )
+            base = alloc(NODE_FIELDS, stride).base
+            head = heads + bucket_of(key, num_buckets) * line_bytes
+            write(base + key_at, key)
+            write(base + value_at, value)
+            write(base + next_at, read(head))
+            write(head, base)
+            written.extend((base + key_at, base + value_at, base + next_at))
         return written
 
 
@@ -144,8 +150,9 @@ class CheckpointManager:
         if ranged:
             clean_address_runs(view, written, store.layout.line_bytes)
         else:
+            clean = view.clean
             for address in written:
-                view.clean(address)
+                clean(address)
         store.probe_point("checkpoint_map_flushed")
 
         watermark = store.acked_lsn

@@ -83,17 +83,20 @@ class WriteAheadLog:
         """Write one record into an already-reserved slot *lsn*."""
         if self.on_append is not None:
             self.on_append(lsn, op, key, value)
-        index = self.layout.slot_of(lsn)
-        view.write(self.layout.field_addr(index, F_OP), op)
-        view.write(self.layout.field_addr(index, F_KEY), key)
-        view.write(self.layout.field_addr(index, F_VALUE), value)
-        view.write(
-            self.layout.field_addr(index, F_CRC),
-            record_crc(lsn, op, key, value),
+        # the slot geometry of StoreLayout.field_addr, computed once
+        layout = self.layout
+        stride = layout.field_stride
+        base = layout.log_base + ((lsn - 1) % layout.log_capacity) * (
+            RECORD_FIELDS * stride
         )
-        view.write(self.layout.field_addr(index, F_LSN), lsn)
+        write = view.write
+        write(base + F_OP * stride, op)
+        write(base + F_KEY * stride, key)
+        write(base + F_VALUE * stride, value)
+        write(base + F_CRC * stride, record_crc(lsn, op, key, value))
+        write(base + F_LSN * stride, lsn)
         self.records_appended += 1
-        self.bytes_appended += self.layout.slot_bytes
+        self.bytes_appended += RECORD_FIELDS * stride
 
     def clean_record(self, view: PMemView, lsn: int) -> None:
         """Request a non-invalidating writeback of every record word.
@@ -102,9 +105,14 @@ class WriteAheadLog:
         already cleaned a moment ago — Plain pays for each, Skip It
         drops the redundant ones at the L1.
         """
-        index = self.layout.slot_of(lsn)
+        layout = self.layout
+        stride = layout.field_stride
+        base = layout.log_base + ((lsn - 1) % layout.log_capacity) * (
+            RECORD_FIELDS * stride
+        )
+        clean = view.clean
         for field in range(RECORD_FIELDS):
-            view.clean(self.layout.field_addr(index, field))
+            clean(base + field * stride)
 
     def clean_span(self, view: PMemView, first_lsn: int, last_lsn: int) -> None:
         """Seal a whole LSN span with ranged cleans (CBO.RANGE.CLEAN).

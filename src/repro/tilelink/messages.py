@@ -37,6 +37,13 @@ class ProbeAckParam(enum.Enum):
     INVAL = "INVAL"  # RootReleaseInval (CBO.INVAL extension, [60])
 
 
+# the L2 stat a RootRelease of each kind bumps on allocation, as a member
+# attribute (see ``MemOp.stat_key``): "root_release_flush", ...
+for _param in ProbeAckParam:
+    _param.stat_key = f"root_release_{_param.value.lower()}"
+del _param
+
+
 class ReleaseAckParam(enum.Enum):
     """Extra param space on ReleaseAck used to encode RootReleaseAck."""
 

@@ -21,9 +21,10 @@ class LineCache(Generic[R]):
 
     ``sets`` is public: set ``(address // line_bytes) % num_sets`` is an
     ``OrderedDict`` from line address to record, least recently used
-    first.  ``TimingSystem.load``, ``store``, ``cbo``, ``_fill`` and
-    ``_l1_evict`` index it directly and call ``move_to_end`` themselves,
-    so an L1 hit costs one set lookup and no method call here.  The
+    first.  ``TimingSystem``'s per-access paths (``load``, ``store``,
+    ``cbo``, ``_fill``, ``_l2_evict``, ``_cbo_line``) index it directly
+    and make hits MRU with ``move_to_end`` themselves, so an L1 hit costs
+    one set lookup and no method call here.  The
     methods below serve the colder paths and the tests, and keep the
     same LRU rules: a hit made MRU, an insert made MRU, the LRU line
     evicted when a set spills.

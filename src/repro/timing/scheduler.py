@@ -17,6 +17,12 @@ from repro.timing.system import ThreadCtx, TimingSystem
 # A workload step: perform ONE operation on the given thread context.
 ThreadStep = Callable[[ThreadCtx], None]
 
+#: consecutive steps one thread may take without its clock moving before
+#: :meth:`VirtualTimeScheduler.run` gives up.  A step may cost nothing (a
+#: serve-tier memtable read takes no cycles), but a thread whose clock
+#: never moves would be picked again forever.
+MAX_STALLED_STEPS = 100_000
+
 
 class VirtualTimeScheduler:
     """Runs one step-function per thread until a virtual-time deadline."""
@@ -36,6 +42,9 @@ class VirtualTimeScheduler:
         the deadline run to completion (clocks may overshoot slightly).
         ``warmup`` operations per thread are executed first without being
         counted (cold caches would otherwise understate throughput).
+        Raises :class:`RuntimeError` once one thread has taken
+        :data:`MAX_STALLED_STEPS` consecutive steps without advancing its
+        clock.
         """
         if len(steps) > len(self.system.threads):
             raise ValueError("more step functions than threads")
@@ -47,13 +56,25 @@ class VirtualTimeScheduler:
             ctx.ops = 0
         heap = [(ctx.now, ctx.tid) for ctx in contexts]
         heapq.heapify(heap)
+        stalled = [0] * len(self.system.threads)  # per tid, consecutive
         while heap:
             now, tid = heapq.heappop(heap)
             ctx = self.system.threads[tid]
             if ctx.now >= duration:
                 continue
+            before = ctx.now
             steps[tid](ctx)
             ctx.ops += 1
+            if ctx.now != before:
+                stalled[tid] = 0
+            else:
+                stalled[tid] += 1
+                if stalled[tid] >= MAX_STALLED_STEPS:
+                    raise RuntimeError(
+                        f"thread {tid} took {MAX_STALLED_STEPS} consecutive "
+                        f"steps without advancing its clock (stuck at "
+                        f"cycle {ctx.now})"
+                    )
             heapq.heappush(heap, (ctx.now, tid))
         return ScheduleResult(contexts)
 

@@ -55,7 +55,7 @@ class L1Rec:
     skip: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class L2Rec:
     dirty: bool = False
     directory: DirectoryEntry = field(default_factory=DirectoryEntry)
@@ -144,7 +144,18 @@ class TimingSystem:
         self.arch: Dict[int, int] = {}
         self.persisted: Dict[int, int] = {}
         self._line_words: Dict[int, Set[int]] = {}
-        self._line_bytes = p.line_bytes  # hot-path copy of the params property
+        # hot-path copies of the params the per-access paths read (the
+        # params are frozen, and ``line_bytes`` is a property)
+        self._line_bytes = p.line_bytes
+        self._l1_hit = p.l1_hit
+        self._l2_hit = p.l2_hit
+        self._mem_access = p.mem_access
+        self._l3_hit = p.l3_hit
+        self._upgrade = p.upgrade
+        self._skip_it = p.skip_it
+        self._cbo_issue = p.cbo_issue
+        self._cbo_skip = p.cbo_skip
+        self._num_fshrs = p.num_fshrs
         self.threads = [ThreadCtx(self, tid) for tid in range(p.num_threads)]
         self.stats = StatCounter()
         #: ``stats.counts``, which the per-access paths bump directly
@@ -172,34 +183,7 @@ class TimingSystem:
     def _arch_line(self, line: int) -> Dict[int, int]:
         return {w: self.arch[w] for w in self._words_of(line) if w in self.arch}
 
-    def _persisted_line(self, line: int) -> Dict[int, int]:
-        # a DRAM fetch is ordered after any pending write of the same line
-        # at the memory controller, so settle those first
-        self._settle_line(line)
-        return {
-            w: self.persisted[w] for w in self._words_of(line) if w in self.persisted
-        }
-
     # ------------------------------------------------- in-flight writebacks
-    def _count_wb(self, line: int) -> None:
-        self.wb_lines[line] = self.wb_lines.get(line, 0) + 1
-
-    def _record_wb(self, ctx: ThreadCtx, line: int, values: Dict[int, int],
-                   done: int) -> None:
-        """Track one asynchronous DRAM write; it lands when settled."""
-        wb = InFlightWriteback(tid=ctx.tid, done=done, line=line, values=dict(values))
-        self.in_flight.append(wb)
-        self.in_flight_by_line.setdefault(line, []).append(wb)
-        self._count_wb(line)
-
-    def _settle_line(self, line: int) -> None:
-        pending = self.in_flight_by_line.pop(line, None)
-        if pending is None:
-            return
-        for wb in pending:
-            self.persisted.update(wb.values)
-        self.in_flight = [wb for wb in self.in_flight if wb.line != line]
-
     def _settle_thread(self, tid: int) -> None:
         """Land every in-flight write of *tid* (the fence waited for them).
 
@@ -256,50 +240,32 @@ class TimingSystem:
         return image
 
     # ------------------------------------------------------ L2 maintenance
-    def _l2_fetch(self, line: int) -> L2Rec:
-        """Install *line* in L2 (from the victim L3 if present, else memory),
-        inclusive-evicting on overflow."""
-        l3rec = self.l3.remove(line) if self.l3 is not None else None
-        if l3rec is not None:
-            rec = L2Rec(dirty=l3rec.dirty, values=dict(l3rec.values))
-            self.stats.inc("l3_hits")
-        else:
-            rec = L2Rec(dirty=False, values=self._persisted_line(line))
-        evicted = self.l2.put(line, rec)
-        if evicted is not None:
-            self._l2_evict(*evicted)
-        return rec
-
-    def _fill_cost(self, line: int) -> int:
-        """Latency of an L2 miss: L3 hit beats the DRAM round trip."""
-        if self.l3 is not None and line in self.l3:
-            return self.params.l3_hit
-        return self.params.mem_access
-
     def _l2_evict(self, line: int, rec: L2Rec) -> None:
         """Inclusive eviction: revoke L1 copies, write back if dirty."""
-        for tid in list(rec.directory.sharers):
-            l1rec = self.l1s[tid].get(line)
-            if l1rec is not None:
-                if l1rec.dirty:
-                    rec.values.update(self._arch_line(line))
-                    rec.dirty = True
-                self.l1s[tid].remove(line)
+        counts = self._counts
+        l1s = self.l1s
+        for tid in rec.directory.sharers:
+            l1 = l1s[tid]
+            l1rec = l1.sets[(line // l1.line_bytes) % l1.num_sets].pop(line, None)
+            if l1rec is not None and l1rec.dirty:
+                rec.values.update(self._arch_line(line))
+                rec.dirty = True
+        wb_lines = self.wb_lines
         if self.l3 is not None:
             spilled = self.l3.put(line, L3Rec(dirty=rec.dirty, values=rec.values))
             if spilled is not None:
                 victim_line, victim = spilled
                 if victim.dirty:
                     self.persisted.update(victim.values)
-                    self._count_wb(victim_line)
-                    self.stats.inc("l3_evict_writebacks")
-            self.stats.inc("l2_evict_to_l3")
+                    wb_lines[victim_line] = wb_lines.get(victim_line, 0) + 1
+                    counts["l3_evict_writebacks"] += 1
+            counts["l2_evict_to_l3"] += 1
         elif rec.dirty:
             self.persisted.update(rec.values)
-            self._count_wb(line)
-            self.stats.inc("l2_evict_writebacks")
+            wb_lines[line] = wb_lines.get(line, 0) + 1
+            counts["l2_evict_writebacks"] += 1
         else:
-            self.stats.inc("l2_evict_drops")
+            counts["l2_evict_drops"] += 1
 
     def _merge_owner_dirty(self, line: int, rec: L2Rec, keep_owner: bool) -> bool:
         """Pull dirty data from the TRUNK owner (if any) into the L2 copy.
@@ -340,22 +306,55 @@ class TimingSystem:
             rec.directory.downgrade(tid, _NONE)
 
     # ------------------------------------------------------------ accesses
-    # The per-access paths below (load, store, cbo, _fill, _l1_evict) index
+    # The per-access paths below (load, store, cbo, _fill) index
     # ``LineCache.sets`` themselves, bump ``self._counts`` directly and read
     # ``self.l1s``/``self.l2`` on every call (``crash`` rebuilds them).
     def _fill(self, ctx: ThreadCtx, line: int, want_write: bool) -> int:
-        """L1 miss path; returns the access cost."""
+        """L1 miss path; returns the access cost.
+
+        An L2 miss fills here too: from the victim L3 when it holds the
+        line, else from memory, after the line's pending DRAM writes land
+        (a fetch is ordered behind them at the memory controller).  The
+        new L2 copy and the new L1 copy each evict their set's LRU line
+        when the set spills.
+        """
+        counts = self._counts
         l2 = self.l2
-        bucket = l2.sets[(line // l2.line_bytes) % l2.num_sets]
+        l2_sets, l2_line_bytes, l2_num_sets = l2.sets, l2.line_bytes, l2.num_sets
+        bucket = l2_sets[(line // l2_line_bytes) % l2_num_sets]
         rec = bucket.get(line)
         if rec is None:
-            cost = self._fill_cost(line)
-            rec = self._l2_fetch(line)
-            self._counts["mem_fills"] += 1
+            l3 = self.l3
+            l3rec = None
+            if l3 is not None:
+                l3rec = l3.sets[(line // l3.line_bytes) % l3.num_sets].pop(line, None)
+            if l3rec is not None:
+                cost = self._l3_hit
+                rec = L2Rec(l3rec.dirty, DirectoryEntry(), dict(l3rec.values))
+                counts["l3_hits"] += 1
+            else:
+                cost = self._mem_access
+                persisted = self.persisted
+                pending = self.in_flight_by_line.pop(line, None)
+                if pending is not None:
+                    for wb in pending:
+                        persisted.update(wb.values)
+                    self.in_flight = [wb for wb in self.in_flight if wb.line != line]
+                words = self._line_words.get(line, ())
+                rec = L2Rec(
+                    False,
+                    DirectoryEntry(),
+                    {w: persisted[w] for w in words if w in persisted},
+                )
+            # the line is not in this set, so the insert lands MRU
+            bucket[line] = rec
+            if len(bucket) > l2.ways:
+                self._l2_evict(*bucket.popitem(last=False))
+            counts["mem_fills"] += 1
         else:
             bucket.move_to_end(line)
-            cost = self.params.l2_hit
-            self._counts["l2_hits"] += 1
+            cost = self._l2_hit
+            counts["l2_hits"] += 1
         directory = rec.directory
         if want_write:
             if directory.owner is not None and self._merge_owner_dirty(
@@ -372,7 +371,7 @@ class TimingSystem:
                 cost += self.params.probe_extra
             perm = _BRANCH if directory.sharers else _TRUNK
         # GrantData vs GrantDataDirty decides the skip bit (§6.1)
-        skip = self.params.skip_it and (
+        skip = self._skip_it and (
             not rec.dirty or "skip_dirty_grant" in self.mutants
         )
         # a miss: the line is not in this set, so the insert lands MRU
@@ -380,21 +379,23 @@ class TimingSystem:
         bucket = l1.sets[(line // l1.line_bytes) % l1.num_sets]
         bucket[line] = L1Rec(perm, want_write, skip and not want_write)
         if len(bucket) > l1.ways:
-            self._l1_evict(ctx.tid, *bucket.popitem(last=False))
+            # the L1 victim hands its dirty words to its inclusive L2 copy
+            victim, l1rec = bucket.popitem(last=False)
+            vrec = l2_sets[(victim // l2_line_bytes) % l2_num_sets].get(victim)
+            if vrec is None:  # pragma: no cover - inclusivity guarantees presence
+                raise RuntimeError("L1 line absent from inclusive L2")
+            if l1rec.dirty:
+                arch = self.arch
+                values = vrec.values
+                for w in self._line_words.get(victim, ()):
+                    if w in arch:
+                        values[w] = arch[w]
+                vrec.dirty = True
+                counts["l1_evict_writebacks"] += 1
+            vrec.directory.downgrade(ctx.tid, _NONE)
             cost += 5
         directory.grant(ctx.tid, perm)
         return cost
-
-    def _l1_evict(self, tid: int, line: int, l1rec: L1Rec) -> None:
-        l2 = self.l2
-        rec = l2.sets[(line // l2.line_bytes) % l2.num_sets].get(line)
-        if rec is None:  # pragma: no cover - inclusivity guarantees presence
-            raise RuntimeError("L1 line absent from inclusive L2")
-        if l1rec.dirty:
-            rec.values.update(self._arch_line(line))
-            rec.dirty = True
-            self._counts["l1_evict_writebacks"] += 1
-        rec.directory.downgrade(tid, _NONE)
 
     def load(self, ctx: ThreadCtx, address: int) -> int:
         line = address - address % self._line_bytes
@@ -404,7 +405,7 @@ class TimingSystem:
         bucket = l1.sets[(line // l1.line_bytes) % l1.num_sets]
         if line in bucket:
             bucket.move_to_end(line)
-            ctx.now += self.params.l1_hit
+            ctx.now += self._l1_hit
             counts["l1_hits"] += 1
         else:
             ctx.now += self._fill(ctx, line, False)
@@ -420,7 +421,7 @@ class TimingSystem:
         l1rec = bucket.get(line)
         if l1rec is not None and l1rec.perm is _TRUNK:
             bucket.move_to_end(line)
-            ctx.now += self.params.l1_hit
+            ctx.now += self._l1_hit
             counts["l1_hits"] += 1
         elif l1rec is not None:  # upgrade BRANCH -> TRUNK, LRU order kept
             rec = self.l2.get(line)
@@ -429,7 +430,7 @@ class TimingSystem:
             rec.directory.downgrade(ctx.tid, _NONE)
             rec.directory.grant(ctx.tid, _TRUNK)
             l1rec.perm = _TRUNK
-            ctx.now += self.params.upgrade
+            ctx.now += self._upgrade
             counts["upgrades"] += 1
         else:
             ctx.now += self._fill(ctx, line, True)
@@ -439,7 +440,11 @@ class TimingSystem:
         if "store_keeps_skip" not in self.mutants:
             l1rec.skip = False  # a dirty line is never persisted
         self.arch[address] = value
-        self._line_words.setdefault(line, set()).add(address)
+        words = self._line_words.get(line)
+        if words is None:
+            self._line_words[line] = {address}
+        else:
+            words.add(address)
 
     def cas(self, ctx: ThreadCtx, address: int, expected: int, new: int) -> bool:
         """Compare-and-swap: acquires write permission, then swaps atomically.
@@ -466,13 +471,8 @@ class TimingSystem:
         l1 = self.l1s[ctx.tid]
         l1rec = l1.sets[(line // l1.line_bytes) % l1.num_sets].get(line)
         # Skip It (§6.1): hit + clean + skip set => drop before the queue.
-        if (
-            self.params.skip_it
-            and l1rec is not None
-            and not l1rec.dirty
-            and l1rec.skip
-        ):
-            ctx.now += self.params.cbo_skip
+        if self._skip_it and l1rec is not None and not l1rec.dirty and l1rec.skip:
+            ctx.now += self._cbo_skip
             self._counts["cbo_skipped"] += 1
             if self.obs is not None:
                 self.obs.emit(
@@ -484,7 +484,7 @@ class TimingSystem:
                     invalidate=invalidate,
                 )
             return
-        ctx.now += self.params.cbo_issue
+        ctx.now += self._cbo_issue
         self._counts["cbo_issued"] += 1
         if self.obs is not None:
             self.obs.emit(
@@ -496,8 +496,17 @@ class TimingSystem:
                 invalidate=invalidate,
             )
         latency, payload = self._cbo_line(ctx, line, l1rec, invalidate)
-        completion = self._issue_async(ctx, latency)
-        self._record_or_adopt(ctx, line, payload, completion)
+        # the writeback holds one of the thread's FSHRs: with all of them
+        # busy it starts when the oldest outstanding one completes
+        outstanding = ctx.outstanding
+        start = ctx.now
+        if len(outstanding) >= self._num_fshrs:
+            oldest = outstanding.popleft()
+            if oldest > start:
+                start = oldest
+        done = start + latency
+        outstanding.append(done)
+        self._record_or_adopt(ctx, line, payload, done)
 
     def _cbo_line(
         self,
@@ -513,7 +522,9 @@ class TimingSystem:
         plus the words this line carries to DRAM (``None`` when the
         hierarchy holds nothing dirty).
         """
-        rec = self.l2.get(line)
+        l2 = self.l2
+        rec = l2.sets[(line // l2.line_bytes) % l2.num_sets].get(line)
+        counts = self._counts
         latency = self.params.cbo_l2_roundtrip
         # a deeper hierarchy lengthens every writeback's path (§7.4):
         # requests traverse the L3 on their way to the persistence domain
@@ -525,11 +536,15 @@ class TimingSystem:
         if l1rec is not None and l1rec.dirty:
             # dirty in our L1: full path to DRAM
             assert rec is not None
-            rec.values.update(self._arch_line(line))
+            arch = self.arch
+            values = rec.values
+            for w in self._line_words.get(line, ()):
+                if w in arch:
+                    values[w] = arch[w]
             l1rec.dirty = False
             latency = self.params.cbo_dram_writeback + l3_extra
             payload = self._persist_l2(line, rec)
-            self.stats.inc("cbo_dram")
+            counts["cbo_dram"] += 1
         elif rec is not None and (
             rec.dirty or rec.directory.owner not in (None, ctx.tid)
         ):
@@ -545,9 +560,9 @@ class TimingSystem:
                     latency, self.params.cbo_dram_writeback + l3_extra
                 )
                 payload = self._persist_l2(line, rec)
-                self.stats.inc("cbo_dram")
+                counts["cbo_dram"] += 1
             else:
-                self.stats.inc("cbo_l2_clean")
+                counts["cbo_l2_clean"] += 1
         else:
             # Not dirty anywhere the L2 can see — but the victim L3 may
             # hold the only dirty copy (the line lives in at most one of
@@ -559,11 +574,11 @@ class TimingSystem:
                 payload = dict(l3rec.values)
                 l3rec.dirty = False
                 latency = self.params.cbo_dram_writeback + l3_extra
-                self.stats.inc("cbo_dram")
-                self.stats.inc("cbo_l3_dirty_writebacks")
+                counts["cbo_dram"] += 1
+                counts["cbo_l3_dirty_writebacks"] += 1
             else:
                 # persisted already: the LLC trivially skips the DRAM write
-                self.stats.inc("cbo_l2_clean")
+                counts["cbo_l2_clean"] += 1
         if invalidate:
             if rec is not None:
                 self._revoke_sharers(line, rec, keep=None)
@@ -586,27 +601,37 @@ class TimingSystem:
         payload: Optional[Dict[int, int]],
         completion: int,
     ) -> None:
+        """Track one CBO's asynchronous DRAM write; it lands when settled.
+
+        *payload* is the fresh dict :meth:`_cbo_line` built, so it is
+        recorded as is.
+        """
+        pending = self.in_flight_by_line.get(line)
         if payload:
-            self._record_wb(ctx, line, payload, done=completion)
-        else:
-            # The line is clean in the hierarchy, but an earlier CBO's
-            # DRAM write for it may still sit in the controller queue.
-            # Same-address ordering puts this CBO's completion behind
-            # those writes, so the fence that waits for *this* CBO also
-            # covers them: adopt their payload under our completion.
-            # Not a new DRAM write — wb_lines is deliberately untouched.
-            pending = self.in_flight_by_line.get(line)
+            wb = InFlightWriteback(ctx.tid, completion, line, payload)
+            self.in_flight.append(wb)
             if pending is None:
-                return
-            merged: Dict[int, int] = {}
-            for wb in pending:
-                merged.update(wb.values)
-            if merged:
-                adopted = InFlightWriteback(
-                    tid=ctx.tid, done=completion, line=line, values=merged
-                )
-                self.in_flight.append(adopted)
-                pending.append(adopted)
+                self.in_flight_by_line[line] = [wb]
+            else:
+                pending.append(wb)
+            wb_lines = self.wb_lines
+            wb_lines[line] = wb_lines.get(line, 0) + 1
+            return
+        # The line is clean in the hierarchy, but an earlier CBO's DRAM
+        # write for it may still sit in the controller queue.  Same-address
+        # ordering puts this CBO's completion behind those writes, so the
+        # fence that waits for *this* CBO also covers them: adopt their
+        # payload under our completion.  Not a new DRAM write — wb_lines is
+        # deliberately untouched.
+        if pending is None:
+            return
+        merged: Dict[int, int] = {}
+        for wb in pending:
+            merged.update(wb.values)
+        if merged:
+            adopted = InFlightWriteback(ctx.tid, completion, line, merged)
+            self.in_flight.append(adopted)
+            pending.append(adopted)
 
     def cbo_range(
         self,
@@ -729,18 +754,6 @@ class TimingSystem:
         if "clean_forgets_l2_dirty" in self.mutants:
             return {}  # marked clean, payload dropped (test-only bug)
         return dict(rec.values)
-
-    def _issue_async(self, ctx: ThreadCtx, latency: int) -> int:
-        """Track an asynchronous writeback, bounded by the FSHR count.
-
-        Returns the completion time on the thread's virtual clock.
-        """
-        start = ctx.now
-        if len(ctx.outstanding) >= self.params.num_fshrs:
-            start = max(start, ctx.outstanding.popleft())
-        done = start + latency
-        ctx.outstanding.append(done)
-        return done
 
     def fence(self, ctx: ThreadCtx) -> None:
         """FENCE: wait for every outstanding writeback of this thread (§5.3)."""

@@ -394,7 +394,7 @@ class InclusiveL2Cache:
                 cbo=message.param,
             )
             self._apply_root_release_arrival(message)
-            self.stats.inc(f"root_release_{message.param.value.lower()}")
+            self.stats.inc(message.param.stat_key)
         mshr.slot = slot
         self.mshrs[slot] = mshr
         insort(self._active_slots, slot)

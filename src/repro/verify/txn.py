@@ -30,7 +30,8 @@ seal / checkpoint boundary like the store sweeps.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.store.layout import OP_TXN, OP_TXN_COMMIT
@@ -49,6 +50,13 @@ class TxnOracle(StoreOracle):
         self._txn_buffer: List[Tuple[int, int, int]] = []
         #: txn id -> (commit-record LSN, ((lsn, key, value), ...))
         self.txns: Dict[int, Tuple[int, Tuple[Tuple[int, int, int], ...]]] = {}
+        #: (state, layout, per-transaction findings) of the last judged
+        #: point.  A sweep judges one recovered state object at every
+        #: crash point of a run of equal images, and the findings read
+        #: only that state, ``txns`` and the journal up to its
+        #: ``applied_lsn``; :meth:`observe` drops the memo when an append
+        #: changes either of the last two.
+        self._txn_memo: Optional[Tuple[object, object, List[Violation]]] = None
 
     def observe(self, lsn: int, op: int, key: int, value: int) -> None:
         super().observe(lsn, op, key, value)
@@ -59,11 +67,30 @@ class TxnOracle(StoreOracle):
             if value:
                 del self._txn_buffer[-value:]
             self.txns[key] = (lsn, writes)
+            self._txn_memo = None
+        memo = self._txn_memo
+        if memo is not None and lsn <= memo[0].applied_lsn:
+            self._txn_memo = None
 
     def check_state(self, state, layout, **checks) -> List[Violation]:
         reference = self.reference_state(state.applied_lsn)
         violations = super().check_state(state, layout, reference=reference, **checks)
         at = checks["at"]
+        memo = self._txn_memo
+        if memo is not None and memo[0] is state and memo[1] is layout:
+            # the same findings as the point before, stamped with this one
+            violations.extend(replace(v, at=at) for v in memo[2])
+            return violations
+        found = self._txn_violations(state, layout, reference, at)
+        self._txn_memo = (state, layout, found)
+        violations.extend(found)
+        return violations
+
+    def _txn_violations(
+        self, state, layout, reference: Dict[int, int], at: object
+    ) -> List[Violation]:
+        """Per-transaction atomicity of *state* against *reference*."""
+        violations: List[Violation] = []
         for txn_id, (commit_lsn, writes) in self.txns.items():
             # deletes are covered by the exact-prefix check; the subset
             # test needs puts, whose unique values identify provenance

@@ -41,12 +41,17 @@ _MASK64 = (1 << 64) - 1
 
 
 def _fnv64(value: int) -> int:
-    """FNV-1a over the rank's bytes: spreads hot ranks across the keyspace."""
-    h = _FNV_OFFSET
-    for _ in range(8):
-        h = ((h ^ (value & 0xFF)) * _FNV_PRIME) & _MASK64
-        value >>= 8
-    return h
+    """FNV-1a over the rank's 8 low bytes, least significant first: spreads
+    hot ranks across the keyspace.  Unrolled, since every request draws
+    a key through it."""
+    h = ((_FNV_OFFSET ^ (value & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 8) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 16) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 24) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 32) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 40) & 0xFF)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ ((value >> 48) & 0xFF)) * _FNV_PRIME) & _MASK64
+    return ((h ^ ((value >> 56) & 0xFF)) * _FNV_PRIME) & _MASK64
 
 
 def zeta(n: int, theta: float) -> float:

@@ -189,14 +189,33 @@ class GenericView:
             self.ctx.fence()
 
 
-def run_mix(view_cls, optimizer_name, policy_name, seed, ops=400):
-    """One seeded access mix on a fresh 1-thread system; returns its state."""
+#: the timing accesses perfbench's tracer wraps on the live system
+TRACED = ("load", "store", "cas", "cbo", "fence")
+
+
+def count_calls(system):
+    """Shadow :data:`TRACED` on the *system* instance, as perfbench's
+    ``Tracer.wrap`` does once the views exist; returns the live counts."""
+    calls = dict.fromkeys(TRACED, 0)
+    for name in TRACED:
+        def counted(*args, _name=name, _method=getattr(system, name), **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        setattr(system, name, counted)
+    return calls
+
+
+def run_mix(view_cls, optimizer_name, policy_name, seed, ops=400, traced=False):
+    """One seeded access mix on a fresh 1-thread system; returns its state
+    (with the :func:`count_calls` counts when *traced*)."""
     system = TimingSystem(
         TimingParams(num_threads=1, skip_it=optimizer_name == "skipit")
     )
     heap = SimHeap()
     optimizer = make_optimizer(optimizer_name, heap, table_entries=16)
     view = view_cls(system.threads[0], make_policy(policy_name), optimizer)
+    calls = count_calls(system) if traced else None
     # 16-byte words, so FliT-adjacent counters never alias data; 12 lines
     words = [heap.alloc_region(64 * 12) + 16 * i for i in range(48)]
     rng = random.Random(seed)
@@ -229,6 +248,7 @@ def run_mix(view_cls, optimizer_name, policy_name, seed, ops=400):
         "flush_requests": view.flush_requests,
         "arch": system.arch,
         "persisted": system.persisted,
+        "calls": calls,
     }
 
 
@@ -242,6 +262,26 @@ class TestViewDispatch:
             fast = run_mix(PMemView, optimizer_name, policy_name, seed)
             generic = run_mix(GenericView, optimizer_name, policy_name, seed)
             assert fast == generic
+
+    @pytest.mark.parametrize("policy_name", POLICY_NAMES)
+    @pytest.mark.parametrize("optimizer_name", OPTIMIZER_NAMES)
+    def test_wrapped_system_sees_every_access(self, optimizer_name, policy_name):
+        """Every view and filter access reaches the system's instance
+        attributes, so a tracer that wraps them after the views are built
+        counts them all."""
+        fast = run_mix(PMemView, optimizer_name, policy_name, 0, traced=True)
+        generic = run_mix(GenericView, optimizer_name, policy_name, 0, traced=True)
+        assert fast == generic
+        calls, stats = fast["calls"], dict(fast["stats"])
+        assert calls["load"] == stats["loads"] > 0
+        assert calls["store"] == stats["stores"] > 0
+        assert calls["cas"] == stats.get("cas_successes", 0) + stats.get(
+            "cas_failures", 0
+        ) > 0
+        assert calls["cbo"] == stats.get("cbo_issued", 0) + stats.get(
+            "cbo_skipped", 0
+        ) > 0
+        assert calls["fence"] == stats.get("fences", 0)
 
     def test_counters_live_after_reset(self):
         view, system = view_for(Automatic())

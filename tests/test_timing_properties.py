@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from repro.sim.config import CacheGeometry
 from repro.tilelink.permissions import Perm
 from repro.timing.params import TimingParams
-from repro.timing.system import L1Rec, TimingSystem
+from repro.timing.system import (
+    InFlightWriteback,
+    L1Rec,
+    L2Rec,
+    L3Rec,
+    TimingSystem,
+)
 from repro.verify.mutants import TIMING_MUTANTS
 
 LINES = [0x4000 + i * 64 for i in range(4)]
@@ -226,9 +232,107 @@ class TestInFlightIndex:
 
 
 class MethodCallTimingSystem(TimingSystem):
-    """``load``, ``store``, ``cbo``, ``_fill`` and ``_l1_evict`` written
-    through ``LineCache`` methods and ``StatCounter.inc``: the form the
-    inlined set lookups and counters must reproduce, step for step."""
+    """The per-access paths written through helper methods, ``LineCache``
+    methods and ``StatCounter.inc``: the form the inlined ones must
+    reproduce, step for step.
+
+    ``load``, ``store``, ``cbo`` and ``_fill`` call ``LineCache`` methods;
+    the memory fill goes through ``_fill_cost``, ``_l2_fetch`` and
+    ``_persisted_line``; the L1 victim through ``_l1_evict``; the L2
+    victim through ``LineCache.get``/``remove`` and ``StatCounter.inc``;
+    an issued CBO through ``_issue_async`` and ``_record_wb`` (which
+    copies its payload).  Those helpers live only here.
+    """
+
+    def _settle_line(self, line):
+        pending = self.in_flight_by_line.pop(line, None)
+        if pending is None:
+            return
+        for wb in pending:
+            self.persisted.update(wb.values)
+        self.in_flight = [wb for wb in self.in_flight if wb.line != line]
+
+    def _persisted_line(self, line):
+        # a DRAM fetch is ordered after any pending write of the same line
+        self._settle_line(line)
+        return {
+            w: self.persisted[w] for w in self._words_of(line) if w in self.persisted
+        }
+
+    def _fill_cost(self, line):
+        if self.l3 is not None and line in self.l3:
+            return self.params.l3_hit
+        return self.params.mem_access
+
+    def _l2_fetch(self, line):
+        l3rec = self.l3.remove(line) if self.l3 is not None else None
+        if l3rec is not None:
+            rec = L2Rec(dirty=l3rec.dirty, values=dict(l3rec.values))
+            self.stats.inc("l3_hits")
+        else:
+            rec = L2Rec(dirty=False, values=self._persisted_line(line))
+        evicted = self.l2.put(line, rec)
+        if evicted is not None:
+            self._l2_evict(*evicted)
+        return rec
+
+    def _count_wb(self, line):
+        self.wb_lines[line] = self.wb_lines.get(line, 0) + 1
+
+    def _l2_evict(self, line, rec):
+        for tid in list(rec.directory.sharers):
+            l1rec = self.l1s[tid].get(line)
+            if l1rec is not None:
+                if l1rec.dirty:
+                    rec.values.update(self._arch_line(line))
+                    rec.dirty = True
+                self.l1s[tid].remove(line)
+        if self.l3 is not None:
+            spilled = self.l3.put(line, L3Rec(dirty=rec.dirty, values=rec.values))
+            if spilled is not None:
+                victim_line, victim = spilled
+                if victim.dirty:
+                    self.persisted.update(victim.values)
+                    self._count_wb(victim_line)
+                    self.stats.inc("l3_evict_writebacks")
+            self.stats.inc("l2_evict_to_l3")
+        elif rec.dirty:
+            self.persisted.update(rec.values)
+            self._count_wb(line)
+            self.stats.inc("l2_evict_writebacks")
+        else:
+            self.stats.inc("l2_evict_drops")
+
+    def _issue_async(self, ctx, latency):
+        start = ctx.now
+        if len(ctx.outstanding) >= self.params.num_fshrs:
+            start = max(start, ctx.outstanding.popleft())
+        done = start + latency
+        ctx.outstanding.append(done)
+        return done
+
+    def _record_wb(self, ctx, line, values, done):
+        wb = InFlightWriteback(tid=ctx.tid, done=done, line=line, values=dict(values))
+        self.in_flight.append(wb)
+        self.in_flight_by_line.setdefault(line, []).append(wb)
+        self._count_wb(line)
+
+    def _record_or_adopt(self, ctx, line, payload, completion):
+        if payload:
+            self._record_wb(ctx, line, payload, done=completion)
+            return
+        pending = self.in_flight_by_line.get(line)
+        if pending is None:
+            return
+        merged = {}
+        for wb in pending:
+            merged.update(wb.values)
+        if merged:
+            adopted = InFlightWriteback(
+                tid=ctx.tid, done=completion, line=line, values=merged
+            )
+            self.in_flight.append(adopted)
+            pending.append(adopted)
 
     def _fill(self, ctx, line, want_write):
         rec = self.l2.lookup(line)
@@ -358,9 +462,11 @@ def path_op(draw):
 
 
 def path_params(l3, skip_it):
+    # two FSHRs per thread, so issued CBOs often wait for a free one
     return TimingParams(
         num_threads=2,
         skip_it=skip_it,
+        num_fshrs=2,
         l1=CacheGeometry(size_bytes=256, ways=2),
         l2=CacheGeometry(size_bytes=512, ways=2),
         l3=CacheGeometry(size_bytes=512, ways=2) if l3 else None,

@@ -1,7 +1,11 @@
 """Unit tests for the virtual-time scheduler."""
 
+import heapq
+import time
+
 import pytest
 
+from repro.timing import scheduler
 from repro.timing.params import TimingParams
 from repro.timing.scheduler import VirtualTimeScheduler
 from repro.timing.system import TimingSystem
@@ -84,3 +88,77 @@ class TestScheduler:
         sched = VirtualTimeScheduler(system)
         result = sched.run([lambda ctx: None], duration=0)
         assert result.total_ops == 0
+
+
+def unguarded_run(system, steps, duration):
+    """The scheduler loop without the stall guard: the order it steps in."""
+    contexts = system.threads[: len(steps)]
+    for ctx in contexts:
+        ctx.now = ctx.ops = 0
+    order = []
+    heap = [(ctx.now, ctx.tid) for ctx in contexts]
+    heapq.heapify(heap)
+    while heap:
+        _, tid = heapq.heappop(heap)
+        ctx = system.threads[tid]
+        if ctx.now >= duration:
+            continue
+        steps[tid](ctx)
+        ctx.ops += 1
+        order.append((tid, ctx.now))
+        heapq.heappush(heap, (ctx.now, tid))
+    return order, [ctx.ops for ctx in contexts]
+
+
+def bursty(burst):
+    """A step that costs nothing *burst* - 1 times, then 13 cycles: a
+    client draining a queue of free memtable reads between writes."""
+
+    def step(ctx):
+        if ctx.ops % burst == burst - 1:
+            ctx.now += 13
+
+    return step
+
+
+class TestStallGuard:
+    def test_step_that_never_advances_raises(self):
+        system = mk()
+
+        def busy(ctx):
+            ctx.now += 10
+
+        began = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"thread 1 .* cycle 0\)"):
+            VirtualTimeScheduler(system).run(
+                [busy, lambda ctx: None], duration=1_000
+            )
+        assert time.perf_counter() - began < 1.0
+
+    def test_zero_cost_steps_between_advancing_ones_finish_as_before(self):
+        steps = [bursty(7), bursty(500)]
+        order, ops = unguarded_run(mk(), steps, duration=2_000)
+        system = mk()
+        recorded = []
+
+        def recording(step):
+            def run(ctx):
+                step(ctx)
+                recorded.append((ctx.tid, ctx.now))
+
+            return run
+
+        result = VirtualTimeScheduler(system).run(
+            [recording(step) for step in steps], duration=2_000
+        )
+        assert recorded == order
+        assert result.ops_per_thread == ops
+        assert ops[1] == 500 * (2_000 // 13 + 1)  # every free burst ran
+
+    def test_limit_counts_consecutive_stalls_of_one_thread(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "MAX_STALLED_STEPS", 20)
+        # 19 free steps, then one that advances: never 20 in a row
+        result = VirtualTimeScheduler(mk(1)).run([bursty(20)], duration=1_000)
+        assert result.total_ops == 20 * (1_000 // 13 + 1)
+        with pytest.raises(RuntimeError, match="thread 0 took 20"):
+            VirtualTimeScheduler(mk(1)).run([bursty(21)], duration=1_000)

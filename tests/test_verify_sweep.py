@@ -9,10 +9,13 @@ distinct crash image once must change no verdict.
 """
 
 import itertools
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from repro.store.layout import OP_COMMIT, OP_TXN, OP_TXN_COMMIT, StoreLayout
+from repro.store.recovery import RecoveredState
 from repro.verify import mutants as registry
 from repro.verify import store as verify_store
 from repro.verify import sweep
@@ -20,6 +23,7 @@ from repro.verify.cli import EXHAUSTIVE_SWEEPS, SMOKE_SWEEPS
 from repro.verify.mutants import SERVE_MUTANTS
 from repro.verify.serve import SessionOracle
 from repro.verify.sweep import SCENARIOS, CrashSweep, route_mutants
+from repro.verify.txn import TxnOracle
 
 
 class TestMutantRouting:
@@ -205,3 +209,49 @@ class TestRecoveryMemo:
         unique_images(monkeypatch)
         assert CrashSweep("shared", "skipit", 8).run() == report
         assert len(calls) == report.crash_points
+
+
+LAYOUT = StoreLayout(superblock=0x100, log_base=0x1000, log_capacity=64,
+                     field_stride=8, line_bytes=64, num_buckets=4)
+
+
+def torn_txn_oracle():
+    """Txn 9 puts keys 5 and 6 (lsns 1-2, commit record 3); marker 4."""
+    oracle = TxnOracle()
+    oracle.observe(1, OP_TXN, 5, 100)
+    oracle.observe(2, OP_TXN, 6, 200)
+    oracle.observe(3, OP_TXN_COMMIT, 9, 2)
+    oracle.observe(4, OP_COMMIT, 3, 0)
+    return oracle
+
+
+def judge(oracle, state, at):
+    return oracle.check_state(state, LAYOUT, acked_lsn=4, initiated_lsn=4, at=at)
+
+
+class TestTxnFindingsMemo:
+    """One recovered state judged at many crash points reuses its
+    transaction findings, re-stamped, until an append changes them."""
+
+    def test_same_state_reuses_findings_with_this_points_label(self):
+        oracle = torn_txn_oracle()
+        state = RecoveredState(items={5: 100}, applied_lsn=4)  # key 6 torn off
+        first = judge(oracle, state, "p1")
+        assert "txn_partial" in [v.kind for v in first]
+        assert judge(oracle, state, "p2") == [replace(v, at="p2") for v in first]
+        # an equal state object of its own is judged afresh, same verdict
+        fresh = RecoveredState(items={5: 100}, applied_lsn=4)
+        assert judge(oracle, fresh, "p3") == [replace(v, at="p3") for v in first]
+
+    def test_a_new_commit_record_drops_the_findings(self):
+        oracle = torn_txn_oracle()
+        state = RecoveredState(items={5: 100, 6: 200, 7: 300}, applied_lsn=4)
+        before = [v.kind for v in judge(oracle, state, "p1")]
+        assert "txn_partial" not in before
+        # txn 10 (key 7 = 300) commits beyond applied_lsn: its write must
+        # not be visible, and this state shows it
+        oracle.observe(5, OP_TXN, 7, 300)
+        oracle.observe(6, OP_TXN_COMMIT, 10, 1)
+        after = judge(oracle, state, "p2")
+        assert [v.kind for v in after] == before + ["txn_partial"]
+        assert "txn 10" in after[-1].detail

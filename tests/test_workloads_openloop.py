@@ -1,5 +1,6 @@
 """Tests for :mod:`repro.workloads.openloop` — open-loop client generators."""
 
+import random
 import statistics
 
 import pytest
@@ -13,10 +14,13 @@ from repro.store import SharedLogStore
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
 from repro.workloads.openloop import (
+    _FNV_OFFSET,
+    _FNV_PRIME,
     _ZETA_CACHE,
     OpenLoopClient,
     PoissonArrivals,
     ZipfianKeys,
+    _fnv64,
     zeta,
 )
 
@@ -144,3 +148,22 @@ class TestOpenLoopClient:
         assert client.served == 20
         assert store.wal.records_appended > 0
         assert tier.stats.get("serve_admitted") == 20
+
+
+def looped_fnv64(value):
+    """FNV-1a over the 8 low bytes as a loop: the form ``_fnv64`` unrolls."""
+    h = _FNV_OFFSET
+    for _ in range(8):
+        h = ((h ^ (value & 0xFF)) * _FNV_PRIME) & ((1 << 64) - 1)
+        value >>= 8
+    return h
+
+
+def test_unrolled_fnv64_matches_the_loop():
+    values = [0, 1, 255, 256, (1 << 64) - 1, 1 << 64, 3 << 70]
+    rng = random.Random(11)
+    values += [
+        rng.getrandbits(bits) for bits in (8, 20, 40, 64, 80) for _ in range(200)
+    ]
+    for value in values:
+        assert _fnv64(value) == looped_fnv64(value), value
