@@ -1,6 +1,6 @@
 """Machine-readable benchmark baselines: ``--json`` snapshots, ``--check``.
 
-``python -m repro.bench --json BENCH_quick.json`` serialises every row of
+``python -m repro.bench --json BENCH.json`` serialises every row of
 the selected figures (plus the runs' registry-metric snapshots and
 wall-clock) to a versioned JSON document.  A committed snapshot then acts
 as a regression baseline: ``--check PATH`` re-keys the current rows
@@ -15,10 +15,11 @@ Wall-clock fields are recorded for the record but never compared.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.bench import FIGURES
+from repro.bench.spec import records
 
 SCHEMA_VERSION = 1
 
@@ -59,7 +60,7 @@ def snapshot(
         figures[str(figure)] = {
             "points": run.points,
             "elapsed_seconds": round(run.elapsed, 3),
-            "rows": [asdict(row) for row in run.rows],
+            "rows": records(run.rows),
         }
     document: Dict[str, object] = {
         "schema": SCHEMA_VERSION,

@@ -1,8 +1,9 @@
 """Benchmark CLI: ``python -m repro.bench --fig N`` / ``skipit-bench``.
 
 Prints the rows/series of the requested evaluation figure in a
-paper-style text table.  ``--quick`` shrinks sweeps for a fast sanity
-pass; the defaults regenerate the full-size figure.  ``--jobs N`` fans
+paper-style text table, then a verdict line per paper claim about it.
+``--quick`` shrinks sweeps for a fast sanity pass; the defaults
+regenerate the full-size figure.  ``--jobs N`` fans
 the independent sweep points over a process pool (results are identical
 to a serial run); ``--json`` / ``--check`` write and verify
 machine-readable baselines (see :mod:`repro.bench.baseline`), and
@@ -18,6 +19,7 @@ from typing import List, Optional
 
 from repro.bench import FIGURES, baseline
 from repro.bench.format import format_table
+from repro.bench.spec import records
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -100,6 +102,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         warning = kind.warning(run.rows)
         if warning:
             print(warning)
+        rows = records(run.rows)
+        for claim in FIGURES[fig].claims:
+            verdict, measured = claim.verdict(rows)
+            line = f"claim {verdict}: {claim.section} {claim.text}"
+            print(f"{line}: {measured}" if measured else line)
         print(f"[figure {fig}: {run.points} points, {run.elapsed:.1f}s]")
 
     status = 0

@@ -33,11 +33,14 @@ from repro.bench.spec import (
     LOWER,
     NEUTRAL,
     Cell,
+    Claim,
     Column,
+    Figure,
     FigureKind,
+    Judgement,
     axis,
     rounded,
-    run_cells,
+    versus,
 )
 from repro.bench.store import run_mix
 from repro.persist.flushopt import OPTIMIZER_NAMES
@@ -209,7 +212,6 @@ def fig21_cells(
     region_sizes: Optional[Iterable[int]] = None,
     series: Optional[Iterable[str]] = None,
     optimizers: Optional[Iterable[str]] = None,
-    seed: Optional[int] = None,
 ) -> List[Cell]:
     """Loop-of-CBOs vs CBO.RANGE across regions and store workloads.
 
@@ -238,7 +240,7 @@ def fig21_cells(
             21,
             f"{kind},{optimizer},{mode}",
             _store_cell,
-            seed,
+            None,
             kind=kind,
             optimizer=optimizer,
             mode=mode,
@@ -251,6 +253,61 @@ def fig21_cells(
     return cells
 
 
-def run_fig21(quick: bool = False, **axes) -> List[RangeRow]:
-    """Figure 21's rows; *axes* narrow :func:`fig21_cells`."""
-    return run_cells(fig21_cells(quick, **axes))
+# ----------------------------------------------------------------- claims
+def _modes(rows, fields, test, micro_only: bool = False) -> Judgement:
+    """*test(range row, loop row)* at every point run in both modes, a
+    point named by its series and optimizer (a micro point by its size)."""
+    named = [
+        {**row, "point": row["optimizer"] or human_size(row["size_bytes"])}
+        for row in rows
+        if row["series"] == "micro" or not micro_only
+    ]
+    return versus(named, ("series", "point"), fields, test, "range", "loop", "mode")
+
+
+FIG21 = Figure(
+    fig21_cells,
+    RANGE,
+    "CBO.RANGE: loop-of-CBOs vs one ranged flush, micro + store workloads "
+    "(repro.bench.range)",
+    (
+        Claim(
+            "CBO.RANGE",
+            "fewer flush-queue entries: one per micro sweep at any size (2 with "
+            "the resweep), and fewer than the loop's in every store series",
+            lambda rows: _modes(
+                rows,
+                ["flush_requests"],
+                lambda rng, loop: rng["flush_requests"] == 2
+                if rng["series"] == "micro"
+                else rng["flush_requests"] < loop["flush_requests"],
+            ),
+        ),
+        Claim(
+            "CBO.RANGE",
+            "fewer fences: the range is its own ordering token, so it fences "
+            "nothing where the loop fences",
+            lambda rows: _modes(
+                rows, ["fences"], lambda rng, loop: rng["fences"] == 0 < loop["fences"]
+            ),
+        ),
+        Claim(
+            "CBO.RANGE",
+            "Skip It still filters inside the range: it skips lines of the "
+            "redundant resweep, which costs no more than the loop's and less "
+            "than the dirty sweep",
+            lambda rows: _modes(
+                rows,
+                ["cbo_range_skipped", "resweep_cycles"],
+                lambda rng, loop: rng["cbo_range_skipped"] > 0
+                and rng["resweep_cycles"] <= loop["resweep_cycles"]
+                and all(r["resweep_cycles"] < r["sweep_cycles"] for r in (loop, rng)),
+                micro_only=True,
+            ),
+        ),
+    ),
+)
+
+
+#: the figure's rows, its cells simulated in order in this process
+run_fig21 = FIG21.run

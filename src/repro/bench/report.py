@@ -1,17 +1,19 @@
 """Markdown report generation: figure runs -> EXPERIMENTS-style tables.
 
 ``build_report`` renders the rows of already-run figures as a Markdown
-document, drawing each figure's kind table with the terminal's columns;
-the CLI writes it from the same run as the tables and baselines through
-``python -m repro.bench --report out.md``.  Handy for re-validating the
-numbers EXPERIMENTS.md quotes after changing model parameters.
+document, drawing each figure's kind table with the terminal's columns
+and its claims' verdicts; the CLI writes it from the same run as the
+tables and baselines through ``python -m repro.bench --report out.md``.
+``claims_block`` renders every figure's claims on committed baseline
+documents: the generated block of EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from repro.bench import FIGURES
+from repro.bench.spec import Figure, Record, records
 
 
 def _markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -77,6 +79,38 @@ def _render_metrics_summary(rows: List[object]) -> str:
     )
 
 
+def _claims_table(
+    figure: Figure, columns: Sequence[Tuple[str, Sequence[Record]]]
+) -> str:
+    """*figure*'s claims, judged on each named row set in its own column."""
+    table = []
+    for claim in figure.claims:
+        cells = [f"{claim.section} {claim.text}"]
+        for _, rows in columns:
+            verdict, measured = claim.verdict(rows)
+            cells.append(f"{verdict}: {measured}" if measured else verdict)
+        table.append(cells)
+    return _markdown_table(["claim"] + [name for name, _ in columns], table)
+
+
+def claims_block(documents: Mapping[str, Mapping[str, object]]) -> str:
+    """Every figure's claims on each baseline document that holds it, one
+    column per file name in *documents* (EXPERIMENTS.md's claims block)."""
+    figures = sorted({int(f) for doc in documents.values() for f in doc["figures"]})
+    sections = []
+    for fig in figures:
+        columns = [
+            (f"`{name}`", doc["figures"][str(fig)]["rows"])
+            for name, doc in documents.items()
+            if str(fig) in doc["figures"]
+        ]
+        sections.append(
+            f"### Figure {fig} — {FIGURES[fig].title}\n\n"
+            + _claims_table(FIGURES[fig], columns)
+        )
+    return "\n\n".join(sections) + "\n"
+
+
 def build_report(
     runs: Mapping[int, "FigureRun"],  # noqa: F821 - repro.bench.runner.FigureRun
     quick: bool,
@@ -99,6 +133,7 @@ def build_report(
         warning = figure.kind.warning(rows)
         if warning:
             sections.append(f"\n{warning}")
+        sections.append("\n" + _claims_table(figure, [("verdict", records(rows))]))
         summary = _render_metrics_summary(rows)
         if summary:
             sections.append(summary)

@@ -22,11 +22,16 @@ from repro.bench.spec import (
     LOWER,
     NEUTRAL,
     Cell,
+    Claim,
     Column,
+    Figure,
     FigureKind,
+    Judgement,
     axis,
+    each,
+    grows,
     rounded,
-    run_cells,
+    versus,
 )
 from repro.bench.store import SHARED_LOG_CAPACITY
 from repro.persist.flushopt import OPTIMIZER_NAMES
@@ -55,6 +60,8 @@ UPDATE_FRACTION = 0.6
 SNAPSHOT_FRACTION = 0.15
 #: read-mostly tenants, the last sessions
 ANALYTICS_SESSIONS = 1
+#: simulated cycles of a cell (quick, full)
+QUICK_DURATION, FULL_DURATION = 30_000, 150_000
 
 
 @dataclass
@@ -213,8 +220,6 @@ def fig19_cells(
     optimizers: Optional[Sequence[str]] = None,
     offered_loads: Optional[Sequence[float]] = None,
     sessions: int = DEFAULT_SESSIONS,
-    duration: Optional[int] = None,
-    seed: Optional[int] = None,
 ) -> List[Cell]:
     """Figure 19: serving-tier saturation curves vs offered load."""
     optimizers = axis(optimizers, OPTIMIZER_NAMES)
@@ -223,14 +228,14 @@ def fig19_cells(
         raise ValueError("offered load must be positive")
     if ANALYTICS_SESSIONS >= sessions:
         raise ValueError("at least one OLTP session is required")
-    duration = duration or (30_000 if quick else 150_000)
+    duration = QUICK_DURATION if quick else FULL_DURATION
     key_space = 65_536 if quick else 1_000_000
     return [
         Cell.seeded(
             19,
             f"{optimizer},load={load:g}",
             serve_cell,
-            seed,
+            None,
             optimizer=optimizer,
             offered_load=load,
             sessions=sessions,
@@ -242,6 +247,67 @@ def fig19_cells(
     ]
 
 
-def run_fig19(quick: bool = False, **axes) -> List[ServeRow]:
-    """Figure 19's rows; *axes* narrow :func:`fig19_cells`."""
-    return run_cells(fig19_cells(quick, **axes))
+# ----------------------------------------------------------------- claims
+def _at_load(rows, pick) -> list:
+    """The rows at the lowest (``min``) or highest (``max``) offered load."""
+    loads = {row["offered_load"] for row in rows}
+    return [row for row in rows if loads and row["offered_load"] == pick(loads)]
+
+
+def _sheds_past_the_knee(rows) -> Judgement:
+    if len({row["offered_load"] for row in rows}) < 2:
+        return None
+    low, high = _at_load(rows, min), _at_load(rows, max)
+    holds = all(not r["shed"] and not r["backpressure_engagements"] for r in low)
+    holds = holds and all(r["shed"] and r["backpressure_engagements"] for r in high)
+    holds = holds and all(r["generated"] >= r["completed"] + r["shed"] for r in rows)
+    return holds, "; ".join(
+        f"{r['optimizer']} {r['shed']} shed, {r['backpressure_engagements']} engaged"
+        for r in high
+    )
+
+
+FIG19 = Figure(
+    fig19_cells,
+    SERVE,
+    "serving tier: p99 ack latency vs offered load saturation curves "
+    "(repro.serve)",
+    (
+        Claim(
+            "repro.serve",
+            "open-loop load exposes saturation as client-side queueing (queue "
+            "p99 grows from the lowest load to the highest)",
+            lambda rows: each(rows, "offered_load", "queue_p99", grows),
+        ),
+        Claim(
+            "repro.serve",
+            "admission control sheds only past the knee (none at the lowest "
+            "load), and every request is accounted for",
+            _sheds_past_the_knee,
+        ),
+        Claim(
+            "repro.serve",
+            "Skip It pushes the knee right: at the highest load it completes "
+            "more, sheds less and has a lower ack p99 than plain",
+            lambda rows: versus(
+                _at_load(rows, max),
+                "offered_load",
+                ["completed", "shed", "ack_p99"],
+                lambda s, p: s["completed"] > p["completed"]
+                and s["shed"] < p["shed"]
+                and s["ack_p99"] < p["ack_p99"],
+            ),
+        ),
+        Claim(
+            "repro.serve",
+            "snapshot reads serve the analytics tenant in every cell",
+            lambda rows: each(
+                rows, "offered_load", "snapshot_reads", lambda c: min(c.values()) > 0
+            ),
+        ),
+    ),
+)
+
+
+#: the figure's rows, its cells simulated in order in this process
+run_fig19 = FIG19.run

@@ -20,11 +20,14 @@ from repro.bench.spec import (
     LOWER,
     NEUTRAL,
     Cell,
+    Claim,
     Column,
+    Figure,
     FigureKind,
     axis,
+    each,
+    grows,
     rounded,
-    run_cells,
 )
 from repro.bench.store import run_mix
 from repro.persist.flushopt import OPTIMIZER_NAMES
@@ -141,6 +144,48 @@ def fig18_cells(
     ]
 
 
-def run_fig18(quick: bool = False, **axes) -> List[SharedStoreRow]:
-    """Figure 18's rows; *axes* narrow :func:`fig18_cells`."""
-    return run_cells(fig18_cells(quick, **axes))
+# ----------------------------------------------------------------- claims
+FIG18 = Figure(
+    fig18_cells,
+    SHARED,
+    "shared-log store: fences/op and ack latency vs threads "
+    "(repro.store.shared)",
+    (
+        Claim(
+            "repro.store.shared",
+            "one leader fence covers every thread: fences/kop falls ≈ 1/threads "
+            "(t=1 > 1.5× t=2 > 2× t=4)",
+            lambda rows: each(
+                rows,
+                "threads",
+                "fences_per_kop",
+                lambda c: c[1] > 1.5 * c[2] > 2 * c[4],
+                need=(1, 2, 4),
+            ),
+        ),
+        Claim(
+            "repro.store.shared",
+            "the amortized fence is paid in ack latency: p50 rises with threads",
+            lambda rows: each(rows, "threads", "ack_p50", grows),
+        ),
+        Claim(
+            "repro.store.shared",
+            "fewer fences buy throughput despite one contended log",
+            lambda rows: each(rows, "threads", "throughput_mops", grows),
+        ),
+        Claim(
+            "repro.store.shared",
+            "leadership migrates: takeovers in every cell of two or more threads",
+            lambda rows: each(
+                [row for row in rows if row["threads"] >= 2],
+                "threads",
+                "leader_takeovers",
+                lambda c: min(c.values()) > 0,
+            ),
+        ),
+    ),
+)
+
+
+#: the figure's rows, its cells simulated in order in this process
+run_fig18 = FIG18.run

@@ -5,8 +5,10 @@ Each row dataclass (``MicroRow``, ``StoreRow``, ...) has one
 knows the row's baseline key, its table columns (the CLI's terminal
 table and the ``--report`` Markdown table draw the same ones) and which
 fields ``--check`` and :mod:`repro.bench.regress` compare, each with the
-direction that counts as better.  :data:`repro.bench.FIGURES` binds a
-figure number to its cell list, its kind and its title.
+direction that counts as better.  A :class:`Figure` binds its cell list,
+its kind, its title and the paper's claims about it (:class:`Claim`\\ s,
+judged on the serialized rows, so a live run and a committed baseline
+are judged alike).
 
 A figure's sweep is declared once, as an ordered list of cells
 (:class:`Cell`): the parallel runner (:mod:`repro.bench.runner`) fans
@@ -17,8 +19,18 @@ the list over processes and :meth:`Figure.run` (the figure's
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 #: directions of a compared field: which way is better, or ``NEUTRAL``
 #: for a count of work done, where a move either way means the runs did
@@ -79,6 +91,155 @@ class FigureKind:
         )
 
 
+#: a serialized row, as ``--json`` writes it
+Record = Mapping[str, object]
+#: a claim judge's result: ``None`` when the rows it needs are absent,
+#: else ``(holds, measured values)``
+Judgement = Optional[Tuple[bool, str]]
+
+#: a claim's verdicts
+HOLDS, FAILS, NA = "holds", "FAILS", "n/a"
+
+
+def records(rows: Iterable[object]) -> List[Dict[str, object]]:
+    """*rows* as the dicts ``--json`` writes and the baselines hold."""
+    return [asdict(row) for row in rows]
+
+
+#: a row field, or a tuple of fields naming a composite key
+Fields = Union[str, Tuple[str, ...]]
+
+
+def pivot(
+    rows: Sequence[Record], by: Fields, x: Fields, y: Optional[str] = None
+) -> Dict[object, Dict[object, object]]:
+    """``{group: {x: y}}``: each row's *y* (the whole row when ``None``)
+    under its *by* and *x* keys.
+
+    Rows whose *y* is ``None`` (a cell that was not run, like BST ×
+    link-and-persist) are left out.  Two rows at one ``(group, x)`` raise
+    ``ValueError``, so a judge never reads fewer rows than it names.
+    """
+
+    def key(row: Record, fields: Fields) -> object:
+        if isinstance(fields, tuple):
+            return tuple(row[name] for name in fields)
+        return row[fields]
+
+    table: Dict[object, Dict[object, object]] = {}
+    for row in rows:
+        value = row if y is None else row[y]
+        if value is None:
+            continue
+        group, at = key(row, by), key(row, x)
+        points = table.setdefault(group, {})
+        if at in points:
+            raise ValueError(f"two rows at {by}={group!r}, {x}={at!r}")
+        points[at] = value
+    return table
+
+
+def _label(fields: Fields, value: object) -> str:
+    """A group in a verdict: text as is, a number as ``field=value``, and
+    a composite joined by ``/``."""
+    if isinstance(fields, tuple):
+        return "/".join(_label(name, v) for name, v in zip(fields, value))
+    return value if isinstance(value, str) else f"{fields}={num(value)}"
+
+
+def num(value: float) -> str:
+    """A measured number in a verdict: 95, 18.6, 0.0305."""
+    if abs(value) >= 10:
+        return f"{value:.1f}".removesuffix(".0")
+    return f"{value:.3g}"
+
+
+def trend(values: Mapping) -> str:
+    """*values* in key order, as ``a → b → c``."""
+    return " → ".join(num(values[key]) for key in sorted(values))
+
+
+def rising(values: Mapping) -> bool:
+    """Whether *values* strictly increase in key order."""
+    ordered = [values[key] for key in sorted(values)]
+    return all(a < b for a, b in zip(ordered, ordered[1:]))
+
+
+def grows(values: Mapping) -> bool:
+    """Whether the value at the largest key exceeds a positive value at
+    the smallest."""
+    return values[max(values)] > values[min(values)] > 0
+
+
+def each(
+    rows: Sequence[Record],
+    x: Fields,
+    y: Optional[str],
+    test: Callable[[Dict], bool],
+    need: Iterable = (),
+    by: Fields = "optimizer",
+    show: Callable[[Dict], str] = trend,
+) -> Judgement:
+    """*test* on every *by* group's curve ``{x: y}`` (``{x: row}`` when *y*
+    is ``None``), each shown by *show*.
+
+    Groups with fewer than two points, or without every *x* in *need*,
+    are left out; with none left the claim is n/a.
+    """
+    curves = {
+        group: points
+        for group, points in pivot(rows, by, x, y).items()
+        if len(points) >= 2 and set(need) <= points.keys()
+    }
+    if not curves:
+        return None
+    holds = all(test(points) for points in curves.values())
+    return holds, "; ".join(f"{_label(by, g)}: {show(c)}" for g, c in curves.items())
+
+
+def versus(
+    rows: Sequence[Record],
+    x: Fields,
+    fields: Sequence[str],
+    test: Callable[[Record, Record], bool],
+    a: str = "skipit",
+    b: str = "plain",
+    by: str = "optimizer",
+) -> Judgement:
+    """*test(row of a, row of b)* at every *x* where both *by* values ran,
+    each pair shown as its *fields*; n/a when they share no *x*."""
+
+    def judge(pair: Dict) -> bool:
+        return test(pair[a], pair[b])
+
+    def show(pair: Dict) -> str:
+        return ", ".join(f"{f} {num(pair[a][f])} vs {num(pair[b][f])}" for f in fields)
+
+    return each(rows, by, None, judge, need=(a, b), by=x, show=show)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One shape claim about a figure, judged on its serialized rows.
+
+    *judge* returns ``None`` when the rows it needs are absent (a quick
+    sweep lacks the 32 KiB point, say), else ``(holds, measured)``.  A
+    tolerance is a constant inside the judge, fixed with the claim.
+    """
+
+    section: str
+    text: str
+    judge: Callable[[Sequence[Record]], Judgement]
+
+    def verdict(self, rows: Sequence[Record]) -> Tuple[str, str]:
+        """``(HOLDS | FAILS | NA, measured values)`` on *rows*."""
+        result = self.judge(rows)
+        if result is None:
+            return NA, ""
+        holds, measured = result
+        return HOLDS if holds else FAILS, measured
+
+
 def point_seed(figure: int, label: str) -> int:
     """Deterministic per-cell seed: a pure function of the coordinates."""
     return (zlib.crc32(f"fig{figure}:{label}".encode()) & 0x7FFFFFFF) or 1
@@ -125,14 +286,9 @@ class Cell:
         return rows if isinstance(rows, list) else [rows]
 
 
-def run_cells(cells: Iterable[Cell]) -> list:
-    """Every row of *cells*, in order, simulated in this process."""
-    return [row for cell in cells for row in cell.rows()]
-
-
 @dataclass(frozen=True)
 class Figure:
-    """One evaluation figure: its cell list, its row kind and its title.
+    """One evaluation figure: its cell list, row kind, title and claims.
 
     ``cells(quick=False, **axes)`` returns the figure's ordered cells;
     the axes narrow the sweep, and every cell of a seeded figure runs at
@@ -142,7 +298,8 @@ class Figure:
     cells: Callable[..., List[Cell]]
     kind: FigureKind
     title: str
+    claims: Tuple[Claim, ...] = ()
 
     def run(self, quick: bool = False, **axes: object) -> list:
         """The figure's rows, its cells simulated in order in this process."""
-        return run_cells(self.cells(quick=quick, **axes))
+        return [row for cell in self.cells(quick=quick, **axes) for row in cell.rows()]

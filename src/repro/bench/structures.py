@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.spec import (
@@ -22,10 +23,16 @@ from repro.bench.spec import (
     LOWER,
     NEUTRAL,
     Cell,
+    Claim,
     Column,
+    Figure,
     FigureKind,
+    Judgement,
     axis,
-    run_cells,
+    each,
+    num,
+    pivot,
+    versus,
 )
 from repro.obs.attach import timing_registry
 from repro.persist.api import PMemView
@@ -59,6 +66,9 @@ FIG16_KEY_RANGE = 10_000
 HASH_BUCKETS = 512
 #: operations each thread runs, uncounted, before the measurement
 WARMUP_OPS = 100
+#: simulated cycles of a cell (quick, full); figure 14's full cells run
+#: longer than figures 15 and 16's
+QUICK_DURATION, FULL_DURATION, FIG14_FULL_DURATION = 60_000, 250_000, 300_000
 
 
 @dataclass
@@ -224,7 +234,7 @@ def fig14_cells(
     structures = axis(structures, ["list", "hashtable"] if quick else ALL_STRUCTURES)
     policies = axis(policies, ["automatic"] if quick else ALL_POLICIES)
     optimizers = axis(optimizers, OPTIMIZER_NAMES)
-    duration = duration or (60_000 if quick else 300_000)
+    duration = duration or (QUICK_DURATION if quick else FIG14_FULL_DURATION)
     grid = [("baseline", "none", "plain")] + [
         (f"{policy},{optimizer}", policy, optimizer)
         for policy in policies
@@ -248,18 +258,11 @@ def fig14_cells(
     ]
 
 
-def run_fig14(quick: bool = False, **axes) -> List[ThroughputRow]:
-    """Figure 14's rows; *axes* narrow :func:`fig14_cells`."""
-    return run_cells(fig14_cells(quick, **axes))
-
-
 def fig15_cells(
     quick: bool = False,
     structures: Optional[Sequence[str]] = None,
     optimizers: Optional[Sequence[str]] = None,
     update_percents: Optional[Sequence[int]] = None,
-    duration: Optional[int] = None,
-    seed: Optional[int] = None,
 ) -> List[Cell]:
     """Figure 15: throughput vs update percentage (automatic persistence)."""
     structures = axis(structures, ["list"] if quick else ALL_STRUCTURES)
@@ -267,13 +270,13 @@ def fig15_cells(
     update_percents = axis(
         update_percents, [0, 50] if quick else [0, 5, 20, 50, 100]
     )
-    duration = duration or (60_000 if quick else 250_000)
+    duration = QUICK_DURATION if quick else FULL_DURATION
     return [
         Cell.seeded(
             15,
             f"{structure},{optimizer},upd={update}",
             run_structure,
-            seed,
+            None,
             figure=15,
             structure=structure,
             policy=POLICY,
@@ -285,11 +288,6 @@ def fig15_cells(
         for optimizer in optimizers
         for update in update_percents
     ]
-
-
-def run_fig15(quick: bool = False, **axes) -> List[ThroughputRow]:
-    """Figure 15's rows; *axes* narrow :func:`fig15_cells`."""
-    return run_cells(fig15_cells(quick, **axes))
 
 
 def _flit_cell(entries: int, duration: int, seed: int) -> ThroughputRow:
@@ -312,8 +310,6 @@ def _flit_cell(entries: int, duration: int, seed: int) -> ThroughputRow:
 def fig16_cells(
     quick: bool = False,
     table_sizes: Optional[Sequence[int]] = None,
-    duration: Optional[int] = None,
-    seed: Optional[int] = None,
 ) -> List[Cell]:
     """Figure 16: BST (10k keys) sensitivity to the FliT hash-table size.
 
@@ -323,13 +319,13 @@ def fig16_cells(
     table_sizes = axis(
         table_sizes, [256, 4096] if quick else [256, 1024, 4096, 16_384, 65_536]
     )
-    duration = duration or (60_000 if quick else 250_000)
+    duration = QUICK_DURATION if quick else FULL_DURATION
     cells = [
         Cell.seeded(
             16,
             f"flit-hashtable({entries})",
             _flit_cell,
-            seed,
+            None,
             entries=entries,
             duration=duration,
         )
@@ -340,7 +336,7 @@ def fig16_cells(
             16,
             "skipit-reference",
             run_structure,
-            seed,
+            None,
             figure=16,
             structure="bst",
             policy=POLICY,
@@ -353,13 +349,180 @@ def fig16_cells(
     return cells
 
 
-def run_fig16(quick: bool = False, **axes) -> List[ThroughputRow]:
-    """Figure 16's rows; *axes* narrow :func:`fig16_cells`."""
-    return run_cells(fig16_cells(quick, **axes))
-
-
 def rows_by_structure(rows: Sequence[ThroughputRow]) -> Dict[str, List[ThroughputRow]]:
     grouped: Dict[str, List[ThroughputRow]] = {}
     for row in rows:
         grouped.setdefault(row.structure, []).append(row)
     return grouped
+
+
+# ----------------------------------------------------------------- claims
+def _cells(test, show, need, policy: Optional[str] = None, structures=ALL_STRUCTURES):
+    """Judge: *test(Mops/s by optimizer)* in every persistent cell of
+    *structures* (under *policy* when given) that ran each of *need*."""
+    grid = {(s, p) for s in structures for p in ([policy] if policy else ALL_POLICIES)}
+
+    def judge(rows) -> Judgement:
+        cells = [r for r in rows if (r["structure"], r["policy"]) in grid]
+        by = ("structure", "policy")
+        return each(cells, "optimizer", "throughput_mops", test, need, by, show)
+
+    return judge
+
+
+def _filters(tp: Dict[str, float]) -> List[float]:
+    return sorted(t for optimizer, t in tp.items() if optimizer != "plain")
+
+
+def _best_persistent(tp: Dict[tuple, float]) -> float:
+    """The best persistent cell of ``{(policy, optimizer): Mops/s}``."""
+    return max(t for (policy, _), t in tp.items() if policy != "none")
+
+
+def _order_stable(rows) -> Judgement:
+    """No two optimizers of a structure each lead the other by > 5 %."""
+    curves = pivot(
+        rows, ("structure", "optimizer"), "update_percent", "throughput_mops"
+    )
+
+    def leads(a, b) -> bool:
+        shared = curves[a].keys() & curves[b].keys()
+        return any(curves[a][u] > 1.05 * curves[b][u] for u in shared)
+
+    pairs = [(a, b) for a, b in combinations(curves, 2) if a[0] == b[0]]
+    if not pairs:
+        return None
+    swaps = [f"{a[0]}: {a[1]}/{b[1]}" for a, b in pairs if leads(a, b) and leads(b, a)]
+    if swaps:
+        return False, "swapped " + ", ".join(swaps)
+    return True, f"{len(pairs)} pairs, no swap"
+
+
+def _table_swing(rows) -> Judgement:
+    flit = [r["throughput_mops"] for r in rows if r["optimizer"] != "skipit"]
+    if len(flit) < 2:
+        return None
+    swing = max(flit) / min(flit)
+    return swing > 1.05, " → ".join(map(num, flit)) + f" ({num(swing)}×)"
+
+
+def _best_flit(tp: Dict[str, float]) -> str:
+    return max((o for o in tp if o != "skipit"), key=tp.get)
+
+
+FIG14 = Figure(
+    fig14_cells,
+    THROUGHPUT,
+    "persistent-set throughput, 5% updates (§7.4)",
+    (
+        Claim(
+            "§7.4",
+            "plain is far below every filter under automatic persistence (≥ 3×)",
+            _cells(
+                lambda tp: _filters(tp)[0] >= 3 * tp["plain"],
+                lambda tp: f"plain {num(tp['plain'])} vs "
+                f"{num(_filters(tp)[0])}–{num(_filters(tp)[-1])}",
+                need=("plain",),
+                policy="automatic",
+            ),
+        ),
+        Claim(
+            "§7.4",
+            "Skip It ≥ 0.95× both FliT placements in every cell",
+            _cells(
+                lambda tp: tp["skipit"]
+                >= 0.95 * max(tp["flit-adjacent"], tp["flit-hashtable"]),
+                lambda tp: f"Skip It {num(tp['skipit'])} vs flit-adjacent "
+                f"{num(tp['flit-adjacent'])}, flit-hashtable "
+                f"{num(tp['flit-hashtable'])}",
+                need=("skipit", "flit-adjacent", "flit-hashtable"),
+            ),
+        ),
+        Claim(
+            "§7.4",
+            "link-and-persist beats Skip It on the automatic list and hash table",
+            _cells(
+                lambda tp: tp["link-and-persist"] >= tp["skipit"],
+                lambda tp: f"{num(tp['link-and-persist'])} vs {num(tp['skipit'])}",
+                need=("link-and-persist", "skipit"),
+                policy="automatic",
+                structures=("list", "hashtable"),
+            ),
+        ),
+        Claim(
+            "§7.4",
+            "the non-persistent baseline bounds its rows",
+            lambda rows: each(
+                rows,
+                ("policy", "optimizer"),
+                "throughput_mops",
+                lambda tp: tp["none", "plain"] >= _best_persistent(tp),
+                need=[("none", "plain")],
+                by="structure",
+                show=lambda tp: f"{num(tp['none', 'plain'])} vs "
+                f"{num(_best_persistent(tp))}",
+            ),
+        ),
+    ),
+)
+FIG15 = Figure(
+    fig15_cells,
+    THROUGHPUT,
+    "throughput vs update percentage (§7.4)",
+    (
+        Claim(
+            "§7.4",
+            "Skip It's throughput falls as the update share grows",
+            lambda rows: each(
+                [r for r in rows if r["optimizer"] == "skipit"],
+                "update_percent",
+                "throughput_mops",
+                lambda c: c[max(c)] < c[min(c)],
+                by="structure",
+            ),
+        ),
+        Claim(
+            "§7.4",
+            "Skip It stays above plain at every update share",
+            lambda rows: versus(
+                rows,
+                ("structure", "update_percent"),
+                ["throughput_mops"],
+                lambda s, p: s["throughput_mops"] > p["throughput_mops"],
+            ),
+        ),
+        Claim(
+            "§7.4",
+            "the filters keep their order across the sweep (no swap beyond 5 %)",
+            _order_stable,
+        ),
+    ),
+)
+FIG16 = Figure(
+    fig16_cells,
+    THROUGHPUT,
+    "BST vs FliT hash-table size (§7.4)",
+    (
+        Claim("§7.4", "the FliT table size moves BST speed (> 5 %)", _table_swing),
+        Claim(
+            "§7.4",
+            "Skip It needs no table and sits at or above the best FliT size",
+            lambda rows: each(
+                rows,
+                "optimizer",
+                "throughput_mops",
+                lambda tp: tp["skipit"] >= tp[_best_flit(tp)],
+                need=("skipit",),
+                by="structure",
+                show=lambda tp: f"Skip It {num(tp['skipit'])} vs "
+                f"{_best_flit(tp)} {num(tp[_best_flit(tp)])}",
+            ),
+        ),
+    ),
+)
+
+
+#: each figure's rows, its cells simulated in order in this process
+run_fig14 = FIG14.run
+run_fig15 = FIG15.run
+run_fig16 = FIG16.run

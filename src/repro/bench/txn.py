@@ -28,11 +28,16 @@ from repro.bench.spec import (
     LOWER,
     NEUTRAL,
     Cell,
+    Claim,
     Column,
+    Figure,
     FigureKind,
     axis,
+    each,
+    grows,
+    rising,
     rounded,
-    run_cells,
+    versus,
 )
 from repro.bench.store import KEY_RANGE, SHARED_LOG_CAPACITY, prefill
 from repro.persist.flushopt import OPTIMIZER_NAMES
@@ -47,6 +52,8 @@ THREADS = 2
 ALL_TXN_SIZES = (1, 2, 4, 8)
 #: share of attempts that abort client-side, after their reads
 ABORT_RATE = 0.1
+#: simulated cycles of a cell (quick, full)
+QUICK_DURATION, FULL_DURATION = 30_000, 150_000
 
 
 @dataclass
@@ -193,21 +200,19 @@ def fig20_cells(
     quick: bool = False,
     optimizers: Optional[Sequence[str]] = None,
     txn_sizes: Optional[Sequence[int]] = None,
-    duration: Optional[int] = None,
-    seed: Optional[int] = None,
 ) -> List[Cell]:
     """Figure 20: multi-key transaction cost vs write-set size."""
     optimizers = axis(optimizers, OPTIMIZER_NAMES)
     txn_sizes = axis(txn_sizes, [1, 4] if quick else ALL_TXN_SIZES)
     if any(txn_size < 1 for txn_size in txn_sizes):
         raise ValueError("txn_size must be >= 1")
-    duration = duration or (30_000 if quick else 150_000)
+    duration = QUICK_DURATION if quick else FULL_DURATION
     return [
         Cell.seeded(
             20,
             f"{optimizer},txn={txn_size}",
             txn_cell,
-            seed,
+            None,
             optimizer=optimizer,
             txn_size=txn_size,
             duration=duration,
@@ -217,6 +222,60 @@ def fig20_cells(
     ]
 
 
-def run_fig20(quick: bool = False, **axes) -> List[TxnRow]:
-    """Figure 20's rows; *axes* narrow :func:`fig20_cells`."""
-    return run_cells(fig20_cells(quick, **axes))
+# ----------------------------------------------------------------- claims
+def _flat(c) -> bool:
+    return max(c.values()) < 2 * min(c.values())
+
+
+def _per_txn(rows) -> list:
+    """The rows with ``records`` = WAL records per committed transaction."""
+    return [{**r, "records": r["wal_records"] / max(1, r["committed"])} for r in rows]
+
+
+FIG20 = Figure(
+    fig20_cells,
+    TXN,
+    "transactions: fences per committed txn vs write-set size "
+    "(repro.store.txn)",
+    (
+        Claim(
+            "repro.store.txn",
+            "a transaction is one ticket toward the epoch: fences per committed "
+            "transaction stay flat (max < 2× min)",
+            lambda rows: each(rows, "txn_size", "fences_per_txn", _flat),
+        ),
+        Claim(
+            "repro.store.txn",
+            "the write set rides one run: WAL records per committed txn grow with it",
+            lambda rows: each(_per_txn(rows), "txn_size", "records", rising),
+        ),
+        Claim(
+            "repro.store.txn",
+            "the run is paid in ack latency: p50 rises with the write set",
+            lambda rows: each(rows, "txn_size", "ack_p50", grows),
+        ),
+        Claim(
+            "repro.store.txn",
+            "aborts cost only their read-validate traffic: abort p50 rises with "
+            "the keys read",
+            lambda rows: each(rows, "txn_size", "abort_p50", grows),
+        ),
+        Claim(
+            "repro.store.txn",
+            "Skip It filters the run's redundant cleans: it commits more than "
+            "plain with lower ack p50 and p99",
+            lambda rows: versus(
+                rows,
+                "txn_size",
+                ["committed", "ack_p50", "ack_p99"],
+                lambda s, p: s["committed"] > p["committed"]
+                and s["ack_p50"] < p["ack_p50"]
+                and s["ack_p99"] < p["ack_p99"],
+            ),
+        ),
+    ),
+)
+
+
+#: the figure's rows, its cells simulated in order in this process
+run_fig20 = FIG20.run

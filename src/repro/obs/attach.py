@@ -242,7 +242,7 @@ def shared_store_registry(store) -> MetricsRegistry:
 def serve_registry(tier) -> MetricsRegistry:
     """Metrics tree for a :class:`~repro.serve.tier.ServeTier`.
 
-    ``serve.*`` counters (admitted / rejected / delayed / completed,
+    ``serve.*`` counters (admitted / rejected / completed,
     snapshot reads and fallbacks, backpressure transitions), the
     **queue-wait** and **arrival→durable ack-latency** histograms that
     figure 19 reports, admission-state gauges and per-session LSN
@@ -259,7 +259,7 @@ def serve_registry(tier) -> MetricsRegistry:
         "serve.admission.admitted", lambda t=tier: t.admission.admitted
     )
     registry.register_gauge(
-        "serve.admission.rejections", lambda t=tier: t.admission.rejections
+        "serve.admission.rejections", lambda t=tier: t.admission.shed
     )
     registry.register_gauge(
         "serve.admission.engagements", lambda t=tier: t.admission.engagements

@@ -4,7 +4,7 @@ The store subsystems below this package make one client durable fast;
 this package makes the store look like a *service*: open-loop tenants
 (:mod:`repro.workloads.openloop`) submit zipfian traffic at a configured
 offered load, an :class:`~repro.serve.admission.AdmissionController`
-sheds or delays writes when the WAL/flush backlog crosses a high-water
+sheds writes when the WAL/flush backlog crosses a high-water
 mark, and :class:`~repro.serve.session.Session`\\ s get read-your-writes
 and monotonic reads — snapshot reads served straight from the last
 published checkpoint when it covers the session's LSN floor, the live

@@ -3,22 +3,15 @@
 The serving tier measures write backlog (unsealed epoch records plus the
 acting thread's in-flight writebacks) before every write.  Crossing the
 high-water mark engages backpressure; it stays engaged — every new write
-is shed or delayed — until the backlog drains to the low-water mark.
-The gap between the two marks is the hysteresis band: without it the
-controller would flap on every epoch seal, admitting one request per
-drain cycle and rejecting the next.
+is shed — until the backlog drains to the low-water mark.  The gap
+between the two marks is the hysteresis band: without it the controller
+would flap on every epoch seal, admitting one request per drain cycle
+and rejecting the next.
 
-Two backpressure modes:
-
-``shed``
-    the request is rejected outright and remembered: a shed request id
-    is **never** admitted later, even after pressure clears (the client
-    was told "no"; silently executing it afterwards would duplicate the
-    op if the client retried under a fresh id).
-``delay``
-    the request is pushed back to the caller without prejudice — the
-    open-loop client keeps it queued and re-offers it later, so the
-    op's queueing delay grows instead of its failure count.
+A shed request is rejected outright and remembered: a shed request id
+is **never** admitted later, even after pressure clears (the client was
+told "no"; silently executing it afterwards would duplicate the op if
+the client retried under a fresh id).
 """
 
 from __future__ import annotations
@@ -29,8 +22,8 @@ from typing import Callable, Optional, Set
 class AdmissionController:
     """The admission state machine (pure; no store dependencies).
 
-    ``offer(rid, depth)`` returns ``"admit"``, ``"shed"`` or ``"delay"``
-    and owns all the counters the tier exports.  ``on_transition`` (when
+    ``offer(rid, depth)`` returns ``"admit"`` or ``"shed"`` and owns all
+    the counters the tier exports.  ``on_transition`` (when
     set) fires with ``"engaged"`` / ``"released"`` exactly once per
     state change — the tier wires it to the store's crash-probe points
     and the obs counters.
@@ -41,25 +34,20 @@ class AdmissionController:
         high_water: int,
         low_water: int,
         *,
-        mode: str = "shed",
         on_transition: Optional[Callable[[str], None]] = None,
     ) -> None:
         if high_water < 1:
             raise ValueError("high_water must be >= 1")
         if not 0 <= low_water < high_water:
             raise ValueError("low_water must be in [0, high_water)")
-        if mode not in ("shed", "delay"):
-            raise ValueError(f"unknown backpressure mode {mode!r}")
         self.high_water = high_water
         self.low_water = low_water
-        self.mode = mode
         self.on_transition = on_transition
         self.engaged = False
         #: request ids that were shed; never admitted afterwards
         self.shed_ids: Set[int] = set()
         self.admitted = 0
         self.shed = 0
-        self.delayed = 0
         self.engagements = 0
         self.releases = 0
 
@@ -92,16 +80,8 @@ class AdmissionController:
             self.shed += 1
             return "shed"
         if self.update(depth):
-            if self.mode == "shed":
-                self.shed_ids.add(rid)
-                self.shed += 1
-                return "shed"
-            self.delayed += 1
-            return "delay"
+            self.shed_ids.add(rid)
+            self.shed += 1
+            return "shed"
         self.admitted += 1
         return "admit"
-
-    @property
-    def rejections(self) -> int:
-        """Total refusals (shed in ``shed`` mode, delays in ``delay`` mode)."""
-        return self.shed + self.delayed

@@ -56,11 +56,10 @@ class ServeTier:
         *,
         high_water: int = 48,
         low_water: int = 12,
-        mode: str = "shed",
     ) -> None:
         self.store = store
         self.admission = AdmissionController(
-            high_water, low_water, mode=mode, on_transition=self._transition
+            high_water, low_water, on_transition=self._transition
         )
         self.snapshots = SnapshotReader(store)
         self.sessions: Dict[int, Session] = {}
@@ -111,8 +110,10 @@ class ServeTier:
             self.max_depth = depth
         return depth
 
-    def _relieve(self, tid: int) -> None:
-        """Drain the stalled write path while admission is engaged.
+    def _shed(
+        self, tid: int, rid: int, ticket: Optional[object] = None
+    ) -> Tuple[str, None]:
+        """Refuse request *rid*, and drain the stalled write path.
 
         Shed writes append nothing, so a partially filled epoch would
         otherwise never reach its size trigger and the backlog could
@@ -122,10 +123,14 @@ class ServeTier:
         WAL tail and retires outstanding writebacks, so the controller's
         release edge is reachable as soon as the ingress queue empties.
         """
+        self.stats.inc("serve_rejected")
+        if self.on_shed is not None:
+            self.on_shed(rid, ticket)
         if self.store.unsealed_backlog > 0:
             self.stats.inc("serve_backpressure_drains")
             self.store.sync(tid)
             self.harvest()
+        return "shed", None
 
     def _note_wait(self, session: Session, arrival: Optional[int]) -> int:
         now = self.store.views[session.tid].ctx.now
@@ -151,10 +156,9 @@ class ServeTier:
     ) -> Tuple[str, Optional[object]]:
         """Admission-gated durable write; returns ``(status, ticket)``.
 
-        ``status`` is ``"ok"`` (ticketed; durable once acked), ``"shed"``
-        (rejected — the op did not and will never happen under this rid)
-        or ``"delay"`` (backpressure; the caller may re-offer later under
-        the *same* rid).
+        ``status`` is ``"ok"`` (ticketed; durable once acked) or
+        ``"shed"`` (rejected — the op did not and will never happen under
+        this rid).
         """
         store = self.store
         tid = session.tid
@@ -169,28 +173,14 @@ class ServeTier:
             session.observe_write(ticket)
             if self.on_write is not None:
                 self.on_write(session.sid, key, ticket)
-            decision = self.admission.offer(rid, depth)
-            if decision != "admit":
-                self.stats.inc("serve_rejected")
-                if self.on_shed is not None:
-                    self.on_shed(rid, ticket)
-                self._relieve(tid)
-                return decision, None
+            if self.admission.offer(rid, depth) == "shed":
+                return self._shed(tid, rid, ticket)
             self.stats.inc("serve_admitted")
             self._inflight.append((ticket, arrival))
             return "ok", ticket
 
-        decision = self.admission.offer(rid, depth)
-        if decision == "shed":
-            self.stats.inc("serve_rejected")
-            if self.on_shed is not None:
-                self.on_shed(rid, None)
-            self._relieve(tid)
-            return "shed", None
-        if decision == "delay":
-            self.stats.inc("serve_delayed")
-            self._relieve(tid)
-            return "delay", None
+        if self.admission.offer(rid, depth) == "shed":
+            return self._shed(tid, rid)
         self.stats.inc("serve_admitted")
         ticket = store.put(tid, key, value)
         session.observe_write(ticket)
@@ -212,9 +202,9 @@ class ServeTier:
 
         *writes* maps key -> value (value 0 = delete).  The whole
         transaction is **one admission unit**: one offer against the
-        backlog, one rid, one ticket — a shed or delayed transaction
-        leaves no trace, an admitted one is all-or-nothing durable once
-        its ticket acks.  The session's LSN floor advances only at the
+        backlog, one rid, one ticket — a shed transaction leaves no
+        trace, an admitted one is all-or-nothing durable once its ticket
+        acks.  The session's LSN floor advances only at the
         transaction's commit record, never to an intermediate write.
         """
         store = self.store
@@ -223,17 +213,8 @@ class ServeTier:
         arrival = self._note_wait(session, arrival)
         depth = self._probe_depth(tid, backlog)
 
-        decision = self.admission.offer(rid, depth)
-        if decision == "shed":
-            self.stats.inc("serve_rejected")
-            if self.on_shed is not None:
-                self.on_shed(rid, None)
-            self._relieve(tid)
-            return "shed", None
-        if decision == "delay":
-            self.stats.inc("serve_delayed")
-            self._relieve(tid)
-            return "delay", None
+        if self.admission.offer(rid, depth) == "shed":
+            return self._shed(tid, rid)
         self.stats.inc("serve_admitted")
         self.stats.inc("serve_txns")
         txn = store.begin(tid)

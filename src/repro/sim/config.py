@@ -53,7 +53,6 @@ class LatencyParams:
     """
 
     l1_hit: int = 3
-    l1_meta_access: int = 1
     l2_pipeline: int = 8
     dram_latency: int = 75
     bus_bytes: int = 16  # SonicBOOM system bus width (Figure 3)
@@ -90,8 +89,6 @@ class SoCParams:
     latencies: LatencyParams = field(default_factory=LatencyParams)
     flush_unit: FlushUnitParams = field(default_factory=FlushUnitParams)
     skip_it: bool = True
-    ldq_entries: int = 32
-    stq_entries: int = 32
     lsu_fire_width: int = 2  # LSU fires two requests per cycle (Figure 2)
 
     @property

@@ -9,9 +9,9 @@ key-value store built from the repo's own primitives:
 * :mod:`repro.store.wal` — the write-ahead log, written through a
   :class:`~repro.persist.api.PMemView` and sealed with CBO + fence.
 * :mod:`repro.store.commit` — :class:`EpochSealer`, group commit: N
-  operations per thread (or a cycle budget) coalesced into one
-  clean+fence epoch sealed by a leader thread, amortizing the fence and
-  exposing the Skip-It win on log-tail rewrites.
+  operations per thread coalesced into one clean+fence epoch sealed by
+  a leader thread, amortizing the fence and exposing the Skip-It win on
+  log-tail rewrites.
 * :mod:`repro.store.checkpoint` — memtable compaction into a persistent
   hash-table snapshot behind an atomically flipped superblock pointer.
 * :mod:`repro.store.recovery` — superblock → checkpoint → log replay,

@@ -3,8 +3,8 @@
 A fence costs ``fence_base`` plus the wait for every outstanding
 writeback; issuing one per operation is the naive baseline the paper's
 numbers argue against.  The :class:`EpochSealer` instead accumulates
-every thread's tickets and, at a size or cycle-budget trigger, the
-**leader** thread seals the whole epoch:
+every thread's tickets and, at a size trigger, the **leader** thread
+seals the whole epoch:
 
 1. append one ``COMMIT`` marker record after the epoch's payload,
 2. ``CBO.CLEAN`` every record word of the epoch (payload first, marker
@@ -23,7 +23,7 @@ sealer is plain group commit: it seals at exactly ``batch_size`` ops.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.persist.api import PMemView
 from repro.store.layout import OP_COMMIT
@@ -42,25 +42,17 @@ class EpochSealer:
     Sealing is the leader's job.  A follower whose submit fires the
     trigger defers (counted in ``store_seals_deferred``); once the
     backlog exceeds the trigger by a full scheduler round (``threads``
-    extra records) or the cycle budget has doubly expired, the follower
-    CASes the leader word to itself and seals — leadership handoff for
-    stalled or read-only leaders.
+    extra records), the follower CASes the leader word to itself and
+    seals — leadership handoff for stalled or read-only leaders.
     """
 
-    def __init__(
-        self,
-        store,
-        batch_size: int = 8,
-        cycle_budget: Optional[int] = None,
-    ) -> None:
+    def __init__(self, store, batch_size: int = 8) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.store = store
         self.batch_size = batch_size
-        self.cycle_budget = cycle_budget
         self.leader_tid = 0
         self.pending: List = []  # CommitTicket / TxnTicket, submit order
-        self._window_start: Optional[int] = None
 
     @property
     def epoch_records(self) -> int:
@@ -70,20 +62,13 @@ class EpochSealer:
     def submit(self, tid: int, ticket) -> None:
         """Queue a ticket; seal (or hand leadership over) on a trigger."""
         store = self.store
-        now = store.views[tid].ctx.now
-        if not self.pending:
-            self._window_start = now
         self.pending.append(ticket)
-        budget = self.cycle_budget
-        elapsed = now - self._window_start if self._window_start is not None else 0
         excess = len(self.pending) - self.epoch_records
-        if excess < 0 and not (budget is not None and elapsed >= budget):
+        if excess < 0:
             return
         if tid == self.leader_tid:
             self.seal(tid)
-        elif excess >= len(store.views) or (
-            budget is not None and elapsed >= 2 * budget
-        ):
+        elif excess >= len(store.views):
             self.take_over(tid)
             self.seal(tid)
         else:
@@ -91,7 +76,7 @@ class EpochSealer:
             # round to claim the epoch before leadership moves
             store.stats.inc("store_seals_deferred")
             if store.tracer is not None:
-                store.tracer.seal_deferred(now)
+                store.tracer.seal_deferred(store.views[tid].ctx.now)
 
     def take_over(self, tid: int) -> None:
         """Claim leadership with a CAS on the shared leader word."""
@@ -113,7 +98,6 @@ class EpochSealer:
         if not self.pending:
             return
         batch, self.pending = self.pending, []
-        self._window_start = None
         view = store.views[tid]
         tracer = store.tracer
         epoch = None

@@ -18,7 +18,7 @@ adds is the shared tail:
 * **Leader-based sealing** — the engine's
   :class:`~repro.store.commit.EpochSealer` accumulates every thread's
   ticket.  When the epoch trigger fires (``batch_size`` ops *per
-  thread*, or a cycle budget), the **leader** thread writes one COMMIT
+  thread*), the **leader** thread writes one COMMIT
   marker covering all threads' records, issues one clean sequence and
   **one fence**, then acks every ticket — N threads' fences collapse
   into one.  If the leader does not show up (it may be read-only), a

@@ -83,7 +83,6 @@ class LogStore:
         *,
         log_capacity: int = 512,
         batch_size: int = 8,
-        cycle_budget: Optional[int] = None,
         checkpoint_every: int = 0,
         num_buckets: int = 64,
         layout: Optional[StoreLayout] = None,
@@ -127,7 +126,7 @@ class LogStore:
         #: CBO.RANGE sweeps instead of per-line clean loops + fences
         self.ranged_seal = ranged_seal
         self.wal = self._open_wal(layout)
-        self.sealer = EpochSealer(self, batch_size, cycle_budget)
+        self.sealer = EpochSealer(self, batch_size)
         self.checkpointer = CheckpointManager(self)
         self.checkpoint_every = checkpoint_every
         self.memtable: Dict[int, int] = {}

@@ -76,6 +76,18 @@ class TestStructureRunners:
         ]
         assert all(baseline.throughput_mops >= t for t in persistent)
 
+    @pytest.mark.slow
+    def test_fig14_policy_ordering(self):
+        """Manual persistence costs least, automatic most (for one filter)."""
+        rows = run_fig14(
+            quick=True,
+            structures=["skiplist"],
+            policies=["automatic", "nvtraverse", "manual"],
+            optimizers=["skipit"],
+        )
+        tp = {r.policy: r.throughput_mops for r in rows if r.policy != "none"}
+        assert tp["manual"] >= tp["nvtraverse"] >= tp["automatic"] * 0.9, tp
+
 
 class TestStoreRunnerGuards:
     """Inputs the store-side figures reject before simulating anything."""

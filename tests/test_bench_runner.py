@@ -5,21 +5,8 @@ import json
 
 import pytest
 
-from repro.bench import (
-    FIGURES,
-    baseline,
-    run_fig09,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_fig13,
-    run_fig16,
-    run_fig17,
-    run_fig18,
-    run_fig19,
-    run_fig20,
-    run_fig21,
-)
+import repro.bench
+from repro.bench import FIGURES, baseline
 from repro.bench.micro import MicroRow
 from repro.bench.runner import (
     BenchPoint,
@@ -86,23 +73,24 @@ class TestRunner:
         assert all("fig 11" in m for m in messages[:-1])
 
     @pytest.mark.parametrize(
-        "figure, run",
+        "figure, name",
         [
-            (9, run_fig09),
-            (10, run_fig10),
-            (11, run_fig11),
-            (12, run_fig12),
-            (13, run_fig13),
-            (16, run_fig16),
-            (17, run_fig17),
-            (18, run_fig18),
-            (19, run_fig19),
-            (20, run_fig20),
-            (21, run_fig21),
+            (9, "run_fig09"),
+            (10, "run_fig10"),
+            (11, "run_fig11"),
+            (12, "run_fig12"),
+            (13, "run_fig13"),
+            (16, "run_fig16"),
+            (17, "run_fig17"),
+            (18, "run_fig18"),
+            (19, "run_fig19"),
+            (20, "run_fig20"),
+            (21, "run_fig21"),
         ],
     )
-    def test_direct_call_reproduces_committed_rows(self, figure, run):
+    def test_direct_call_reproduces_committed_rows(self, figure, name):
         """A direct call runs the runner's own cells, seeds included."""
+        run = getattr(repro.bench, name)
         rows = json.loads(json.dumps([dataclasses.asdict(r) for r in run(quick=True)]))
         committed = baseline.load(str(BASELINE))["figures"][str(figure)]["rows"]
         assert len(rows) == len(committed)

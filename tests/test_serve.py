@@ -14,7 +14,7 @@ from repro.timing.system import TimingSystem
 
 
 def mk_tier(optimizer="skipit", threads=2, high_water=48, low_water=12,
-            mode="shed", **kwargs):
+            **kwargs):
     params = TimingParams(num_threads=threads, skip_it=(optimizer == "skipit"))
     system = TimingSystem(params)
     heap = SimHeap(params.line_bytes)
@@ -25,9 +25,7 @@ def mk_tier(optimizer="skipit", threads=2, high_water=48, low_water=12,
     kwargs.setdefault("num_buckets", 16)
     kwargs.setdefault("batch_size", 4)
     store = SharedLogStore(heap, views, **kwargs)
-    tier = ServeTier(
-        store, high_water=high_water, low_water=low_water, mode=mode
-    )
+    tier = ServeTier(store, high_water=high_water, low_water=low_water)
     return system, store, tier
 
 
@@ -37,8 +35,6 @@ class TestAdmissionController:
             AdmissionController(0, 0)
         with pytest.raises(ValueError, match="low_water"):
             AdmissionController(4, 4)
-        with pytest.raises(ValueError, match="mode"):
-            AdmissionController(4, 1, mode="drop")
 
     def test_hysteresis_engages_high_releases_low(self):
         ctl = AdmissionController(4, 1)
@@ -76,15 +72,6 @@ class TestAdmissionController:
         assert decisions == ["admit", "shed", "shed", "admit", "admit"]
         assert ctl.shed == 2
         assert ctl.admitted == 3
-        assert ctl.rejections == ctl.shed + ctl.delayed == 2
-
-    def test_delay_mode_does_not_blacklist(self):
-        ctl = AdmissionController(2, 0, mode="delay")
-        assert ctl.offer(1, 5) == "delay"
-        assert ctl.delayed == 1 and not ctl.shed_ids
-        ctl.update(0)  # drained: backpressure releases
-        assert ctl.offer(1, 0) == "admit"  # same rid, no prejudice
-        assert ctl.rejections == 1
 
     def test_release_on_drain(self):
         ctl = AdmissionController(3, 1)
@@ -125,15 +112,6 @@ class TestServeTierWrites:
         status, _ = tier.put(session, 1, 11, rid=77, backlog=0)
         assert status == "shed"
         assert store.get(0, 1) is None
-
-    def test_delay_mode_reoffer_succeeds(self):
-        system, store, tier = mk_tier(high_water=4, low_water=1, mode="delay")
-        session = tier.session(0, tid=0)
-        status, _ = tier.put(session, 1, 11, rid=9, backlog=10)
-        assert status == "delay"
-        assert tier.stats.get("serve_delayed") == 1
-        status, ticket = tier.put(session, 1, 11, rid=9, backlog=0)
-        assert status == "ok" and ticket is not None
 
     def test_relieve_drains_the_stalled_epoch(self):
         system, store, tier = mk_tier(high_water=4, low_water=1)

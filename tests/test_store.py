@@ -82,45 +82,6 @@ class TestGroupCommit:
         assert ticket.acked
         assert store.acked_lsn == store.initiated_lsn
 
-    def test_cycle_budget_triggers_commit(self):
-        system, heap, view, store = mk_store(
-            batch_size=50, cycle_budget=200
-        )
-        first = store.put(1, 11)
-        while not first.acked:
-            store.put(2, view.ctx.now + 100)  # values vary, budget runs out
-        assert store.stats.get("store_commits") >= 1
-
-    def test_cycle_budget_seals_partial_batch(self):
-        system, heap, view, store = mk_store(
-            batch_size=50, cycle_budget=10_000
-        )
-        first = store.put(1, 11)
-        assert not first.acked
-        view.ctx.now += 10_000  # budget expires with the batch nowhere near full
-        second = store.put(2, 12)
-        assert first.acked and second.acked
-        assert store.stats.get("store_commits") == 1
-        assert store.stats.get("store_fences") == 1
-        assert store.batch_sizes.samples == [2]
-
-    def test_cycle_budget_window_resets_after_seal(self):
-        system, heap, view, store = mk_store(
-            batch_size=50, cycle_budget=10_000
-        )
-        store.put(1, 11)
-        view.ctx.now += 10_000
-        store.put(2, 12)  # seals epoch 1 on budget expiry
-        assert store.stats.get("store_commits") == 1
-        third = store.put(3, 13)  # opens a fresh window
-        fourth = store.put(4, 14)  # cheap ops: well inside the new budget
-        assert not third.acked and not fourth.acked
-        assert store.stats.get("store_commits") == 1
-        view.ctx.now += 10_000
-        fifth = store.put(5, 15)
-        assert third.acked and fourth.acked and fifth.acked
-        assert store.stats.get("store_commits") == 2
-
     def test_epoch_is_atomic_in_recovery(self):
         system, heap, view, store = mk_store(batch_size=4)
         store.put(1, 11)

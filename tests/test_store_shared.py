@@ -160,18 +160,6 @@ class TestSharedCommit:
         assert ticket.tid == 1
         assert store.get(0, 5) == 55 and store.get(0, 6) == 66
 
-    def test_cycle_budget_seals_partial_epoch(self):
-        system, heap, views, store = mk_shared(
-            threads=2, batch_size=16, cycle_budget=10_000
-        )
-        first = store.put(0, 1, 11)
-        assert not first.acked
-        views[0].ctx.now += 10_000
-        second = store.put(0, 2, 12)  # leader lands the expired budget
-        assert first.acked and second.acked
-        assert store.stats.get("store_commits") == 1
-
-
 class TestLeaderHandoff:
     def test_follower_takes_over_an_absent_leader(self):
         # thread 0 (the initial leader) never submits: the trigger fires
