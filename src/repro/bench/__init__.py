@@ -1,34 +1,23 @@
 """Figure-regeneration harness.
 
-Each evaluation figure declares its sweep once, as an ordered list of
-independent cells (``figNN_cells``, see :mod:`repro.bench.spec`);
-``run_figNN`` simulates that list in this process and returns structured
-rows, and the CLI (``python -m repro.bench --fig 9`` or the installed
-``skipit-bench`` script) fans the same list over processes and prints
-paper-style series.  Each figure's module declares the figure
-(``FIGNN``, a :class:`~repro.bench.spec.Figure`) with the paper's shape
-claims about it (:class:`~repro.bench.spec.Claim`), which the CLI and
-``--report`` judge on the rows of the same run.
+Each evaluation figure's module declares the figure once, as ``FIGNN``
+(a :class:`~repro.bench.spec.Figure`): its sweep as an ordered list of
+independent cells (``FIGNN.cells(quick)``), its row kind, its title and
+the paper's shape claims about it (:class:`~repro.bench.spec.Claim`).
+``FIGURES[n].run(quick)`` simulates the cell list in this process and
+returns structured rows; the CLI (``python -m repro.bench --fig 9`` or
+the installed ``skipit-bench`` script) fans the same list over
+processes, prints paper-style series and judges the claims on the rows
+of the same run.
 """
 
-from repro.bench.micro import (
-    FIG09,
-    FIG10,
-    FIG11,
-    FIG12,
-    FIG13,
-    run_fig09,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_fig13,
-)
-from repro.bench.range import FIG21, run_fig21
-from repro.bench.serve import FIG19, run_fig19
-from repro.bench.shared import FIG18, run_fig18
-from repro.bench.store import FIG17, run_fig17
-from repro.bench.structures import FIG14, FIG15, FIG16, run_fig14, run_fig15, run_fig16
-from repro.bench.txn import FIG20, run_fig20
+from repro.bench.micro import FIG09, FIG10, FIG11, FIG12, FIG13
+from repro.bench.range import FIG21
+from repro.bench.serve import FIG19
+from repro.bench.shared import FIG18
+from repro.bench.store import FIG17
+from repro.bench.structures import FIG14, FIG15, FIG16
+from repro.bench.txn import FIG20
 
 #: figure number -> its :class:`~repro.bench.spec.Figure`, declared in its
 #: module: cell list, row kind (how the CLI, the report, ``--check`` and
@@ -49,19 +38,4 @@ FIGURES = {
     21: FIG21,
 }
 
-__all__ = [
-    "run_fig09",
-    "run_fig10",
-    "run_fig11",
-    "run_fig12",
-    "run_fig13",
-    "run_fig14",
-    "run_fig15",
-    "run_fig16",
-    "run_fig17",
-    "run_fig18",
-    "run_fig19",
-    "run_fig20",
-    "run_fig21",
-    "FIGURES",
-]
+__all__ = ["FIGURES"]

@@ -6,8 +6,9 @@ paper-style text table, then a verdict line per paper claim about it.
 regenerate the full-size figure.  ``--jobs N`` fans
 the independent sweep points over a process pool (results are identical
 to a serial run); ``--json`` / ``--check`` write and verify
-machine-readable baselines (see :mod:`repro.bench.baseline`), and
-``--report`` writes the same run as Markdown (:mod:`repro.bench.report`).
+machine-readable baselines (see :mod:`repro.bench.baseline`) as soon as
+the sweep returns, before any claim is judged, and ``--report`` writes
+the same run as Markdown (:mod:`repro.bench.report`).
 """
 
 from __future__ import annotations
@@ -94,21 +95,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.bench.runner import run_figures
 
     runs = run_figures(figures, quick=args.quick, jobs=jobs, progress=print)
-    for fig in figures:
-        run = runs[fig]
-        kind = FIGURES[fig].kind
-        print(f"\n=== Figure {fig} ===")
-        print(format_table(*kind.table(run.rows)))
-        warning = kind.warning(run.rows)
-        if warning:
-            print(warning)
-        rows = records(run.rows)
-        for claim in FIGURES[fig].claims:
-            verdict, measured = claim.verdict(rows)
-            line = f"claim {verdict}: {claim.section} {claim.text}"
-            print(f"{line}: {measured}" if measured else line)
-        print(f"[figure {fig}: {run.points} points, {run.elapsed:.1f}s]")
 
+    # written before any claim is judged: a judge that raises must not
+    # cost the simulated rows
     status = 0
     selftest = None
     if args.with_selftest:
@@ -120,12 +109,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     document = baseline.snapshot(
         runs, quick=args.quick, jobs=jobs, selftest=selftest
     )
-    if args.report:
-        from repro.bench.report import build_report
-
-        with open(args.report, "w") as handle:
-            handle.write(build_report(runs, quick=args.quick))
-        print(f"\nreport written to {args.report}")
     if args.json:
         baseline.write(args.json, document)
         print(f"\nbaseline written to {args.json}")
@@ -143,6 +126,27 @@ def main(argv: Optional[List[str]] = None) -> int:
             status = 1
         else:
             print(f"\nbaseline check passed against {args.check}")
+
+    for fig in figures:
+        run = runs[fig]
+        kind = FIGURES[fig].kind
+        print(f"\n=== Figure {fig} ===")
+        print(format_table(*kind.table(run.rows)))
+        warning = kind.warning(run.rows)
+        if warning:
+            print(warning)
+        rows = records(run.rows)
+        for claim in FIGURES[fig].claims:
+            verdict, measured = claim.verdict(rows)
+            line = f"claim {verdict}: {claim.section} {claim.text}"
+            print(f"{line}: {measured}" if measured else line)
+        print(f"[figure {fig}: {run.points} points, {run.elapsed:.1f}s]")
+    if args.report:
+        from repro.bench.report import build_report
+
+        with open(args.report, "w") as handle:
+            handle.write(build_report(runs, quick=args.quick))
+        print(f"\nreport written to {args.report}")
     return status
 
 

@@ -1,7 +1,7 @@
 """Cycle-level microbenchmark figures (9-13).
 
 Each figure (``FIGNN``) is one ordered list of cells (``figNN_cells``)
-that ``run_figNN`` and the parallel runner both run, and the paper's
+that ``FIGNN.run`` and the parallel runner both run, and the paper's
 claims about it, judged on its serialized rows.  ``quick=True`` shrinks
 the sweep sizes while preserving the series shapes; a claim whose points
 only the full sweep has (32 KiB, eight threads) is ``n/a`` on quick rows.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.bench.format import human_size
 from repro.bench.spec import (
@@ -23,7 +23,6 @@ from repro.bench.spec import (
     Figure,
     FigureKind,
     Judgement,
-    axis,
     each,
     num,
     pivot,
@@ -42,13 +41,16 @@ FULL_SIZES = [64, 256, KIB, 4 * KIB, 16 * KIB, 32 * KIB]
 QUICK_SIZES = [64, 512, 4 * KIB]
 FULL_THREADS = [1, 2, 4, 8]
 QUICK_THREADS = [1, 4]
+#: repetitions of a figure-9 point
+FIG09_REPEATS = 3
 #: figure 10's sweep: sizes and thread counts (quick, full), repeats
 FIG10_QUICK_SIZES, FIG10_FULL_SIZES = [64, 512], [64, 512, 4 * KIB]
 FIG10_QUICK_THREADS, FIG10_FULL_THREADS = [1], [1, 8]
 FIG10_REPEATS = 2
-#: figure 13's default sizes and thread counts (quick, full)
+#: figure 13's sizes and thread counts (quick, full), repeats
 FIG13_QUICK_SIZES, FIG13_FULL_SIZES = [64, 512], [64, 512, 4 * KIB, 16 * KIB]
 FIG13_QUICK_THREADS, FIG13_FULL_THREADS = [1], [1, 8]
+FIG13_REPEATS = 2
 #: repetitions of a figure 11/12 simulated point
 COMPARATIVE_REPEATS = 2
 
@@ -83,18 +85,17 @@ def _flush_cell(size: int, threads: int, repeats: int) -> MicroRow:
     return MicroRow(9, f"{threads}-thread flush", size, threads, res.median, res.stdev)
 
 
-def fig09_cells(
-    quick: bool = False,
-    sizes: Optional[Sequence[int]] = None,
-    threads: Optional[Sequence[int]] = None,
-    repeats: int = 3,
-) -> List[Cell]:
+def fig09_cells(quick: bool = False) -> List[Cell]:
     """Figure 9: CBO.X latency vs writeback size across thread counts."""
-    sizes = axis(sizes, QUICK_SIZES if quick else FULL_SIZES)
-    threads = axis(threads, QUICK_THREADS if quick else FULL_THREADS)
+    sizes = QUICK_SIZES if quick else FULL_SIZES
+    threads = QUICK_THREADS if quick else FULL_THREADS
     return [
         Cell.of(
-            f"t={t},size={size}", _flush_cell, size=size, threads=t, repeats=repeats
+            f"t={t},size={size}",
+            _flush_cell,
+            size=size,
+            threads=t,
+            repeats=FIG09_REPEATS,
         )
         for t in threads
         for size in sizes
@@ -199,15 +200,10 @@ def _redundant_cell(size: int, threads: int, skip_it: bool, repeats: int) -> Mic
     return MicroRow(13, series, size, threads, res.median, res.stdev)
 
 
-def fig13_cells(
-    quick: bool = False,
-    sizes: Optional[Sequence[int]] = None,
-    threads: Optional[Sequence[int]] = None,
-    repeats: int = 2,
-) -> List[Cell]:
+def fig13_cells(quick: bool = False) -> List[Cell]:
     """Figure 13: 1 + 10 redundant CBO.X per line, naive vs Skip It."""
-    sizes = axis(sizes, FIG13_QUICK_SIZES if quick else FIG13_FULL_SIZES)
-    threads = axis(threads, FIG13_QUICK_THREADS if quick else FIG13_FULL_THREADS)
+    sizes = FIG13_QUICK_SIZES if quick else FIG13_FULL_SIZES
+    threads = FIG13_QUICK_THREADS if quick else FIG13_FULL_THREADS
     return [
         Cell.of(
             f"t={t},{'skipit' if skip_it else 'naive'},size={size}",
@@ -215,20 +211,13 @@ def fig13_cells(
             size=size,
             threads=t,
             skip_it=skip_it,
-            repeats=repeats,
+            repeats=FIG13_REPEATS,
         )
         for t in threads
         for skip_it in (False, True)
         for size in sizes
         if size >= t * 64
     ]
-
-
-def rows_by_series(rows: Sequence[MicroRow]) -> Dict[str, List[MicroRow]]:
-    series: Dict[str, List[MicroRow]] = {}
-    for row in rows:
-        series.setdefault(row.series, []).append(row)
-    return series
 
 
 # ----------------------------------------------------------------- claims
@@ -466,11 +455,3 @@ FIG13 = Figure(
         ),
     ),
 )
-
-
-#: each figure's rows, its cells simulated in order in this process
-run_fig09 = FIG09.run
-run_fig10 = FIG10.run
-run_fig11 = FIG11.run
-run_fig12 = FIG12.run
-run_fig13 = FIG13.run

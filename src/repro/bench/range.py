@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.bench.format import human_size
 from repro.bench.micro import FULL_SIZES, QUICK_SIZES
@@ -38,7 +38,6 @@ from repro.bench.spec import (
     Figure,
     FigureKind,
     Judgement,
-    axis,
     rounded,
     versus,
 )
@@ -206,22 +205,11 @@ def _store_cell(
 
 
 # ------------------------------------------------------------------- figure
-def fig21_cells(
-    quick: bool = False,
-    modes: Optional[Iterable[str]] = None,
-    region_sizes: Optional[Iterable[int]] = None,
-    series: Optional[Iterable[str]] = None,
-    optimizers: Optional[Iterable[str]] = None,
-) -> List[Cell]:
+def fig21_cells(quick: bool = False) -> List[Cell]:
     """Loop-of-CBOs vs CBO.RANGE across regions and store workloads.
 
-    The micro cells come first (an empty *region_sizes* skips them),
-    then the seeded store cells (an empty *series* skips them).
+    The micro cells come first, then the seeded store cells.
     """
-    modes = axis(modes, MODES)
-    region_sizes = axis(region_sizes, QUICK_SIZES if quick else FULL_SIZES)
-    series = axis(series, STORE_SERIES)
-    optimizers = axis(optimizers, QUICK_OPTIMIZERS if quick else OPTIMIZER_NAMES)
     repeats = QUICK_REPEATS if quick else FULL_REPEATS
     duration = QUICK_DURATION if quick else FULL_DURATION
     cells = [
@@ -232,23 +220,22 @@ def fig21_cells(
             mode=mode,
             repeats=repeats,
         )
-        for mode in modes
-        for size in region_sizes
+        for mode in MODES
+        for size in (QUICK_SIZES if quick else FULL_SIZES)
     ]
     cells += [
         Cell.seeded(
             21,
             f"{kind},{optimizer},{mode}",
             _store_cell,
-            None,
             kind=kind,
             optimizer=optimizer,
             mode=mode,
             duration=duration,
         )
-        for kind in series
-        for optimizer in optimizers
-        for mode in modes
+        for kind in STORE_SERIES
+        for optimizer in (QUICK_OPTIMIZERS if quick else OPTIMIZER_NAMES)
+        for mode in MODES
     ]
     return cells
 
@@ -307,7 +294,3 @@ FIG21 = Figure(
         ),
     ),
 )
-
-
-#: the figure's rows, its cells simulated in order in this process
-run_fig21 = FIG21.run

@@ -10,8 +10,8 @@ fan-out safe:
 
 * **One declaration** — the cell list, and so the order in which cell
   rows are concatenated, is a pure function of ``(figure, quick)``, and
-  ``run_figNN`` runs the same list in-process.  Serial, parallel and
-  direct runs produce identical row lists.
+  ``FIGURES[n].run`` runs the same list in-process.  Serial, parallel
+  and direct runs produce identical row lists.
 * **Deterministic per-cell seeding** — every seeded cell carries a seed
   derived (CRC-32, :func:`~repro.bench.spec.point_seed`) from its own
   coordinates, never from scheduling, worker identity, or wall-clock.

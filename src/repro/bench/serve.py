@@ -15,7 +15,7 @@ the far side of the knee.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.bench.spec import (
     HIGHER,
@@ -27,7 +27,6 @@ from repro.bench.spec import (
     Figure,
     FigureKind,
     Judgement,
-    axis,
     each,
     grows,
     rounded,
@@ -40,9 +39,10 @@ from repro.workloads.rig import StoreRig
 
 #: epoch trigger per session (matches figure 18's group commit)
 GROUP_COMMIT = 8
-DEFAULT_SESSIONS = 4
+#: tenants of a cell: the OLTP sessions, then ANALYTICS_SESSIONS
+SESSIONS = 4
 #: total requests per kilocycle across tenants; the knee sits between
-#: the middle loads at the default sessions/group-commit configuration
+#: the middle loads at SESSIONS tenants and GROUP_COMMIT
 ALL_LOADS = (4.0, 8.0, 16.0, 24.0, 32.0, 48.0)
 QUICK_LOADS = (8.0, 20.0, 32.0)
 #: publish a checkpoint every this many commits (snapshot reads hit it)
@@ -215,19 +215,9 @@ def serve_cell(
     )
 
 
-def fig19_cells(
-    quick: bool = False,
-    optimizers: Optional[Sequence[str]] = None,
-    offered_loads: Optional[Sequence[float]] = None,
-    sessions: int = DEFAULT_SESSIONS,
-) -> List[Cell]:
+def fig19_cells(quick: bool = False) -> List[Cell]:
     """Figure 19: serving-tier saturation curves vs offered load."""
-    optimizers = axis(optimizers, OPTIMIZER_NAMES)
-    offered_loads = axis(offered_loads, QUICK_LOADS if quick else ALL_LOADS)
-    if any(load <= 0 for load in offered_loads):
-        raise ValueError("offered load must be positive")
-    if ANALYTICS_SESSIONS >= sessions:
-        raise ValueError("at least one OLTP session is required")
+    offered_loads = QUICK_LOADS if quick else ALL_LOADS
     duration = QUICK_DURATION if quick else FULL_DURATION
     key_space = 65_536 if quick else 1_000_000
     return [
@@ -235,14 +225,13 @@ def fig19_cells(
             19,
             f"{optimizer},load={load:g}",
             serve_cell,
-            None,
             optimizer=optimizer,
             offered_load=load,
-            sessions=sessions,
+            sessions=SESSIONS,
             duration=duration,
             key_space=key_space,
         )
-        for optimizer in optimizers
+        for optimizer in OPTIMIZER_NAMES
         for load in offered_loads
     ]
 
@@ -307,7 +296,3 @@ FIG19 = Figure(
         ),
     ),
 )
-
-
-#: the figure's rows, its cells simulated in order in this process
-run_fig19 = FIG19.run

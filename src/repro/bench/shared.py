@@ -13,7 +13,7 @@ that trade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.bench.spec import (
     HIGHER,
@@ -24,7 +24,6 @@ from repro.bench.spec import (
     Column,
     Figure,
     FigureKind,
-    axis,
     each,
     grows,
     rounded,
@@ -118,28 +117,20 @@ def _shared_cell(
     )
 
 
-def fig18_cells(
-    quick: bool = False,
-    optimizers: Optional[Sequence[str]] = None,
-    threads: Optional[Sequence[int]] = None,
-    duration: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> List[Cell]:
+def fig18_cells(quick: bool = False) -> List[Cell]:
     """Figure 18: shared-log store scaling vs thread count."""
-    optimizers = axis(optimizers, OPTIMIZER_NAMES)
-    threads = axis(threads, [1, 2, 4] if quick else ALL_THREADS)
-    duration = duration or (30_000 if quick else 150_000)
+    threads = [1, 2, 4] if quick else ALL_THREADS
+    duration = 30_000 if quick else 150_000
     return [
         Cell.seeded(
             18,
             f"{optimizer},t={t}",
             _shared_cell,
-            seed,
             optimizer=optimizer,
             threads=t,
             duration=duration,
         )
-        for optimizer in optimizers
+        for optimizer in OPTIMIZER_NAMES
         for t in threads
     ]
 
@@ -185,7 +176,3 @@ FIG18 = Figure(
         ),
     ),
 )
-
-
-#: the figure's rows, its cells simulated in order in this process
-run_fig18 = FIG18.run

@@ -11,9 +11,9 @@ judged on the serialized rows, so a live run and a committed baseline
 are judged alike).
 
 A figure's sweep is declared once, as an ordered list of cells
-(:class:`Cell`): the parallel runner (:mod:`repro.bench.runner`) fans
-the list over processes and :meth:`Figure.run` (the figure's
-``run_figNN``) runs it in this process, so both give the same rows.
+(:class:`Cell`) that takes only ``quick``: the parallel runner
+(:mod:`repro.bench.runner`) fans the list over processes and
+:meth:`Figure.run` runs it in this process, so both give the same rows.
 """
 
 from __future__ import annotations
@@ -245,11 +245,6 @@ def point_seed(figure: int, label: str) -> int:
     return (zlib.crc32(f"fig{figure}:{label}".encode()) & 0x7FFFFFFF) or 1
 
 
-def axis(given: Optional[Iterable], default: Iterable) -> list:
-    """A sweep axis: *given* when the caller narrows it, else *default*."""
-    return list(default if given is None else given)
-
-
 @dataclass(frozen=True)
 class Cell:
     """One independent point of a figure sweep: a label and one call.
@@ -268,17 +263,10 @@ class Cell:
 
     @classmethod
     def seeded(
-        cls,
-        figure: int,
-        label: str,
-        fn: Callable[..., object],
-        seed: Optional[int],
-        /,
-        **kwargs: object,
+        cls, figure: int, label: str, fn: Callable[..., object], /, **kwargs: object
     ) -> "Cell":
-        """A cell run at *seed*, or at its coordinate seed when ``None``."""
-        seed = point_seed(figure, label) if seed is None else seed
-        return cls.of(label, fn, seed=seed, **kwargs)
+        """A cell run at its coordinate seed, :func:`point_seed`."""
+        return cls.of(label, fn, seed=point_seed(figure, label), **kwargs)
 
     def rows(self) -> list:
         """Simulate the cell; a function returning one row gives one row."""
@@ -290,9 +278,10 @@ class Cell:
 class Figure:
     """One evaluation figure: its cell list, row kind, title and claims.
 
-    ``cells(quick=False, **axes)`` returns the figure's ordered cells;
-    the axes narrow the sweep, and every cell of a seeded figure runs at
-    its coordinate seed unless an explicit ``seed`` is given.
+    ``cells(quick=False)`` returns the figure's ordered cells, every cell
+    of a seeded figure at its coordinate seed.  To run part of a figure,
+    pick its cells by label, or call the module's cell function with
+    arguments of one's own.
     """
 
     cells: Callable[..., List[Cell]]
@@ -300,6 +289,6 @@ class Figure:
     title: str
     claims: Tuple[Claim, ...] = ()
 
-    def run(self, quick: bool = False, **axes: object) -> list:
+    def run(self, quick: bool = False) -> list:
         """The figure's rows, its cells simulated in order in this process."""
-        return [row for cell in self.cells(quick=quick, **axes) for row in cell.rows()]
+        return [row for cell in self.cells(quick=quick) for row in cell.rows()]

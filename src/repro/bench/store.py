@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.bench.spec import (
     HIGHER,
@@ -29,7 +29,6 @@ from repro.bench.spec import (
     Figure,
     FigureKind,
     Judgement,
-    axis,
     each,
     grows,
     pivot,
@@ -175,27 +174,21 @@ def _store_cell(
     return rig.row(StoreRow, figure=17)
 
 
-def fig17_cells(
-    quick: bool = False,
-    optimizers: Optional[Sequence[str]] = None,
-    group_commits: Optional[Sequence[int]] = None,
-) -> List[Cell]:
+def fig17_cells(quick: bool = False) -> List[Cell]:
     """Figure 17: durable-store throughput vs group-commit size."""
-    optimizers = axis(optimizers, OPTIMIZER_NAMES)
-    group_commits = axis(group_commits, [1, 8, 64] if quick else ALL_GROUP_COMMITS)
+    group_commits = [1, 8, 64] if quick else ALL_GROUP_COMMITS
     duration = QUICK_DURATION if quick else FULL_DURATION
     return [
         Cell.seeded(
             17,
             f"{optimizer},gc={group_commit}",
             _store_cell,
-            None,
             optimizer=optimizer,
             group_commit=group_commit,
             threads=THREADS,
             duration=duration,
         )
-        for optimizer in optimizers
+        for optimizer in OPTIMIZER_NAMES
         for group_commit in group_commits
     ]
 
@@ -263,7 +256,3 @@ FIG17 = Figure(
         ),
     ),
 )
-
-
-#: the figure's rows, its cells simulated in order in this process
-run_fig17 = FIG17.run

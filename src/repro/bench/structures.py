@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.bench.spec import (
     HIGHER,
@@ -28,7 +28,6 @@ from repro.bench.spec import (
     Figure,
     FigureKind,
     Judgement,
-    axis,
     each,
     num,
     pivot,
@@ -218,34 +217,25 @@ def run_structure(
     )
 
 
-def fig14_cells(
-    quick: bool = False,
-    structures: Optional[Sequence[str]] = None,
-    policies: Optional[Sequence[str]] = None,
-    optimizers: Optional[Sequence[str]] = None,
-    duration: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> List[Cell]:
+def fig14_cells(quick: bool = False) -> List[Cell]:
     """Figure 14: throughput grid at 5% updates, 2 threads.
 
     Each structure's first cell is the non-persistent baseline
     (policy='none') the paper draws as the dark dotted line.
     """
-    structures = axis(structures, ["list", "hashtable"] if quick else ALL_STRUCTURES)
-    policies = axis(policies, ["automatic"] if quick else ALL_POLICIES)
-    optimizers = axis(optimizers, OPTIMIZER_NAMES)
-    duration = duration or (QUICK_DURATION if quick else FIG14_FULL_DURATION)
+    structures = ["list", "hashtable"] if quick else ALL_STRUCTURES
+    policies = ["automatic"] if quick else ALL_POLICIES
+    duration = QUICK_DURATION if quick else FIG14_FULL_DURATION
     grid = [("baseline", "none", "plain")] + [
         (f"{policy},{optimizer}", policy, optimizer)
         for policy in policies
-        for optimizer in optimizers
+        for optimizer in OPTIMIZER_NAMES
     ]
     return [
         Cell.seeded(
             14,
             f"{structure},{coordinate}",
             run_structure,
-            seed,
             figure=14,
             structure=structure,
             policy=policy,
@@ -258,25 +248,16 @@ def fig14_cells(
     ]
 
 
-def fig15_cells(
-    quick: bool = False,
-    structures: Optional[Sequence[str]] = None,
-    optimizers: Optional[Sequence[str]] = None,
-    update_percents: Optional[Sequence[int]] = None,
-) -> List[Cell]:
+def fig15_cells(quick: bool = False) -> List[Cell]:
     """Figure 15: throughput vs update percentage (automatic persistence)."""
-    structures = axis(structures, ["list"] if quick else ALL_STRUCTURES)
-    optimizers = axis(optimizers, OPTIMIZER_NAMES)
-    update_percents = axis(
-        update_percents, [0, 50] if quick else [0, 5, 20, 50, 100]
-    )
+    structures = ["list"] if quick else ALL_STRUCTURES
+    update_percents = [0, 50] if quick else [0, 5, 20, 50, 100]
     duration = QUICK_DURATION if quick else FULL_DURATION
     return [
         Cell.seeded(
             15,
             f"{structure},{optimizer},upd={update}",
             run_structure,
-            None,
             figure=15,
             structure=structure,
             policy=POLICY,
@@ -285,7 +266,7 @@ def fig15_cells(
             duration=duration,
         )
         for structure in structures
-        for optimizer in optimizers
+        for optimizer in OPTIMIZER_NAMES
         for update in update_percents
     ]
 
@@ -307,25 +288,19 @@ def _flit_cell(entries: int, duration: int, seed: int) -> ThroughputRow:
     return row
 
 
-def fig16_cells(
-    quick: bool = False,
-    table_sizes: Optional[Sequence[int]] = None,
-) -> List[Cell]:
+def fig16_cells(quick: bool = False) -> List[Cell]:
     """Figure 16: BST (10k keys) sensitivity to the FliT hash-table size.
 
     The last cell is the Skip It reference line, which no table size
     affects.
     """
-    table_sizes = axis(
-        table_sizes, [256, 4096] if quick else [256, 1024, 4096, 16_384, 65_536]
-    )
+    table_sizes = [256, 4096] if quick else [256, 1024, 4096, 16_384, 65_536]
     duration = QUICK_DURATION if quick else FULL_DURATION
     cells = [
         Cell.seeded(
             16,
             f"flit-hashtable({entries})",
             _flit_cell,
-            None,
             entries=entries,
             duration=duration,
         )
@@ -336,7 +311,6 @@ def fig16_cells(
             16,
             "skipit-reference",
             run_structure,
-            None,
             figure=16,
             structure="bst",
             policy=POLICY,
@@ -347,13 +321,6 @@ def fig16_cells(
         )
     )
     return cells
-
-
-def rows_by_structure(rows: Sequence[ThroughputRow]) -> Dict[str, List[ThroughputRow]]:
-    grouped: Dict[str, List[ThroughputRow]] = {}
-    for row in rows:
-        grouped.setdefault(row.structure, []).append(row)
-    return grouped
 
 
 # ----------------------------------------------------------------- claims
@@ -520,9 +487,3 @@ FIG16 = Figure(
         ),
     ),
 )
-
-
-#: each figure's rows, its cells simulated in order in this process
-run_fig14 = FIG14.run
-run_fig15 = FIG15.run
-run_fig16 = FIG16.run

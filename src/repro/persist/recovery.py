@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Set, Tuple
 from repro.persist.api import PMemView
 from repro.persist.structures.base import PersistentSet, persisted_reader
 from repro.timing.system import TimingSystem
-from repro.verify.injector import timing_crash_image
 
 
 @dataclass
@@ -76,12 +75,12 @@ class CrashChecker:
         With *at*, the crash is injected at that point in simulated time
         instead of now: in-flight writebacks whose completion lies beyond
         *at* are dropped, exactly as
-        :func:`repro.verify.injector.timing_crash_image` computes crash
-        images for the fault-injection sweep — one code path for both.
+        :meth:`~repro.timing.system.TimingSystem.persisted_image` computes
+        crash images for the fault-injection sweep — one code path for both.
         """
         if at is None:
             persisted = self.system.crash()
         else:
-            persisted = timing_crash_image(self.system, at=at)
+            persisted = self.system.persisted_image(at)
         recovered = self.structure.recover_keys(persisted_reader(persisted))
         return CrashReport(reference=set(self.reference), recovered=recovered)

@@ -37,7 +37,6 @@ from repro.verify.injector import (
     CrashPointReport,
     SocCrashInjector,
     TimingCrashInjector,
-    timing_crash_image,
 )
 from repro.verify.mutants import (
     SOC_MUTANTS,
@@ -60,6 +59,5 @@ __all__ = [
     "Violation",
     "WordHistory",
     "soc_mutant",
-    "timing_crash_image",
     "timing_mutant",
 ]

@@ -287,16 +287,6 @@ class SocCrashInjector:
         self.report.violations.extend(found[:MAX_VIOLATIONS])
 
 
-def timing_crash_image(system, at: Optional[int] = None) -> Dict[int, int]:
-    """The crash image of a timing system at virtual time *at*.
-
-    Shared by :class:`TimingCrashInjector` and
-    :class:`repro.persist.recovery.CrashChecker` so both judge crashes
-    through one code path (non-destructively, unlike ``system.crash``).
-    """
-    return system.persisted_image(at)
-
-
 class TimingCrashInjector:
     """Enumerates every operation-boundary crash point of a timing run.
 
@@ -308,11 +298,10 @@ class TimingCrashInjector:
     as mid-FSHR cycles.
     """
 
-    def __init__(self, system, mode: str = "sampled") -> None:
+    def __init__(self, system) -> None:
         self.system = system
-        self.mode = mode  # every op boundary is checked either way
         self.oracle = DurabilityOracle()
-        self.report = CrashPointReport(model="timing", mode=mode)
+        self.report = CrashPointReport(model="timing", mode="sampled")
         self._line_words: Dict[int, Set[int]] = {}
         self._version_count: Dict[int, int] = {}
         self._pending: List[List[Dict[int, int]]] = []
@@ -410,7 +399,7 @@ class TimingCrashInjector:
         if len(self.report.violations) >= MAX_VIOLATIONS:
             return
         self.report.crash_points += 1
-        image = timing_crash_image(self.system)
+        image = self.system.persisted_image()
         found = self.oracle.check_image(
             image, at=step, ceiling=self._version_count
         )

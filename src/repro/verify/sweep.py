@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.persist.structures.base import persisted_reader
 from repro.verify import mutants as registry
-from repro.verify.injector import MAX_VIOLATIONS, timing_crash_image
+from repro.verify.injector import MAX_VIOLATIONS
 from repro.verify.serve import SessionOracle, serve_workload
 from repro.verify.store import StoreOracle, StoreSweepReport, store_workload
 from repro.verify.txn import TxnOracle, txn_workload
@@ -198,7 +198,7 @@ class CrashSweep:
                 ats.extend(sorted({wb.done for wb in system.in_flight}))
             for at in ats:
                 report.crash_points += 1
-                image = timing_crash_image(system, at=at)
+                image = system.persisted_image(at)
                 if image != last_image:
                     last_image = image
                     outcome = oracle.recover_image(

@@ -4,10 +4,8 @@ Pins the packed flat-array :mod:`repro.uarch.arrays` against the retained
 object-per-line reference (:mod:`repro.uarch.arrays_ref`) with randomized
 differential tests, covers the ``write_word``/``read_word`` bounds fix
 (the reference implementation silently *grew* the line on an
-out-of-range offset), and checks engine-level bit-identity of one quick
-figure-9 point and one quick figure-18 point, and the store metrics
-snapshots of one figure-17 and one figure-18 point, against the
-committed ``baselines/quick.json``.
+out-of-range offset), and checks the ``metrics`` trees of three quick
+figure 14/15 cells against the committed ``baselines/quick.json``.
 """
 
 import json
@@ -204,62 +202,6 @@ class TestWordBounds:
         assert len(ref._lines[(0, 0)]) == 68  # silently oversized
 
 
-class TestEngineBitIdentity:
-    """The packed rewrite must not move a single simulated cycle.
-
-    Re-runs one quick-mode figure-9 point and one quick-mode figure-18
-    point and compares them field-for-field against the committed
-    ``baselines/quick.json`` (recorded with the original object-per-line
-    arrays).
-    """
-
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        with open(BASELINE) as fh:
-            return json.load(fh)
-
-    def test_fig9_point_bit_identical(self, baseline):
-        from repro.bench.micro import run_fig09
-
-        rows = run_fig09(quick=True, sizes=[512], threads=[1])
-        assert len(rows) == 1
-        row = rows[0]
-        want = next(
-            r
-            for r in baseline["figures"]["9"]["rows"]
-            if r["size_bytes"] == 512 and r["threads"] == 1
-        )
-        assert row.median_cycles == want["median_cycles"]
-        assert row.stdev_cycles == want["stdev_cycles"]
-
-    def test_fig18_point_bit_identical(self, baseline):
-        from repro.bench.shared import run_fig18
-
-        # a direct call runs each cell at the committed run's seed
-        rows = run_fig18(
-            quick=True,
-            optimizers=["plain"],
-            threads=[1],
-        )
-        assert len(rows) == 1
-        row = rows[0]
-        want = next(
-            r
-            for r in baseline["figures"]["18"]["rows"]
-            if r["optimizer"] == "plain" and r["threads"] == 1
-        )
-        assert row.throughput_mops == want["throughput_mops"]
-        assert row.fences == want["fences"]
-        assert row.ack_p50 == want["ack_p50"]
-        assert row.ack_p99 == want["ack_p99"]
-        assert row.cbo_issued == want["cbo_issued"]
-        assert row.cbo_skipped == want["cbo_skipped"]
-        assert row.wal_records == want["wal_records"]
-        assert row.wal_bytes == want["wal_bytes"]
-        assert row.commits == want["commits"]
-        assert row.mean_batch == want["mean_batch"]
-
-
 def assert_snapshot_matches(got, want, path="metrics"):
     """Nested metrics snapshot equality: integers exact, floats to a
     relative 1e-12 (Python 3.12's compensated ``sum`` can move the last
@@ -276,117 +218,14 @@ def assert_snapshot_matches(got, want, path="metrics"):
         assert type(got) is type(want) and got == want, path
 
 
-class TestStoreMetricsSnapshot:
-    """The store registries' snapshots, pinned against committed rows.
-
-    ``--check`` compares only a kind's value fields, so a registry
-    change (a gauge renamed, dropped or double-counted) would pass it;
-    these re-run one point of every store-side row kind (figs 17–20 and
-    both fig-21 store series) with its canonical seed and compare the
-    whole ``metrics`` tree.
-    """
-
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        with open(BASELINE) as fh:
-            return json.load(fh)
-
-    def test_fig17_store_metrics_match_committed_row(self, baseline):
-        from repro.bench.store import run_fig17
-
-        rows = run_fig17(
-            quick=True,
-            optimizers=["skipit"],
-            group_commits=[8],
-        )
-        assert len(rows) == 1
-        want = next(
-            r
-            for r in baseline["figures"]["17"]["rows"]
-            if r["optimizer"] == "skipit" and r["group_commit"] == 8
-        )
-        assert_snapshot_matches(rows[0].metrics, want["metrics"])
-
-    def test_fig18_shared_metrics_match_committed_row(self, baseline):
-        from repro.bench.shared import run_fig18
-
-        rows = run_fig18(
-            quick=True,
-            optimizers=["skipit"],
-            threads=[2],
-        )
-        assert len(rows) == 1
-        want = next(
-            r
-            for r in baseline["figures"]["18"]["rows"]
-            if r["optimizer"] == "skipit" and r["threads"] == 2
-        )
-        assert_snapshot_matches(rows[0].metrics, want["metrics"])
-
-
-    def test_fig19_serve_metrics_match_committed_row(self, baseline):
-        from repro.bench.serve import run_fig19
-
-        rows = run_fig19(
-            quick=True,
-            optimizers=["skipit"],
-            offered_loads=[32.0],
-        )
-        assert len(rows) == 1
-        want = next(
-            r
-            for r in baseline["figures"]["19"]["rows"]
-            if r["optimizer"] == "skipit" and r["offered_load"] == 32.0
-        )
-        assert_snapshot_matches(rows[0].metrics, want["metrics"])
-
-    def test_fig20_txn_metrics_match_committed_row(self, baseline):
-        from repro.bench.txn import run_fig20
-
-        rows = run_fig20(
-            quick=True,
-            optimizers=["skipit"],
-            txn_sizes=[4],
-        )
-        assert len(rows) == 1
-        want = next(
-            r
-            for r in baseline["figures"]["20"]["rows"]
-            if r["optimizer"] == "skipit" and r["txn_size"] == 4
-        )
-        assert_snapshot_matches(rows[0].metrics, want["metrics"])
-
-    @pytest.mark.parametrize("series", ["store", "shared"])
-    def test_fig21_range_store_metrics_match_committed_row(
-        self, baseline, series
-    ):
-        from repro.bench.range import run_fig21
-
-        rows = run_fig21(
-            quick=True,
-            modes=["range"],
-            region_sizes=[],
-            series=[series],
-            optimizers=["skipit"],
-        )
-        assert len(rows) == 1
-        want = next(
-            r
-            for r in baseline["figures"]["21"]["rows"]
-            if r["series"] == series
-            and r["mode"] == "range"
-            and r["optimizer"] == "skipit"
-        )
-        assert_snapshot_matches(rows[0].metrics, want["metrics"])
-
-
 class TestThroughputMetricsSnapshot:
-    """The figs 14-16 ``timing.*`` snapshots, pinned against committed rows.
+    """The figs 14-15 ``timing.*`` snapshots, pinned against committed rows.
 
     ``--check`` compares only throughput, flush requests and CBO counts;
-    these re-run four points with their canonical seeds and compare the
+    these re-run three committed cells, picked by label, and compare the
     whole ``metrics`` tree (the ``timing.system`` counters and the
-    per-thread gauges, all integers) exactly.
+    per-thread gauges, all integers) exactly.  Fig 16's tree is pinned
+    by ``test_direct_call_reproduces_committed_rows``.
     """
 
     @pytest.fixture(scope="class")
@@ -405,44 +244,25 @@ class TestThroughputMetricsSnapshot:
             and r["update_percent"] == update_percent
         )
 
+    @staticmethod
+    def rows(figure, label):
+        from repro.bench import FIGURES
+
+        cells = FIGURES[figure].cells(quick=True)
+        return next(cell for cell in cells if cell.label == label).rows()
+
     @pytest.mark.parametrize(
         "structure,optimizer",
         [("list", "skipit"), ("hashtable", "flit-hashtable")],
     )
     def test_fig14_metrics_match_committed_row(self, baseline, structure, optimizer):
-        from repro.bench.structures import fig14_cells
-
-        cells = fig14_cells(
-            quick=True,
-            structures=[structure],
-            policies=["automatic"],
-            optimizers=[optimizer],
-        )
-        label = f"{structure},automatic,{optimizer}"
-        rows = next(cell for cell in cells if cell.label == label).rows()
+        rows = self.rows(14, f"{structure},automatic,{optimizer}")
         assert len(rows) == 1
         want = self.committed(baseline, 14, structure, optimizer, 5)
         assert rows[0].metrics == want["metrics"]
 
     def test_fig15_metrics_match_committed_row(self, baseline):
-        from repro.bench.structures import run_fig15
-
-        rows = run_fig15(
-            quick=True,
-            structures=["list"],
-            optimizers=["link-and-persist"],
-            update_percents=[50],
-        )
+        rows = self.rows(15, "list,link-and-persist,upd=50")
         assert len(rows) == 1
         want = self.committed(baseline, 15, "list", "link-and-persist", 50)
-        assert rows[0].metrics == want["metrics"]
-
-    def test_fig16_metrics_match_committed_row(self, baseline):
-        from repro.bench.structures import fig16_cells
-
-        cells = fig16_cells(quick=True, table_sizes=[256])
-        label = "flit-hashtable(256)"
-        rows = next(cell for cell in cells if cell.label == label).rows()
-        assert len(rows) == 1
-        want = self.committed(baseline, 16, "bst", "flit-hashtable(256)", 5)
         assert rows[0].metrics == want["metrics"]

@@ -1,14 +1,22 @@
 """Tests for the figure-regeneration harness and its CLI."""
 
+import dataclasses
+import inspect
+
 import pytest
 
-from repro.bench import FIGURES
+import repro.bench
+from repro.bench import FIGURES, baseline
 from repro.bench.cli import main
 from repro.bench.format import format_table, human_size
-from repro.bench.micro import MicroRow, rows_by_series, run_fig09, run_fig13
-from repro.bench.serve import run_fig19
-from repro.bench.structures import ThroughputRow, rows_by_structure, run_fig14
-from repro.bench.txn import run_fig20
+from repro.bench.spec import Claim, point_seed
+from repro.bench.structures import (
+    ALL_POLICIES,
+    QUICK_DURATION,
+    UPDATE_PERCENT,
+    run_structure,
+)
+from tests.test_arrays_packed import BASELINE
 
 
 class TestFormat:
@@ -34,21 +42,15 @@ class TestFigureRegistry:
             9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
         ]
 
+    @pytest.mark.parametrize("figure", sorted(FIGURES))
+    def test_a_figure_takes_only_quick(self, figure):
+        """``FIGURES[n]`` is the one handle on a figure: no axis narrows
+        its cells or its run, so a direct run is the committed sweep."""
+        for fn in (FIGURES[figure].cells, FIGURES[figure].run):
+            assert list(inspect.signature(fn).parameters) == ["quick"]
 
-class TestMicroRunners:
-    def test_fig09_rows_and_scaling(self):
-        rows = run_fig09(quick=True, sizes=[64, 2048], threads=[1, 2], repeats=1)
-        series = rows_by_series(rows)
-        assert "1-thread flush" in series and "2-thread flush" in series
-        one = {r.size_bytes: r.median_cycles for r in series["1-thread flush"]}
-        two = {r.size_bytes: r.median_cycles for r in series["2-thread flush"]}
-        assert one[2048] > one[64]  # grows with size
-        assert two[2048] < one[2048]  # threads help
-
-    def test_fig13_skip_it_wins(self):
-        rows = run_fig13(quick=True, sizes=[256], threads=[1], repeats=1)
-        by = {r.series: r.median_cycles for r in rows}
-        assert by["1-thread Skip It"] < by["1-thread naive"]
+    def test_the_package_exports_only_the_registry(self):
+        assert repro.bench.__all__ == ["FIGURES"]
 
 
 class TestStructureRunners:
@@ -56,54 +58,33 @@ class TestStructureRunners:
         # one seed for every cell: the baseline must bound persistent
         # throughput on the same op stream (each cell's own coordinate
         # seed would compare different streams)
-        rows = run_fig14(
-            quick=True,
-            structures=["bst"],
-            policies=["manual"],
-            optimizers=["plain", "link-and-persist", "skipit"],
-            duration=15_000,
-            seed=12345,
-        )
-        grouped = rows_by_structure(rows)
-        assert set(grouped) == {"bst"}
-        lnp = next(r for r in rows if r.optimizer == "link-and-persist")
+        def run(policy, optimizer):
+            return run_structure(
+                14, "bst", policy, optimizer, UPDATE_PERCENT, 15_000, 12345
+            )
+
+        lnp = run("manual", "link-and-persist")
         assert lnp.throughput_mops is None  # BST x L&P excluded, as in §7.4
-        baseline = next(r for r in rows if r.policy == "none")
-        persistent = [
-            r.throughput_mops
-            for r in rows
-            if r.policy == "manual" and r.throughput_mops is not None
-        ]
-        assert all(baseline.throughput_mops >= t for t in persistent)
+        baseline_mops = run("none", "plain").throughput_mops
+        for optimizer in ("plain", "skipit"):
+            assert baseline_mops >= run("manual", optimizer).throughput_mops
 
     @pytest.mark.slow
     def test_fig14_policy_ordering(self):
         """Manual persistence costs least, automatic most (for one filter)."""
-        rows = run_fig14(
-            quick=True,
-            structures=["skiplist"],
-            policies=["automatic", "nvtraverse", "manual"],
-            optimizers=["skipit"],
-        )
-        tp = {r.policy: r.throughput_mops for r in rows if r.policy != "none"}
+        tp = {
+            policy: run_structure(
+                14,
+                "skiplist",
+                policy,
+                "skipit",
+                UPDATE_PERCENT,
+                QUICK_DURATION,
+                point_seed(14, f"skiplist,{policy},skipit"),
+            ).throughput_mops
+            for policy in ALL_POLICIES
+        }
         assert tp["manual"] >= tp["nvtraverse"] >= tp["automatic"] * 0.9, tp
-
-
-class TestStoreRunnerGuards:
-    """Inputs the store-side figures reject before simulating anything."""
-
-    def test_fig20_rejects_an_empty_transaction(self):
-        with pytest.raises(ValueError, match="txn_size"):
-            run_fig20(quick=True, optimizers=["skipit"], txn_sizes=[0])
-
-    @pytest.mark.parametrize("load", [0.0, -8.0])
-    def test_fig19_rejects_a_non_positive_offered_load(self, load):
-        with pytest.raises(ValueError, match="offered load"):
-            run_fig19(quick=True, optimizers=["skipit"], offered_loads=[load])
-
-    def test_fig19_needs_an_oltp_session(self):
-        with pytest.raises(ValueError, match="OLTP session"):
-            run_fig19(quick=True, optimizers=["skipit"], sessions=1)
 
 
 class TestCli:
@@ -116,3 +97,18 @@ class TestCli:
     def test_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
             main(["--fig", "99"])
+
+    def test_a_raising_claim_still_leaves_the_json(self, monkeypatch, tmp_path):
+        """The run's outputs are written before any claim is judged."""
+
+        def judge(rows):
+            raise RuntimeError("broken judge")
+
+        raising = (Claim("§0", "a judge that raises", judge),)
+        figure = dataclasses.replace(FIGURES[11], claims=raising)
+        monkeypatch.setitem(FIGURES, 11, figure)
+        path = tmp_path / "bench.json"
+        with pytest.raises(RuntimeError, match="broken judge"):
+            main(["--fig", "11", "--quick", "--json", str(path)])
+        rows = baseline.load(str(path))["figures"]["11"]["rows"]
+        assert rows == baseline.load(str(BASELINE))["figures"]["11"]["rows"]

@@ -16,7 +16,8 @@ import pytest
 
 from repro.bench import baseline as baseline_mod
 from repro.bench import regress
-from repro.bench.shared import run_fig18
+from repro.bench.shared import GROUP_COMMIT, shared_row
+from repro.bench.store import run_mix
 from repro.timing.params import TimingParams
 
 COMMITTED = "baselines/quick.json"
@@ -36,15 +37,9 @@ def _doc(rows, quick=True):
     }
 
 
-def _one_point(**kwargs):
-    return run_fig18(
-        quick=True,
-        optimizers=["plain"],
-        threads=[2],
-        duration=10_000,
-        seed=7,
-        **kwargs,
-    )
+def _one_point():
+    """A short fig-18 point at a seed of its own (not a committed row)."""
+    return [shared_row(run_mix("plain", GROUP_COMMIT, 2, 10_000, 7, shared=True))]
 
 
 class TestCompareSemantics:

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-import repro.bench
 from repro.bench import FIGURES, baseline
 from repro.bench.micro import MicroRow
 from repro.bench.runner import (
@@ -72,26 +71,11 @@ class TestRunner:
         assert len(messages) == runs[11].points + 1
         assert all("fig 11" in m for m in messages[:-1])
 
-    @pytest.mark.parametrize(
-        "figure, name",
-        [
-            (9, "run_fig09"),
-            (10, "run_fig10"),
-            (11, "run_fig11"),
-            (12, "run_fig12"),
-            (13, "run_fig13"),
-            (16, "run_fig16"),
-            (17, "run_fig17"),
-            (18, "run_fig18"),
-            (19, "run_fig19"),
-            (20, "run_fig20"),
-            (21, "run_fig21"),
-        ],
-    )
-    def test_direct_call_reproduces_committed_rows(self, figure, name):
+    @pytest.mark.parametrize("figure", [9, 10, 11, 12, 13, 16, 17, 18, 19, 20, 21])
+    def test_direct_call_reproduces_committed_rows(self, figure):
         """A direct call runs the runner's own cells, seeds included."""
-        run = getattr(repro.bench, name)
-        rows = json.loads(json.dumps([dataclasses.asdict(r) for r in run(quick=True)]))
+        live = FIGURES[figure].run(quick=True)
+        rows = json.loads(json.dumps([dataclasses.asdict(r) for r in live]))
         committed = baseline.load(str(BASELINE))["figures"][str(figure)]["rows"]
         assert len(rows) == len(committed)
         for index, (got, want) in enumerate(zip(rows, committed)):

@@ -1,7 +1,5 @@
-"""Odds-and-ends coverage: core bookkeeping, sweep helpers, CLI paths."""
+"""Odds-and-ends coverage: core bookkeeping."""
 
-from repro.bench.micro import rows_by_series, MicroRow
-from repro.bench.structures import rows_by_structure, ThroughputRow
 from repro.uarch.cpu import Instr
 from repro.uarch.soc import Soc
 
@@ -37,24 +35,3 @@ class TestCoreBookkeeping:
         assert "l2" in summary
         assert "l1_0" in summary and "flush_unit_0" in summary
 
-
-class TestRowGrouping:
-    def test_rows_by_series(self):
-        rows = [
-            MicroRow(9, "a", 64, 1, 10.0),
-            MicroRow(9, "b", 64, 1, 11.0),
-            MicroRow(9, "a", 128, 1, 12.0),
-        ]
-        grouped = rows_by_series(rows)
-        assert sorted(grouped) == ["a", "b"]
-        assert len(grouped["a"]) == 2
-
-    def test_rows_by_structure(self):
-        rows = [
-            ThroughputRow(14, "list", "manual", "plain", 5, 1.0),
-            ThroughputRow(14, "bst", "manual", "plain", 5, 2.0),
-            ThroughputRow(14, "list", "manual", "skipit", 5, 3.0),
-        ]
-        grouped = rows_by_structure(rows)
-        assert sorted(grouped) == ["bst", "list"]
-        assert len(grouped["list"]) == 2

@@ -22,11 +22,7 @@ from repro.timing.system import TimingSystem
 from repro.uarch.cpu import Instr
 from repro.uarch.soc import Soc
 from repro.verify.cli import matrix_schedule, matrix_system
-from repro.verify.injector import (
-    SocCrashInjector,
-    TimingCrashInjector,
-    timing_crash_image,
-)
+from repro.verify.injector import SocCrashInjector, TimingCrashInjector
 
 LINE = 0x3000
 
@@ -99,13 +95,13 @@ class TestTimingInjector:
     @example(history=[("store", 0, LINE, 7), ("clean", 0, LINE)])
     @settings(max_examples=60, deadline=None)
     @given(history=st.lists(HISTORY_OP, max_size=30))
-    def test_timing_crash_image_matches_crash(self, history):
+    def test_persisted_image_matches_crash(self, history):
         """``crash(at)`` lands exactly the writes ``persisted_image(at)``
         shows, in place, at every time a write could land."""
         system = replay(history)
         dones = {wb.done for wb in system.in_flight}
         for at in [None, *sorted(dones | {done - 1 for done in dones})]:
-            image = timing_crash_image(system, at=at)
+            image = system.persisted_image(at)
             crashed = replay(history)
             persisted = crashed.persisted
             assert crashed.crash(at=at) == image, at
@@ -116,8 +112,8 @@ class TestTimingInjector:
         first, second = system.in_flight_by_line[LINE]
         assert second.done < first.done
         # the younger write cannot land before the older one has
-        assert LINE + 8 not in timing_crash_image(system, at=second.done)
-        assert timing_crash_image(system, at=first.done)[LINE + 8] == 2
+        assert LINE + 8 not in system.persisted_image(second.done)
+        assert system.persisted_image(first.done)[LINE + 8] == 2
 
     def test_at_gates_the_mid_writeback_window(self):
         """A CBO's DRAM write lands at its completion time, not at issue."""
@@ -127,8 +123,8 @@ class TestTimingInjector:
         thread.clean(LINE)
         (pending,) = system.in_flight
         assert pending.done > thread.now
-        assert timing_crash_image(system, at=thread.now).get(LINE) is None
-        assert timing_crash_image(system, at=pending.done).get(LINE) == 7
+        assert system.persisted_image(thread.now).get(LINE) is None
+        assert system.persisted_image(pending.done).get(LINE) == 7
 
 
 class TestSocInjector:

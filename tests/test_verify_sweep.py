@@ -16,6 +16,7 @@ import pytest
 
 from repro.store.layout import OP_COMMIT, OP_TXN, OP_TXN_COMMIT, StoreLayout
 from repro.store.recovery import RecoveredState
+from repro.timing.system import TimingSystem
 from repro.verify import mutants as registry
 from repro.verify import store as verify_store
 from repro.verify import sweep
@@ -150,15 +151,15 @@ MEMO_CASES = [
 
 def unique_images(monkeypatch):
     """Make every crash image distinct, so every crash point recovers."""
-    crash_image = sweep.timing_crash_image
+    persisted_image = TimingSystem.persisted_image
     stamps = itertools.count(1)
 
     def stamped(system, at=None):
-        image = crash_image(system, at=at)
+        image = persisted_image(system, at)
         image[SENTINEL] = next(stamps)
         return image
 
-    monkeypatch.setattr(sweep, "timing_crash_image", stamped)
+    monkeypatch.setattr(TimingSystem, "persisted_image", stamped)
 
 
 def count_recoveries(monkeypatch):
