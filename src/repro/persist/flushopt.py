@@ -100,7 +100,8 @@ class FlushOptimizer:
 
         Benchmarks declare the prefilled state persisted; filters that keep
         software dirty marks must clear them so the measurement does not
-        start with a spurious flush-everything transient.
+        start with a spurious flush-everything transient.  An override
+        that writes ``system.persisted`` bumps ``system.persisted_version``.
         """
 
     # --------------------------------------------------------------- stats
@@ -141,6 +142,7 @@ class Flit(FlushOptimizer):
                 system.arch[counter] = 0
             if system.persisted.get(counter):
                 system.persisted[counter] = 0
+                system.persisted_version += 1
 
     # The four hooks below call the timing system themselves rather than
     # the ThreadCtx wrappers: one frame fewer on every FliT access.
@@ -317,6 +319,7 @@ class LinkAndPersist(FlushOptimizer):
             for address, value in store.items():
                 if value & _LNP_BIT:
                     store[address] = value & ~_LNP_BIT
+        system.persisted_version += 1
 
 
 OPTIMIZER_NAMES = (

@@ -10,7 +10,9 @@ outstanding asynchronous writebacks).  All architectural state lives in
 * shared inclusive L2 state (dirty bit, full-map directory, and the word
   values its copy of the line holds);
 * ``persisted`` — what main memory (the persistence domain) holds; a
-  simulated crash keeps exactly this.
+  simulated crash keeps exactly this.  Every write to it bumps
+  ``persisted_version``, so an unchanged version means an unchanged
+  persistence domain.
 
 Writeback semantics follow §4: a CBO.X snapshots the line's words at issue
 time into the persistence domain (writes *before* the writeback are
@@ -28,13 +30,22 @@ objects in the same order, with no empty lists.  Every method that adds,
 settles or drops entries keeps the two in step, so a clean CBO adopts
 same-line payloads and an L2 fill settles its line without scanning every
 pending write.
+
+When each of those writes reaches DRAM is decided in one place,
+:meth:`TimingSystem._landing_order`.  A crash image is ``persisted`` plus
+the writes landed by the crash time: :meth:`~TimingSystem.persisted_image`
+builds one, :meth:`~TimingSystem.crash` keeps one, and
+:meth:`~TimingSystem.landed_words` describes the crash points of a sweep
+by their landed words alone, so a sweep that sees the same version and
+the same words knows the image is unchanged without building it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set
+from operator import itemgetter
+from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.coherence.directory import DirectoryEntry
 from repro.sim.stats import StatCounter
@@ -46,6 +57,8 @@ from repro.tilelink.permissions import Perm
 _NONE = Perm.NONE
 _BRANCH = Perm.BRANCH
 _TRUNK = Perm.TRUNK
+#: sort key of :meth:`TimingSystem._landing_order`'s ``(lands, write)`` pairs
+_LANDS = itemgetter(0)
 
 
 @dataclass(slots=True)
@@ -143,6 +156,10 @@ class TimingSystem:
         )
         self.arch: Dict[int, int] = {}
         self.persisted: Dict[int, int] = {}
+        #: bumped by every write to ``persisted`` (here and in the filters'
+        #: ``declare_persisted``): an unchanged version means an unchanged
+        #: persistence domain
+        self.persisted_version = 0
         self._line_words: Dict[int, Set[int]] = {}
         # hot-path copies of the params the per-access paths read (the
         # params are frozen, and ``line_bytes`` is a property)
@@ -207,27 +224,50 @@ class TimingSystem:
                 by_line.setdefault(wb.line, []).append(wb)
         self.in_flight = remaining
         self.in_flight_by_line = by_line
+        if last:
+            self.persisted_version += 1
 
-    def _land(self, image: Dict[int, int], at: Optional[int]) -> None:
-        """Apply to *image* every in-flight write that reached DRAM by *at*.
+    def _landing_order(self) -> List[Tuple[int, InFlightWriteback]]:
+        """``(lands, write)`` for every in-flight write, by landing time.
 
-        The one landing rule of :meth:`persisted_image` and :meth:`crash`.
-        A write lands once its completion time has passed (``done <= at``,
-        or the issuing thread's clock when *at* is ``None``); younger ones
-        are the mid-writeback window a crash loses.  Same-line writes
-        complete in arrival order at the controller, so a write cannot
-        land before its predecessors: its landing time is the running
-        maximum of ``done`` over its line.  Each write carries words of
-        its own line only, so the order across lines does not matter.
+        The one landing rule.  A write lands once its landing time has
+        passed (``lands <= at``, or the issuing thread's clock for a crash
+        *now*); younger ones are the mid-writeback window a crash loses.
+        Same-line writes complete in arrival order at the controller, so a
+        write cannot land before its predecessors: its landing time is the
+        running maximum of ``done`` over its line.  Each write carries
+        words of its own line only, so the order across lines does not
+        matter; the sort is stable, so a line's writes keep arrival order.
         """
-        threads = self.threads
+        order = []
+        append = order.append
         for pending in self.in_flight_by_line.values():
-            landed = pending[0].done
+            lands = pending[0].done
             for wb in pending:
-                if wb.done > landed:
-                    landed = wb.done
-                if landed <= (threads[wb.tid].now if at is None else at):
+                if wb.done > lands:
+                    lands = wb.done
+                append((lands, wb))
+        order.sort(key=_LANDS)
+        return order
+
+    def _land(
+        self,
+        image: Dict[int, int],
+        at: Optional[int],
+        order: List[Tuple[int, InFlightWriteback]],
+    ) -> None:
+        """Apply to *image* every write of *order* (see
+        :meth:`_landing_order`) that landed by *at*."""
+        if at is None:
+            threads = self.threads
+            for lands, wb in order:
+                if lands <= threads[wb.tid].now:
                     image.update(wb.values)
+            return
+        for lands, wb in order:
+            if lands > at:
+                break
+            image.update(wb.values)
 
     def persisted_image(self, at: Optional[int] = None) -> Dict[int, int]:
         """The words DRAM would hold if power failed right now.
@@ -236,8 +276,45 @@ class TimingSystem:
         plus every in-flight write that landed by *at* (see :meth:`_land`).
         """
         image = dict(self.persisted)
-        self._land(image, at)
+        self._land(image, at, self._landing_order())
         return image
+
+    def landed_words(
+        self, window: bool = False
+    ) -> Iterator[Tuple[Optional[int], Dict[int, int]]]:
+        """``(at, words)`` for each crash point of this instant.
+
+        The first point is a crash now (``at`` is ``None``); with *window*
+        one more follows at every distinct ``done`` of an in-flight write,
+        in increasing order.  *words* are the landed words (see
+        :meth:`_landing_order`) that differ from ``persisted``, so
+        ``persisted`` updated with *words* is :meth:`persisted_image` (at),
+        and while ``persisted_version`` holds, two points see equal images
+        exactly when their words are equal.  The now point walks the
+        in-flight writes once; each windowed point applies only the writes
+        that land at its time, and one where none lands yields the dict of
+        the point before (a dict is never changed once yielded).
+        """
+        persisted = self.persisted
+        order = self._landing_order()
+        landed: Dict[int, int] = {}
+        self._land(landed, None, order)
+        yield None, {w: v for w, v in landed.items() if persisted.get(w) != v}
+        if not window:
+            return
+        landed = {}
+        words: Dict[int, int] = {}
+        i, n = 0, len(order)
+        for at in sorted({wb.done for wb in self.in_flight}):
+            first = i
+            while i < n and order[i][0] <= at:
+                landed.update(order[i][1].values)
+                i += 1
+            if i > first:
+                words = {
+                    w: v for w, v in landed.items() if persisted.get(w) != v
+                }
+            yield at, words
 
     # ------------------------------------------------------ L2 maintenance
     def _l2_evict(self, line: int, rec: L2Rec) -> None:
@@ -257,11 +334,13 @@ class TimingSystem:
                 victim_line, victim = spilled
                 if victim.dirty:
                     self.persisted.update(victim.values)
+                    self.persisted_version += 1
                     wb_lines[victim_line] = wb_lines.get(victim_line, 0) + 1
                     counts["l3_evict_writebacks"] += 1
             counts["l2_evict_to_l3"] += 1
         elif rec.dirty:
             self.persisted.update(rec.values)
+            self.persisted_version += 1
             wb_lines[line] = wb_lines.get(line, 0) + 1
             counts["l2_evict_writebacks"] += 1
         else:
@@ -339,6 +418,7 @@ class TimingSystem:
                 if pending is not None:
                     for wb in pending:
                         persisted.update(wb.values)
+                    self.persisted_version += 1
                     self.in_flight = [wb for wb in self.in_flight if wb.line != line]
                 words = self._line_words.get(line, ())
                 rec = L2Rec(
@@ -800,6 +880,7 @@ class TimingSystem:
                 if l3rec.dirty:
                     self.persisted.update(l3rec.values)
                     l3rec.dirty = False
+        self.persisted_version += 1
         for l1 in self.l1s:
             for line, l1rec in l1.items():
                 if l1rec.dirty:
@@ -818,7 +899,8 @@ class TimingSystem:
         caches — the mid-writeback crash window the injector
         (:mod:`repro.verify.injector`) enumerates.
         """
-        self._land(self.persisted, at)
+        self._land(self.persisted, at, self._landing_order())
+        self.persisted_version += 1
         self.in_flight = []
         self.in_flight_by_line = {}
         p = self.params

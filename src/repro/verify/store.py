@@ -70,8 +70,14 @@ class StoreOracle:
     def observe(self, lsn: int, op: int, key: int, value: int) -> None:
         """``wal.on_append`` hook: journal every appended record."""
         self.journal[lsn] = (op, key, value)
-        # a shared log appends out of LSN order, so any prefix may change
-        self._references.clear()
+        # a shared log appends out of LSN order: the append changes every
+        # prefix that reaches *lsn*, and no shorter one.  A run that judges
+        # only at its end caches nothing while it appends, and skipping the
+        # scan then keeps its appends from churning the allocator
+        references = self._references
+        if references:
+            for stale in [a for a in references if a >= lsn]:
+                del references[stale]
 
     def reference_state(self, applied_lsn: int) -> Dict[int, int]:
         """KV state after replaying the journal prefix up to a marker.
@@ -80,7 +86,8 @@ class StoreOracle:
         transactions: OP_TXN records buffer and fold in only at their
         OP_TXN_COMMIT, so a transaction whose commit record lies beyond
         ``applied_lsn`` contributes nothing.  The answer is cached until
-        the next :meth:`observe`; callers must not mutate it.
+        an :meth:`observe` at or below ``applied_lsn``; callers must not
+        mutate it.
         """
         cached = self._references.get(applied_lsn)
         if cached is not None:

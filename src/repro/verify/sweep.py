@@ -8,10 +8,20 @@ and at every protocol boundary the store exposes checks the oracle
 against a crash image — at :data:`WINDOWED_BOUNDARIES` also one per
 distinct writeback-completion time.  Most crash points see the same
 image as the point before, so recovery runs once per run of equal
-images and the oracle judges that outcome at every point.  Seal mode
-is an axis of every scenario: ``ranged_seal=True`` seals epochs and
-checkpoints with one CBO.RANGE.CLEAN per contiguous run plus a
-completion wait.
+images and the oracle judges that outcome at every point.
+
+A crash point costs what changed since the point before.  The probe
+describes each point by its landed words that differ from ``persisted``
+(:meth:`~repro.timing.system.TimingSystem.landed_words`: the now point
+walks the in-flight writes once, and each windowed point applies only
+the writes that land at its time).  While ``persisted_version`` holds,
+equal words mean an equal image, so the point reuses the last outcome
+without building one; only after a version change is the full image
+built and compared with the last.
+
+Seal mode is an axis of every scenario: ``ranged_seal=True`` seals
+epochs and checkpoints with one CBO.RANGE.CLEAN per contiguous run plus
+a completion wait.
 """
 
 from __future__ import annotations
@@ -181,29 +191,33 @@ class CrashSweep:
             tier.on_write = oracle.observe_write
             tier.on_shed = oracle.observe_shed
         recover_args = route_mutants(self.mutants, system, store, rig.tier)
-        # the last crash image and its recovery outcome: most crash points
-        # see the image of the point before, and recovery is pure, so an
-        # equal image (exact content) reuses the outcome; the judging
-        # step still runs at every point with that point's LSNs
+        # the last crash point (persisted version, landed words, image)
+        # and its recovery outcome: most crash points see the image of
+        # the point before, and recovery is pure, so an equal image (exact
+        # content) reuses the outcome; the judging step still runs at
+        # every point with that point's LSNs
+        last_version = -1
+        last_words: Optional[Dict[int, int]] = None
         last_image: Optional[Dict[int, int]] = None
         outcome = None
 
         def probe(name: str) -> None:
-            nonlocal last_image, outcome
+            nonlocal last_version, last_words, last_image, outcome
             report.boundaries += 1
             if len(report.violations) >= MAX_VIOLATIONS:
                 return
-            ats: List[Optional[int]] = [None]
-            if name in WINDOWED_BOUNDARIES:
-                ats.extend(sorted({wb.done for wb in system.in_flight}))
-            for at in ats:
+            version = system.persisted_version
+            for at, words in system.landed_words(name in WINDOWED_BOUNDARIES):
                 report.crash_points += 1
-                image = system.persisted_image(at)
-                if image != last_image:
-                    last_image = image
-                    outcome = oracle.recover_image(
-                        persisted_reader(image), store.layout, **recover_args
-                    )
+                if version != last_version or words != last_words:
+                    image = dict(system.persisted)
+                    image.update(words)
+                    # same version, other words: the image differs
+                    if version == last_version or image != last_image:
+                        outcome = oracle.recover_image(
+                            persisted_reader(image), store.layout, **recover_args
+                        )
+                    last_version, last_words, last_image = version, words, image
                 report.violations.extend(
                     oracle.judge(
                         outcome,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.persist.flushopt import _LNP_BIT, FlitAdjacent, LinkAndPersist
 from repro.sim.config import CacheGeometry
 from repro.tilelink.permissions import Perm
 from repro.timing.params import TimingParams
@@ -250,6 +251,7 @@ class MethodCallTimingSystem(TimingSystem):
             return
         for wb in pending:
             self.persisted.update(wb.values)
+        self.persisted_version += 1
         self.in_flight = [wb for wb in self.in_flight if wb.line != line]
 
     def _persisted_line(self, line):
@@ -293,11 +295,13 @@ class MethodCallTimingSystem(TimingSystem):
                 victim_line, victim = spilled
                 if victim.dirty:
                     self.persisted.update(victim.values)
+                    self.persisted_version += 1
                     self._count_wb(victim_line)
                     self.stats.inc("l3_evict_writebacks")
             self.stats.inc("l2_evict_to_l3")
         elif rec.dirty:
             self.persisted.update(rec.values)
+            self.persisted_version += 1
             self._count_wb(line)
             self.stats.inc("l2_evict_writebacks")
         else:
@@ -496,6 +500,7 @@ def model_state(system):
         "stats": list(system.stats.as_dict().items()),
         "arch": system.arch,
         "persisted": system.persisted,
+        "persisted_version": system.persisted_version,
         "in_flight": [(wb.tid, wb.done, wb.line, wb.values)
                       for wb in system.in_flight],
         "l1s": [lines(l1, lambda r: (r.perm, r.dirty, r.skip))
@@ -563,3 +568,97 @@ class TestPersistedImageMatchesArrivalOrder:
                 assert system.persisted_image(at) == arrival_order_image(
                     system, at
                 ), (op, at)
+
+
+# -- the persistence-domain version and the sweep's landed words -------------
+
+VERSION_KINDS = {
+    "store": 8, "cas": 3, "clean": 4, "flush": 3, "clean_range": 2,
+    "flush_range": 1, "fence": 2, "await_writebacks": 1, "crash": 2,
+    "persist_all": 1, "declare_flit": 1, "declare_lnp": 1,
+}
+
+
+@st.composite
+def version_op(draw):
+    kind = draw(st.sampled_from([k for k, n in VERSION_KINDS.items() for _ in range(n)]))
+    if kind == "crash":
+        # now, or at the last in-flight completion (every write lands)
+        return (kind, draw(st.booleans()))
+    if kind in ("persist_all", "declare_flit", "declare_lnp"):
+        return (kind,)
+    tid = draw(st.integers(0, 1))
+    if kind in ("fence", "await_writebacks"):
+        return (kind, tid)
+    address = draw(st.sampled_from(PATH_WORDS))
+    if kind == "store":
+        # some values carry link-and-persist's mark, for its declare to clear
+        mark = draw(st.sampled_from((0, _LNP_BIT)))
+        return (kind, tid, address, draw(st.integers(1, 99)) | mark)
+    if kind == "cas":
+        return (kind, tid, address, draw(st.integers(0, 3)), draw(st.integers(1, 99)))
+    if kind.endswith("_range"):
+        return (kind, tid, address, draw(st.integers(1, 3 * 64)), draw(st.booleans()))
+    return (kind, tid, address)
+
+
+def version_params(l3, skip_it):
+    # L2 and L3 of two sets each: five PATH lines (k = 0, 2, 4, 8, 12)
+    # share set 0, where L2 and a one-way L3 hold three, so the victim L3
+    # spills dirty lines to memory
+    return TimingParams(
+        num_threads=2,
+        skip_it=skip_it,
+        num_fshrs=2,
+        l1=CacheGeometry(size_bytes=256, ways=2),
+        l2=CacheGeometry(size_bytes=256, ways=2),
+        l3=CacheGeometry(size_bytes=128, ways=1) if l3 else None,
+    )
+
+
+def run_version_op(system, op, flit):
+    kind = op[0]
+    if kind == "crash":
+        dones = [wb.done for wb in system.in_flight]
+        system.crash(max(dones) if op[1] and dones else None)
+    elif kind == "declare_flit":
+        flit.declare_persisted(system)
+    elif kind == "declare_lnp":
+        LinkAndPersist().declare_persisted(system)
+    elif kind == "cas":
+        run_path_op(system, op)
+    else:
+        run_index_op(system, op)
+
+
+class TestPersistedVersion:
+    """Every write to ``persisted`` bumps ``persisted_version`` (the crash
+    sweep reuses an outcome while it holds), and ``landed_words`` plus
+    ``persisted`` is ``persisted_image`` at every crash point it names.
+    Lines with pending writes are evicted and refilled within a few ops,
+    with and without the victim L3."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(version_op(), min_size=30, max_size=80),
+        l3=st.booleans(),
+        skip_it=st.booleans(),
+    )
+    def test_version_and_landed_words(self, ops, l3, skip_it):
+        system = TimingSystem(version_params(l3, skip_it))
+        flit = FlitAdjacent()
+        for line in PATH_LINES:
+            flit._counter_of(line)  # a counter at line + 8, a PATH word
+        for op in ops:
+            version, persisted = system.persisted_version, dict(system.persisted)
+            run_version_op(system, op, flit)
+            if system.persisted_version == version:
+                assert system.persisted == persisted, op
+            points = list(system.landed_words(window=True))
+            dones = sorted({wb.done for wb in system.in_flight})
+            assert [at for at, _ in points] == [None, *dones]
+            assert list(system.landed_words()) == points[:1]
+            for at, words in points:
+                assert all(system.persisted.get(w) != v for w, v in words.items())
+                image = {**system.persisted, **words}
+                assert image == system.persisted_image(at), (op, at)

@@ -7,6 +7,7 @@ nothing beyond the last initiated epoch, and a state equal to the
 journal prefix, for every optimizer x group-commit {1, 8, 64}.
 """
 
+import random
 from copy import deepcopy
 
 import pytest
@@ -147,11 +148,38 @@ class TestStoreOracle:
         oracle = StoreOracle()
         oracle.observe(1, OP_PUT, 5, 50)
         oracle.observe(3, OP_COMMIT, 2, 0)
-        cached = oracle.reference_state(3)
-        assert cached == {5: 50}
-        assert oracle.reference_state(3) is cached
+        below, at, above = (oracle.reference_state(a) for a in (1, 2, 3))
+        assert above == {5: 50}
+        assert oracle.reference_state(3) is above
         oracle.observe(2, OP_PUT, 6, 60)
-        assert oracle.reference_state(3) == {5: 50, 6: 60}
+        # the append reaches every prefix at or above lsn 2, no shorter one
+        assert oracle.reference_state(1) is below
+        for lsn, stale in ((2, at), (3, above)):
+            fresh = oracle.reference_state(lsn)
+            assert fresh is not stale
+            assert fresh == {5: 50, 6: 60}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_appends_keep_every_reference_exact(self, seed):
+        """Appends in any order, with every prefix cached in between,
+        leave each reference equal to a from-scratch replay."""
+        journal = [(1, OP_PUT, 5, 50), (2, OP_PUT, 6, 60), (3, OP_COMMIT, 2, 0),
+                   (4, OP_TXN, 5, 51), (5, OP_TXN, 7, 70),
+                   (6, OP_TXN_COMMIT, 1, 2), (7, OP_DELETE, 6, 0),
+                   (8, OP_COMMIT, 4, 0), (9, OP_PUT, 7, 71), (10, OP_COMMIT, 1, 0)]
+        lsns = range(len(journal) + 1)
+        order = list(journal)
+        random.Random(seed).shuffle(order)
+        oracle = StoreOracle()
+        for record in order:
+            oracle.observe(*record)
+            for a in lsns:
+                oracle.reference_state(a)
+        replay = StoreOracle()
+        for record in journal:
+            replay.observe(*record)
+        for a in lsns:
+            assert oracle.reference_state(a) == replay.reference_state(a), a
 
 
 def txn_journal(oracle):

@@ -150,16 +150,16 @@ MEMO_CASES = [
 
 
 def unique_images(monkeypatch):
-    """Make every crash image distinct, so every crash point recovers."""
-    persisted_image = TimingSystem.persisted_image
+    """Make every crash image distinct, so every crash point recovers:
+    stamp a fresh word into every point's landed words."""
+    landed_words = TimingSystem.landed_words
     stamps = itertools.count(1)
 
-    def stamped(system, at=None):
-        image = persisted_image(system, at)
-        image[SENTINEL] = next(stamps)
-        return image
+    def stamped(system, window=False):
+        for at, words in landed_words(system, window):
+            yield at, {**words, SENTINEL: next(stamps)}
 
-    monkeypatch.setattr(TimingSystem, "persisted_image", stamped)
+    monkeypatch.setattr(TimingSystem, "landed_words", stamped)
 
 
 def count_recoveries(monkeypatch):
@@ -195,10 +195,12 @@ class TestRecoveryMemo:
             ).run()
 
         plain = run()
+        calls = count_recoveries(monkeypatch)
         unique_images(monkeypatch)
         # boundaries, crash points, and every violation's kind, word,
         # detail and crash point
         assert run() == plain
+        assert len(calls) == plain.crash_points
 
     def test_equal_images_recover_once(self, monkeypatch):
         calls = count_recoveries(monkeypatch)
